@@ -1,0 +1,143 @@
+//! Golden `.tnet` digests: synthesis output is pinned byte for byte.
+//!
+//! Every factored paper-suite circuit is synthesized at ψ = 3..=9 under the
+//! default configuration, and again at ψ = 6 with δ_on = 1, where the tier-0
+//! and tier-0.5 oracles switch off and the ILP answers every query. The
+//! FNV-1a digest of each `.tnet` text must equal the committed value, so
+//! any refactor of the synthesis or threshold-check paths that changes a
+//! single emitted byte fails here.
+
+use tels::circuits::paper_suite;
+use tels::logic::opt::script_algebraic;
+use tels::{synthesize, TelsConfig};
+
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// `(circuit, ψ, δ_on, digest)` for every pinned configuration.
+const GOLDEN: &[(&str, usize, i64, u64)] = &[
+    ("cm152a_like", 3, 0, 0x0ca7fad87853f2a3),
+    ("cm152a_like", 4, 0, 0xe984d20c56f17b73),
+    ("cm152a_like", 5, 0, 0x697e6ff98ce63a35),
+    ("cm152a_like", 6, 0, 0x49cbfa4e6719f66d),
+    ("cm152a_like", 7, 0, 0x5dc87888374b000d),
+    ("cm152a_like", 8, 0, 0x37b3ad89f91f089d),
+    ("cm152a_like", 9, 0, 0x2dced9e5d2368f25),
+    ("cm152a_like", 6, 1, 0x8fafd08c556215c5),
+    ("cordic_like", 3, 0, 0xde1e12f53f0979c0),
+    ("cordic_like", 4, 0, 0x2eedc1cb0592becb),
+    ("cordic_like", 5, 0, 0x667bcf951ec21b40),
+    ("cordic_like", 6, 0, 0xef8ddff808edc866),
+    ("cordic_like", 7, 0, 0xd1713f7635197108),
+    ("cordic_like", 8, 0, 0x5b4cbb4b9b952cbf),
+    ("cordic_like", 9, 0, 0xfb4dbad8f6805163),
+    ("cordic_like", 6, 1, 0xbb886805ceb7e571),
+    ("cm85a_like", 3, 0, 0x3eb910bda0be1c3b),
+    ("cm85a_like", 4, 0, 0x7dffd99415e85609),
+    ("cm85a_like", 5, 0, 0x7dffd99415e85609),
+    ("cm85a_like", 6, 0, 0x7dffd99415e85609),
+    ("cm85a_like", 7, 0, 0x7dffd99415e85609),
+    ("cm85a_like", 8, 0, 0xb7a38d2d5c43dc67),
+    ("cm85a_like", 9, 0, 0xb7a38d2d5c43dc67),
+    ("cm85a_like", 6, 1, 0x0d14e98204587e88),
+    ("comp_like", 3, 0, 0x3714d4275c00c1f9),
+    ("comp_like", 4, 0, 0x2e9953c8ba8515ae),
+    ("comp_like", 5, 0, 0x00948eed51ea80e5),
+    ("comp_like", 6, 0, 0xdf671d2d992edeaf),
+    ("comp_like", 7, 0, 0xdf671d2d992edeaf),
+    ("comp_like", 8, 0, 0x4cb356aeed389b27),
+    ("comp_like", 9, 0, 0x4cb356aeed389b27),
+    ("comp_like", 6, 1, 0x53631b3ade22f364),
+    ("cmb_like", 3, 0, 0x3ce538008c90e5ec),
+    ("cmb_like", 4, 0, 0x5322d9a6ebdc1131),
+    ("cmb_like", 5, 0, 0x3584d9a97ca3871b),
+    ("cmb_like", 6, 0, 0x3584d9a97ca3871b),
+    ("cmb_like", 7, 0, 0x3584d9a97ca3871b),
+    ("cmb_like", 8, 0, 0xe6eb9ebbb02a155b),
+    ("cmb_like", 9, 0, 0xe6eb9ebbb02a155b),
+    ("cmb_like", 6, 1, 0xab791f73a47e16f5),
+    ("term1_like", 3, 0, 0xbf541d5c4817e06b),
+    ("term1_like", 4, 0, 0x8343f84955cb83e6),
+    ("term1_like", 5, 0, 0x43c277eb3e6ed334),
+    ("term1_like", 6, 0, 0x02d89dee7b73c383),
+    ("term1_like", 7, 0, 0x803ebad5efc54dd9),
+    ("term1_like", 8, 0, 0xc663cf3828957765),
+    ("term1_like", 9, 0, 0x743fbb434e1c60c8),
+    ("term1_like", 6, 1, 0xd7bc5ef57d6a443c),
+    ("pm1_like", 3, 0, 0x0aa05436415099c6),
+    ("pm1_like", 4, 0, 0xc3b24732b82fef1c),
+    ("pm1_like", 5, 0, 0xc3b24732b82fef1c),
+    ("pm1_like", 6, 0, 0xc3b24732b82fef1c),
+    ("pm1_like", 7, 0, 0xc3b24732b82fef1c),
+    ("pm1_like", 8, 0, 0xc3b24732b82fef1c),
+    ("pm1_like", 9, 0, 0xc3b24732b82fef1c),
+    ("pm1_like", 6, 1, 0x83ba8111d181717d),
+    ("x1_like", 3, 0, 0xf894a07aa7a8b5fd),
+    ("x1_like", 4, 0, 0x796f3b3179b3d955),
+    ("x1_like", 5, 0, 0x0cc3da416acc280a),
+    ("x1_like", 6, 0, 0xa63fef97e3a029fd),
+    ("x1_like", 7, 0, 0xdbaa7191567ce99a),
+    ("x1_like", 8, 0, 0xf046e3e563b4903f),
+    ("x1_like", 9, 0, 0xf046e3e563b4903f),
+    ("x1_like", 6, 1, 0xbadc2705830f66db),
+    ("i10_like", 3, 0, 0x903eb2da0869b01a),
+    ("i10_like", 4, 0, 0x86c93d7a29eba357),
+    ("i10_like", 5, 0, 0x80b88db47e9404a1),
+    ("i10_like", 6, 0, 0x2c8c4753ee141823),
+    ("i10_like", 7, 0, 0xde1edd0435f04c9b),
+    ("i10_like", 8, 0, 0x10ff445b9e5ea24e),
+    ("i10_like", 9, 0, 0x53806b003c6cf21e),
+    ("i10_like", 6, 1, 0x25d93487d5944fb8),
+    ("tcon_like", 3, 0, 0xdc78ed6bda8a1005),
+    ("tcon_like", 4, 0, 0xdc78ed6bda8a1005),
+    ("tcon_like", 5, 0, 0xdc78ed6bda8a1005),
+    ("tcon_like", 6, 0, 0xdc78ed6bda8a1005),
+    ("tcon_like", 7, 0, 0xdc78ed6bda8a1005),
+    ("tcon_like", 8, 0, 0xdc78ed6bda8a1005),
+    ("tcon_like", 9, 0, 0xdc78ed6bda8a1005),
+    ("tcon_like", 6, 1, 0xb6fc1a09e3270c65),
+];
+
+/// The configurations the golden table covers, in table order.
+fn configurations() -> Vec<(usize, i64)> {
+    let mut out: Vec<(usize, i64)> = (3..=9).map(|psi| (psi, 0)).collect();
+    out.push((6, 1));
+    out
+}
+
+#[test]
+fn suite_tnet_bytes_match_golden_digests() {
+    let mut actual = Vec::new();
+    for b in paper_suite() {
+        let factored = script_algebraic(&b.network);
+        for (psi, delta_on) in configurations() {
+            let config = TelsConfig {
+                psi,
+                delta_on,
+                ..TelsConfig::default()
+            };
+            let tn = synthesize(&factored, &config).expect(b.name);
+            actual.push((b.name, psi, delta_on, fnv1a(tn.to_tnet().as_bytes())));
+        }
+    }
+    let listing: String = actual
+        .iter()
+        .map(|(name, psi, d, h)| format!("    ({name:?}, {psi}, {d}, 0x{h:016x}),\n"))
+        .collect();
+    assert_eq!(
+        actual.len(),
+        GOLDEN.len(),
+        "golden table has the wrong length; current digests:\n{listing}"
+    );
+    for (got, want) in actual.iter().zip(GOLDEN) {
+        assert_eq!(
+            got, want,
+            "{} at ψ={} δ_on={}: .tnet bytes changed",
+            got.0, got.1, got.2
+        );
+    }
+}
