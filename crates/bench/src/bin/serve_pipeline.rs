@@ -1,7 +1,7 @@
 //! Benchmarks the `tels serve` daemon path against per-invocation one-shot
 //! synthesis and writes the results to `BENCH_serve.json`.
 //!
-//! Four measurements over the Table-I benchmark suite:
+//! Three measurements over the Table-I benchmark suite:
 //!
 //! * **one-shot rate**: every circuit synthesized by spawning the real
 //!   `tels` binary per invocation (process startup, tier-0 construction,
@@ -14,9 +14,6 @@
 //! * **persisted-warm**: the caches saved to disk, reloaded into a fresh
 //!   session, and the first pass over the suite timed — what a daemon
 //!   restart with `--cache-file` delivers.
-//! * **warming A/B**: the work-stealing scheduler warming pass
-//!   ([`warm_cache_scheduler`]) against the preserved pre-scheduler shared
-//!   queue pass ([`warm_cache_queue`]) on identical fresh caches.
 //!
 //! The workload is the *synthesis service* one: clients submit
 //! pre-factored networks (`factor: false`, the one-shot side gets the
@@ -36,11 +33,9 @@
 //! the JSON.
 //!
 //! The run doubles as a determinism gate: for every suite circuit the
-//! served `.tnet` bytes must equal the one-shot reference at pool width 1
-//! and at full width, cold and persisted-warm. Acceptance gates: warm
-//! serve throughput at least 3x the one-shot process rate (when the real
-//! binary is available), and scheduler warming no slower than the queue
-//! pass (with a noise allowance).
+//! served `.tnet` bytes must equal the one-shot reference, cold and
+//! persisted-warm. Acceptance gate: warm serve throughput at least 2x the
+//! one-shot process rate (when the real binary is available).
 //!
 //! Run with `cargo run --release -p tels-bench --bin serve_pipeline`; pass
 //! `--quick` for a single-sample smoke run that skips the JSON write.
@@ -49,22 +44,15 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use tels_circuits::paper_suite;
-use tels_core::{warm_cache_queue, warm_cache_scheduler, RealizationCache, TelsConfig};
+use tels_core::TelsConfig;
 use tels_logic::blif;
 use tels_logic::opt::script_algebraic;
 use tels_serve::protocol::JobRequest;
 use tels_serve::{ServeOptions, ServeSession};
 use tels_trace::json::Json;
 
-/// Warming A/B samples per implementation; the minimum is reported.
-const WARM_SAMPLES: usize = 5;
-
 /// Suite passes each client thread submits in a throughput measurement.
 const ROUNDS: usize = 3;
-
-/// Noise allowance for the scheduler-vs-queue warming gate: the scheduler
-/// pass must not be slower than the queue pass by more than this factor.
-const WARMING_TOLERANCE: f64 = 1.25;
 
 /// The benchmark configuration: tier-0 off so realizations go through the
 /// shared cache (see the module docs); everything else paper defaults.
@@ -135,7 +123,6 @@ fn find_tels_binary() -> Option<PathBuf> {
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let rounds = if quick { 1 } else { ROUNDS };
-    let warm_samples = if quick { 1 } else { WARM_SAMPLES };
     tels_core::prewarm_tier0();
 
     let suite = paper_suite();
@@ -207,28 +194,19 @@ fn main() {
         suite.len()
     );
 
-    // --- Byte identity: pool widths 1 and auto, cold. -------------------
-    for threads in [1usize, 0] {
-        let session = ServeSession::new(ServeOptions {
-            threads,
-            ..ServeOptions::default()
-        })
-        .expect("session");
-        let served = serve_suite_tnets(&session, &blifs);
-        for ((name, served), reference) in names.iter().zip(&served).zip(&references) {
-            assert_eq!(
-                served,
-                reference,
-                "{name}: served .tnet differs from one-shot at {} pool threads",
-                session.threads()
-            );
-        }
-        println!(
-            "byte identity: {} circuits match one-shot at {} pool threads (cold)",
-            suite.len(),
-            session.threads()
+    // --- Byte identity, cold. -------------------------------------------
+    let session = ServeSession::new(ServeOptions::default()).expect("session");
+    let served = serve_suite_tnets(&session, &blifs);
+    for ((name, served), reference) in names.iter().zip(&served).zip(&references) {
+        assert_eq!(
+            served, reference,
+            "{name}: served .tnet differs from one-shot"
         );
     }
+    println!(
+        "byte identity: {} circuits match one-shot (cold)",
+        suite.len()
+    );
 
     // --- Serve throughput: cold and warm at 1/4/16 clients. -------------
     let client_counts: &[usize] = if quick { &[1, 4] } else { &[1, 4, 16] };
@@ -263,7 +241,6 @@ fn main() {
     // --- Persisted-warm: save, reload into a fresh session, first pass. --
     let cache_path = dir.join("cache.bin");
     let seed = ServeSession::new(ServeOptions {
-        threads: 0,
         cache_file: Some(cache_path.clone()),
         ..ServeOptions::default()
     })
@@ -272,7 +249,6 @@ fn main() {
     let persisted = seed.persist_now().expect("save cache").unwrap_or(0);
     drop(seed);
     let reloaded = ServeSession::new(ServeOptions {
-        threads: 0,
         cache_file: Some(cache_path.clone()),
         ..ServeOptions::default()
     })
@@ -290,42 +266,6 @@ fn main() {
     println!(
         "persisted-warm: {persisted} entries reloaded; first pass {persisted_ms:.1} ms = \
          {persisted_rate:.1}/s (bytes identical)"
-    );
-
-    // --- Warming A/B: scheduler vs preserved queue pass. ----------------
-    let threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(4);
-    let mut sched_ms = f64::INFINITY;
-    let mut queue_ms = f64::INFINITY;
-    for _ in 0..warm_samples {
-        let mut total = 0.0;
-        for p in &prepared {
-            let cache = RealizationCache::new();
-            let start = Instant::now();
-            warm_cache_scheduler(p, &bench_config(), &cache, threads).expect("warm");
-            total += start.elapsed().as_secs_f64() * 1e3;
-        }
-        sched_ms = sched_ms.min(total);
-        let mut total = 0.0;
-        for p in &prepared {
-            let cache = RealizationCache::new();
-            let start = Instant::now();
-            warm_cache_queue(p, &bench_config(), &cache, threads).expect("warm");
-            total += start.elapsed().as_secs_f64() * 1e3;
-        }
-        queue_ms = queue_ms.min(total);
-    }
-    println!(
-        "warming ({threads} threads): scheduler {sched_ms:.2} ms vs queue {queue_ms:.2} ms \
-         ({:.2}x)",
-        queue_ms / sched_ms
-    );
-    assert!(
-        sched_ms <= queue_ms * WARMING_TOLERANCE,
-        "scheduler warming ({sched_ms:.2} ms) slower than the queue pass ({queue_ms:.2} ms) \
-         beyond the {WARMING_TOLERANCE}x tolerance"
     );
 
     // --- Gates and output. ----------------------------------------------
@@ -392,19 +332,9 @@ fn main() {
             ),
             ("warm_speedup_vs_one_shot", Json::Num(speedup)),
             (
-                "warming",
-                Json::obj([
-                    ("threads", Json::Num(threads as f64)),
-                    ("scheduler_ms", Json::Num(sched_ms)),
-                    ("queue_ms", Json::Num(queue_ms)),
-                    ("queue_over_scheduler", Json::Num(queue_ms / sched_ms)),
-                ]),
-            ),
-            (
                 "byte_identity",
                 Json::obj([
                     ("circuits", Json::Num(suite.len() as f64)),
-                    ("pool_widths_checked", Json::str("1, auto")),
                     ("cold_and_persisted_warm", Json::Bool(true)),
                 ]),
             ),

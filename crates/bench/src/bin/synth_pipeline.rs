@@ -1,27 +1,13 @@
-//! Benchmarks the synthesis pipeline with and without the canonical
-//! realization cache, ILP pre-filters, and warming threads, and writes the
-//! results to `BENCH_synthesis.json` — including a per-tier solver-stage
-//! breakdown (Chow merging, integer fast path, rational fallbacks) so
-//! speedups are attributable to a stage.
+//! Benchmarks the synthesis pipeline over a mixed circuit suite and writes
+//! the results to `BENCH_synthesis.json` — including a per-tier
+//! solver-stage breakdown (Chow merging, integer fast path, rational
+//! fallbacks) so times are attributable to a stage.
 //!
-//! Two configurations are compared over a mixed circuit suite:
-//!
-//! * **serial**: `use_cache = false`, `num_threads = 1`,
-//!   `use_tier0 = false` — the pre-cache, pre-oracle flow, every
-//!   threshold query solved by the ILP in its original order;
-//! * **cached**: `use_cache = true`, `num_threads = 4`, `use_tier0 =
-//!   true` — the full pipeline: the tier-0 truth-table oracle answers
-//!   every small-support query, the canonical cache with the structure
-//!   pre-filter and the level-parallel warming pass covers the rest (the
-//!   cache machinery disengages below `parallel_min_nodes`, so c17-sized
-//!   circuits run the serial flow in both columns).
-//!
-//! Both runs of every circuit are checked functionally equivalent against
-//! the source network before being timed, and the run doubles as a
-//! consistency gate: it fails if any circuit's serial and cached runs
-//! disagree on gate count or threshold-query count, if the tier-0 oracle
-//! changes a single byte of any synthesized netlist (each circuit is also
-//! synthesized with `use_tier0 = false` and the `.tnet` text compared), if
+//! Every circuit is synthesized with the default configuration (timed) and
+//! once more with `use_tier0 = false` (untimed), and both results are
+//! checked functionally equivalent against the source network. The run
+//! doubles as a consistency gate: it fails if the tier-0 oracle changes a
+//! single byte of any synthesized netlist or the threshold-query count, if
 //! the oracle does not cut the suite's ILP solves by at least half, or if
 //! the rational-fallback rate exceeds a sanity bound.
 //!
@@ -53,7 +39,7 @@
 //! A sixth pass (`scaling` in the JSON) pushes one ≥10k-node generated
 //! circuit through the whole big-circuit frontend: streaming BLIF parse
 //! (checked byte-identical to the string parser), algebraic factoring,
-//! cached synthesis, and packed verification, recording per-stage wall
+//! synthesis, and packed verification, recording per-stage wall
 //! clock and the process peak RSS. It also measures how much insert-time
 //! structural hashing (`tels_logic::arena::StrashNet`) shrinks the
 //! duplicated-logic ALU generator, and asserts the ≥2-gates-per-bit
@@ -78,11 +64,11 @@ use tels_logic::opt::script_algebraic;
 use tels_logic::{blif, Network};
 use tels_trace::json::Json;
 
-/// Timed samples per configuration; the minimum is reported.
+/// Timed samples per circuit; the minimum is reported.
 const SAMPLES: usize = 5;
 
 /// Largest tolerated share of ILP solves that fell back to the rational
-/// simplex, across the whole suite and both configurations. TELS ILPs are
+/// simplex, across the whole suite with tier 0 on and off. TELS ILPs are
 /// tiny (ψ+1 columns, small coefficients), so the integer fast path should
 /// essentially never overflow; a burst of fallbacks signals a regression.
 const MAX_FALLBACK_RATE: f64 = 0.02;
@@ -122,23 +108,23 @@ fn measure(net: &Network, config: &TelsConfig, samples: usize) -> Measurement {
     }
 }
 
-/// One circuit's JSON row. The per-configuration counters are the shared
+/// One circuit's JSON row. The counters are the shared
 /// [`SynthStats::to_json`] serialization — the same object `tels synth
 /// --stats-json` prints — so downstream tooling parses one schema.
-fn json_row(name: &str, serial: &Measurement, cached: &Measurement) -> Json {
+fn json_row(name: &str, m: &Measurement, no_tier0: &Measurement) -> Json {
     Json::obj([
         ("circuit", Json::str(name)),
-        ("serial_ms", Json::Num(serial.millis)),
-        ("cached_ms", Json::Num(cached.millis)),
-        ("speedup", Json::Num(serial.millis / cached.millis)),
-        ("gates_serial", Json::Num(serial.gates as f64)),
-        ("gates_cached", Json::Num(cached.gates as f64)),
-        ("serial", serial.stats.to_json()),
-        ("cached", cached.stats.to_json()),
+        ("ms", Json::Num(m.millis)),
+        ("gates", Json::Num(m.gates as f64)),
+        (
+            "ilp_solves_tier0_off",
+            Json::Num(no_tier0.stats.ilp_solves as f64),
+        ),
+        ("stats", m.stats.to_json()),
     ])
 }
 
-/// Re-runs every circuit once untraced and once traced (cached
+/// Re-runs every circuit once untraced and once traced (default
 /// configuration, one sample each), asserting that tracing is behaviorally
 /// inert and that the provenance journal holds exactly one event per
 /// emitted gate. Returns `(untraced_ms, traced_ms)` suite totals.
@@ -176,7 +162,7 @@ fn measure_trace_overhead(suite: &[(String, Network, TelsConfig)]) -> (f64, f64)
     (untraced_ms, traced_ms)
 }
 
-/// Re-runs every circuit with metrics collection off and on (cached
+/// Re-runs every circuit with metrics collection off and on (default
 /// configuration), asserting byte-identical `.tnet` output and an equal
 /// ILP solve count either way. Timing uses min-of-3 per leg to damp timer
 /// noise — the ≤2% overhead gate rides on this number. Returns
@@ -328,7 +314,7 @@ fn measure_perturb() -> (Json, f64) {
 /// The tier-0.5 large-circuit leg: generated circuits synthesized at
 /// ψ = 7, where collapse produces support-6/7 threshold queries that sit
 /// above the tier-0 oracle's 5-variable reach. Each circuit runs the full
-/// cached pipeline twice — tier 0.5 on (the default) and off — and the
+/// pipeline twice — tier 0.5 on (the default) and off — and the
 /// leg asserts per circuit that the two netlists are byte-identical (the
 /// tier answers only when its optimum is provably the merged ILP's unique
 /// optimum) and that tier 0.5 never increases the ILP solve count.
@@ -364,13 +350,7 @@ fn measure_tier05_large(samples: usize) -> (Json, usize, usize, f64, f64) {
             ),
         ),
     ];
-    // Cache off, one thread: the realization cache would absorb every
-    // duplicate query and shrink the baseline to a handful of solves, so
-    // the leg runs the serial flow where each support-6/7 query reaches
-    // the solver stack and the tier's cut is measured on the full stream.
     let on_config = TelsConfig {
-        use_cache: false,
-        num_threads: 1,
         psi: 7,
         ..TelsConfig::default()
     };
@@ -472,7 +452,7 @@ fn peak_rss_mb() -> f64 {
 
 /// The big-circuit scaling leg: one ≥10k-node generated circuit through
 /// the full frontend — BLIF write, streaming parse, algebraic factoring,
-/// cached synthesis, packed verification — with per-stage wall clock.
+/// synthesis, packed verification — with per-stage wall clock.
 ///
 /// The parse stage is the streaming reader (`blif::parse_reader`), checked
 /// byte-identical (under `write`) to the in-memory string parser on the
@@ -518,13 +498,9 @@ fn measure_scaling() -> (Json, f64, f64) {
     let prepared = script_algebraic(&parsed);
     let factor_ms = start.elapsed().as_secs_f64() * 1e3;
 
-    let config = TelsConfig {
-        num_threads: 4,
-        ..TelsConfig::default()
-    };
     let start = Instant::now();
-    let (tn, stats) =
-        synthesize_with_stats(&prepared, &config).expect("synthesize scaling circuit");
+    let (tn, stats) = synthesize_with_stats(&prepared, &TelsConfig::default())
+        .expect("synthesize scaling circuit");
     let synth_ms = start.elapsed().as_secs_f64() * 1e3;
 
     let start = Instant::now();
@@ -643,8 +619,7 @@ fn main() {
     ];
 
     let mut rows: Vec<Json> = Vec::new();
-    let mut total_serial = 0.0;
-    let mut total_cached = 0.0;
+    let mut total_ms = 0.0;
     let mut total_avoided = 0usize;
     let mut total_int_solves = 0usize;
     let mut total_fallbacks = 0usize;
@@ -654,97 +629,69 @@ fn main() {
     let mut solves_tier0_off = 0usize;
     let mut support_hist = [0u64; tels_core::SolverBreakdown::SUPPORT_BUCKETS];
     println!(
-        "{:<18} {:>10} {:>10} {:>8} {:>8} {:>8} {:>8} {:>9} {:>8}",
-        "circuit",
-        "serial ms",
-        "cached ms",
-        "speedup",
-        "solves",
-        "tier0",
-        "hits",
-        "prefilter",
-        "fallbk"
+        "{:<18} {:>10} {:>8} {:>8} {:>8} {:>9} {:>8}",
+        "circuit", "ms", "solves", "tier0", "hits", "prefilter", "fallbk"
     );
     let mut traced_suite: Vec<(String, Network, TelsConfig)> = Vec::new();
     for (name, net, psi) in &circuits {
-        let serial_config = TelsConfig {
-            use_cache: false,
-            num_threads: 1,
-            use_tier0: false,
-            psi: *psi,
-            ..TelsConfig::default()
-        };
-        let cached_config = TelsConfig {
-            use_cache: true,
-            num_threads: 4,
+        let config = TelsConfig {
             psi: *psi,
             ..TelsConfig::default()
         };
         let prepared = script_algebraic(net);
-        let serial = measure(&prepared, &serial_config, samples);
-        let cached = measure(&prepared, &cached_config, samples);
+        let m = measure(&prepared, &config, samples);
         // The oracle's bit-identicality contract, checked per circuit: the
-        // cached configuration with tier 0 disabled (untimed, one sample)
-        // must produce byte-for-byte the same netlist.
+        // same configuration with tier 0 disabled (untimed, one sample)
+        // must produce byte-for-byte the same netlist from the same
+        // threshold queries.
         let no_tier0 = measure(
             &prepared,
             &TelsConfig {
                 use_tier0: false,
-                ..cached_config.clone()
+                ..config.clone()
             },
             1,
         );
         assert_eq!(
-            cached.tnet, no_tier0.tnet,
+            m.tnet, no_tier0.tnet,
             "{name}: tier 0 changed the synthesized netlist"
         );
-        traced_suite.push((name.clone(), prepared.clone(), cached_config));
-        println!(
-            "{:<18} {:>10.2} {:>10.2} {:>7.2}x {:>8} {:>8} {:>8} {:>9} {:>8}",
-            name,
-            serial.millis,
-            cached.millis,
-            serial.millis / cached.millis,
-            cached.stats.ilp_solves,
-            cached.stats.solver.tier0_lookups,
-            cached.stats.cache_hits,
-            cached.stats.prefilter_rejections,
-            serial.stats.solver.rational_fallbacks + cached.stats.solver.rational_fallbacks,
-        );
-        // Consistency gates: both configurations must emit the same gate
-        // count and issue the same number of threshold queries (counters
-        // thread-merge and tally identically on both paths, and tier 0
-        // answers queries without changing which queries are issued).
         assert_eq!(
-            serial.gates, cached.gates,
-            "{name}: gates_cached != gates_serial"
-        );
-        assert_eq!(
-            serial.stats.ilp_calls, cached.stats.ilp_calls,
-            "{name}: cached and serial runs disagree on threshold-query count"
+            m.stats.ilp_calls, no_tier0.stats.ilp_calls,
+            "{name}: tier 0 changed the threshold-query count"
         );
         assert!(
-            cached.stats.ilp_solves <= no_tier0.stats.ilp_solves,
+            m.stats.ilp_solves <= no_tier0.stats.ilp_solves,
             "{name}: tier 0 increased the ILP solve count"
         );
-        total_serial += serial.millis;
-        total_cached += cached.millis;
-        total_avoided += cached.stats.ilp_avoided();
-        total_tier0_lookups += cached.stats.solver.tier0_lookups;
-        solves_tier0_on += cached.stats.ilp_solves;
+        traced_suite.push((name.clone(), prepared.clone(), config));
+        println!(
+            "{:<18} {:>10.2} {:>8} {:>8} {:>8} {:>9} {:>8}",
+            name,
+            m.millis,
+            m.stats.ilp_solves,
+            m.stats.solver.tier0_lookups,
+            m.stats.cache_hits,
+            m.stats.prefilter_rejections,
+            m.stats.solver.rational_fallbacks + no_tier0.stats.solver.rational_fallbacks,
+        );
+        total_ms += m.millis;
+        total_avoided += m.stats.ilp_avoided();
+        total_tier0_lookups += m.stats.solver.tier0_lookups;
+        solves_tier0_on += m.stats.ilp_solves;
         solves_tier0_off += no_tier0.stats.ilp_solves;
         for (bucket, &count) in support_hist
             .iter_mut()
-            .zip(cached.stats.solver.support_hist.iter())
+            .zip(m.stats.solver.support_hist.iter())
         {
             *bucket += u64::from(count);
         }
-        for m in [&serial, &cached] {
-            total_int_solves += m.stats.solver.int_fast_path_solves;
-            total_fallbacks += m.stats.solver.rational_fallbacks;
-            total_merged += m.stats.solver.chow_merged_vars;
+        for run in [&m, &no_tier0] {
+            total_int_solves += run.stats.solver.int_fast_path_solves;
+            total_fallbacks += run.stats.solver.rational_fallbacks;
+            total_merged += run.stats.solver.chow_merged_vars;
         }
-        rows.push(json_row(name, &serial, &cached));
+        rows.push(json_row(name, &m, &no_tier0));
     }
 
     // The tentpole acceptance gate: with tier 0 on, the full pipeline must
@@ -763,15 +710,13 @@ fn main() {
         "tier 0 cut ILP solves only from {solves_tier0_off} to {solves_tier0_on} (< 50%)"
     );
 
-    let speedup = total_serial / total_cached;
     let fallback_rate = if total_int_solves + total_fallbacks > 0 {
         total_fallbacks as f64 / (total_int_solves + total_fallbacks) as f64
     } else {
         0.0
     };
     println!(
-        "\ntotal: serial {total_serial:.1} ms, cached {total_cached:.1} ms — {speedup:.2}x \
-         ({total_avoided} ILP solves avoided, {total_merged} Chow-merged vars, \
+        "\ntotal: {total_ms:.1} ms ({total_avoided} ILP solves avoided, {total_merged} Chow-merged vars, \
          {total_fallbacks} rational fallbacks / {:.2}% rate)",
         fallback_rate * 1e2
     );
@@ -963,25 +908,7 @@ fn main() {
     } else {
         let doc = Json::obj([
             ("benchmark", Json::str("synth_pipeline")),
-            (
-                "serial",
-                Json::obj([
-                    ("use_cache", Json::Bool(false)),
-                    ("num_threads", Json::Num(1.0)),
-                    ("use_tier0", Json::Bool(false)),
-                ]),
-            ),
-            (
-                "cached",
-                Json::obj([
-                    ("use_cache", Json::Bool(true)),
-                    ("num_threads", Json::Num(4.0)),
-                    ("use_tier0", Json::Bool(true)),
-                ]),
-            ),
-            ("total_serial_ms", Json::Num(total_serial)),
-            ("total_cached_ms", Json::Num(total_cached)),
-            ("speedup", Json::Num(speedup)),
+            ("total_ms", Json::Num(total_ms)),
             ("ilp_avoided", Json::Num(total_avoided as f64)),
             ("tier0_lookups", Json::Num(total_tier0_lookups as f64)),
             ("ilp_solves_tier0_on", Json::Num(solves_tier0_on as f64)),
@@ -1030,10 +957,6 @@ fn main() {
         "rational-fallback rate {:.2}% exceeds the {:.0}% sanity bound",
         fallback_rate * 1e2,
         MAX_FALLBACK_RATE * 1e2
-    );
-    assert!(
-        speedup >= 1.0,
-        "cached pipeline slower than serial ({speedup:.2}x)"
     );
     // The zero-overhead-when-cheap bar for live metrics: enabling the
     // instrument registry may cost at most 2% wall clock on the synthesis

@@ -50,8 +50,8 @@ fn main() -> ExitCode {
 const USAGE: &str = "\
 usage: tels <command> [args]
   synth  <in.blif> [-o out.tnet] [--psi N] [--delta-on N] [--delta-off N]
-         [--weight-cap N] [--threads N] [--no-cache] [--no-factor]
-         [--no-theorem1] [--no-int-solver] [--no-tier0] [--no-tier05] [--best]
+         [--weight-cap N] [--no-factor] [--no-theorem1]
+         [--no-int-solver] [--no-tier0] [--no-tier05] [--best]
          [--trace out.json] [--profile] [--stats-json]
   map11  <in.blif> [-o out.tnet] [--psi N] [--delta-on N] [--delta-off N]
   sim    <file.blif|file.tnet> <bits...>
@@ -66,12 +66,12 @@ usage: tels <command> [args]
   qca    <in.blif> [-o out.blif]         synthesize at psi=3 and map to majority logic
   verilog <in.blif|in.tnet> [-o out.v]   emit structural Verilog
   suite  [--psi N]                       run the built-in Table-I benchmark suite
-  fuzz   [--cases N] [--seed N] [--psi N] [--threads N] [--max-inputs N]
+  fuzz   [--cases N] [--seed N] [--psi N] [--max-inputs N]
          [--max-nodes N] [--corpus DIR] [--no-shrink] [--progress N]
          differentially fuzz the synthesis pipeline
   fuzz   --replay DIR                    replay a reproducer corpus
   serve  --socket PATH | --stdio         run the batched synthesis daemon
-         [--threads N] [--cache-file PATH] [--metrics]
+         [--cache-file PATH] [--metrics]
          [--metrics-interval-ms N] [--recorder-cap N]
   client --socket PATH [in.blif...] [-o out.tnet] [--no-factor] [--verify]
          [--ping] [--stats] [--json] [--metrics] [--metrics-prom]
@@ -155,14 +155,6 @@ fn parse_synth_args(args: &[String]) -> Result<SynthArgs, String> {
             "--delta-on" => out.config.delta_on = num("--delta-on")?,
             "--delta-off" => out.config.delta_off = num("--delta-off")?,
             "--weight-cap" => out.config.weight_cap = Some(num("--weight-cap")?),
-            "--threads" => {
-                let n = num("--threads")?;
-                if n < 0 {
-                    return Err("--threads requires a non-negative integer".to_string());
-                }
-                out.config.num_threads = n as usize;
-            }
-            "--no-cache" => out.config.use_cache = false,
             "--no-factor" => out.factor = false,
             "--no-theorem1" => out.config.use_theorem1 = false,
             "--no-int-solver" => out.config.use_int_solver = false,
@@ -322,7 +314,7 @@ fn cmd_synth(args: &[String]) -> Result<(), String> {
 }
 
 /// Runs the batched synthesis daemon (`tels serve`): a long-lived process
-/// holding one worker pool and per-configuration realization caches, fed
+/// holding per-configuration realization caches, fed
 /// jobs over the framed JSON protocol on stdin/stdout (`--stdio`) or a
 /// unix socket (`--socket`). With `--cache-file`, the realization caches
 /// are loaded at startup and saved on shutdown, so threshold-check results
@@ -330,7 +322,6 @@ fn cmd_synth(args: &[String]) -> Result<(), String> {
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut socket: Option<String> = None;
     let mut stdio = false;
-    let mut threads = 0usize;
     let mut cache_file: Option<String> = None;
     let mut metrics_enabled = false;
     let mut metrics_interval_ms = 0u64;
@@ -351,7 +342,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 )
             }
             "--stdio" => stdio = true,
-            "--threads" => threads = num("--threads")? as usize,
             "--cache-file" => {
                 cache_file = Some(
                     it.next()
@@ -369,7 +359,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         return Err("serve requires exactly one of --socket <path> or --stdio".to_string());
     }
     let session = ServeSession::new(ServeOptions {
-        threads,
         cache_file: cache_file.map(std::path::PathBuf::from),
         metrics_enabled,
         metrics_interval_ms,
@@ -379,10 +368,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         serve_stdio(&session).map_err(|e| e.to_string())?;
     } else {
         let path = socket.expect("checked above");
-        eprintln!(
-            "tels: serving on {path} ({} worker threads)",
-            session.threads()
-        );
+        eprintln!("tels: serving on {path}");
         serve_unix(std::sync::Arc::new(session), std::path::Path::new(&path))
             .map_err(|e| e.to_string())?;
         eprintln!("tels: daemon stopped");
@@ -576,11 +562,7 @@ fn print_stats_pretty(body: &Json) {
         get("jobs_failed"),
         get("bad_frames")
     );
-    println!(
-        "pool:        {:.0} worker thread(s), up {}",
-        get("pool_threads"),
-        fmt_us(get("uptime_ms") * 1e3)
-    );
+    println!("uptime:      {}", fmt_us(get("uptime_ms") * 1e3));
     let caches = body
         .get("caches")
         .and_then(Json::as_array)
@@ -768,13 +750,11 @@ fn render_top(socket: &str, snap: &Json, prev: Option<&Json>, enabled: bool) {
         0.0
     };
     println!(
-        "sched   tasks {:.0} ({})   steals {:.0}   steal-fails {:.0}   injector {:.0}   deques {:.0}",
+        "sched   tasks {:.0} ({})   steals {:.0}   steal-fails {:.0}",
         v("tels_sched_tasks_total"),
         rate("tels_sched_tasks_total"),
         v("tels_sched_steals_total"),
         v("tels_sched_steal_fails_total"),
-        v("tels_sched_injector_depth"),
-        v("tels_sched_deque_depth"),
     );
     println!(
         "        busy {}   idle {}   utilization {util:.1}%",
@@ -1182,7 +1162,6 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
             "--cases" => opts.cases = num("--cases")?,
             "--seed" => opts.seed = num("--seed")? as u64,
             "--psi" => opts.oracle.psi = num("--psi")?,
-            "--threads" => opts.oracle.alt_threads = num("--threads")?.max(2),
             "--max-inputs" => opts.gen.max_inputs = num("--max-inputs")?.max(2),
             "--max-nodes" => opts.gen.max_nodes = num("--max-nodes")?.max(1),
             "--progress" => opts.progress_every = num("--progress")?,

@@ -435,8 +435,6 @@ fn serve_daemon_round_trip_over_socket() {
             "serve",
             "--socket",
             sock.to_str().unwrap(),
-            "--threads",
-            "2",
             "--cache-file",
             cache.to_str().unwrap(),
         ])
@@ -500,8 +498,6 @@ fn serve_daemon_round_trip_over_socket() {
             "serve",
             "--socket",
             sock.to_str().unwrap(),
-            "--threads",
-            "2",
             "--cache-file",
             cache.to_str().unwrap(),
         ])
@@ -551,8 +547,6 @@ fn serve_metrics_scrape_and_top_over_socket() {
             "serve",
             "--socket",
             sock.to_str().unwrap(),
-            "--threads",
-            "2",
             "--cache-file",
             cache.to_str().unwrap(),
             "--metrics",

@@ -9,13 +9,13 @@
 //! single cache entry, and the stored canonical realization is remapped
 //! exactly onto each query's variables and phases.
 //!
-//! The map is sharded behind [`std::sync::RwLock`]s so the cache-warming
-//! worker threads and the serial emission pass can share it without a
-//! global lock, and the read-heavy lookup path never serializes readers
-//! against each other. Entries are decided *in canonical space*, so the value
-//! stored under a key is a pure function of the key (and the run's
+//! The map is sharded behind [`std::sync::RwLock`]s so concurrent jobs of
+//! the `tels serve` daemon can share one cache without a global lock, and
+//! the read-heavy lookup path never serializes readers against each other.
+//! Entries are decided *in canonical space*, so the value stored under a
+//! key is a pure function of the key (and the run's
 //! [`TelsConfig`](crate::TelsConfig)) — concurrent insert races are benign
-//! and the synthesized network is independent of thread count.
+//! and the synthesized network is independent of what the cache held.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;

@@ -226,8 +226,15 @@ impl Realization {
 /// Returns [`SynthError::Solver`] only on arithmetic failure inside the
 /// exact solver.
 pub fn check_threshold(f: &Sop, config: &TelsConfig) -> Result<Option<Realization>, SynthError> {
-    let mut solver = SolverBreakdown::default();
-    Ok(check_threshold_counted(f, config, None, &mut solver)?.0)
+    let (r, _) = check_threshold_cached(
+        f,
+        config,
+        &RealizationCache::new(),
+        None,
+        &mut SolverBreakdown::default(),
+        &mut SignatureScratch::new(),
+    )?;
+    Ok(r)
 }
 
 /// Runs the structure pass with its time billed to `solver`.
@@ -238,87 +245,9 @@ fn timed_structure(positive: &Sop, order: &[Var], solver: &mut SolverBreakdown) 
     structure
 }
 
-/// [`check_threshold`], also reporting *how* the query was decided
-/// ([`CheckVia::Trivial`] for constants and binate rejections,
-/// [`CheckVia::Tier0`] for oracle answers, [`CheckVia::Tier05`] for
-/// tier-0.5 decisions and negative-cache hits, [`CheckVia::Prefilter`]
-/// for 2-monotonicity rejections, [`CheckVia::Ilp`] for actual solves).
-/// Solver-tier counters accumulate into `solver`; `neg` is the run's
-/// negative cache, when one exists.
-pub(crate) fn check_threshold_counted(
-    f: &Sop,
-    config: &TelsConfig,
-    neg: Option<&NegativeCache>,
-    solver: &mut SolverBreakdown,
-) -> Result<(Option<Realization>, CheckVia), SynthError> {
-    let mut span = tels_trace::span("core", "threshold_check");
-    let result = check_threshold_counted_impl(f, config, neg, solver);
-    if let Ok((_, via)) = &result {
-        span.arg("via", via.as_str());
-        via.count_metric();
-    }
-    result
-}
-
-fn check_threshold_counted_impl(
-    f: &Sop,
-    config: &TelsConfig,
-    neg: Option<&NegativeCache>,
-    solver: &mut SolverBreakdown,
-) -> Result<(Option<Realization>, CheckVia), SynthError> {
-    if f.is_zero() {
-        return Ok((
-            Some(Realization::constant(false, config)),
-            CheckVia::Trivial,
-        ));
-    }
-    if f.is_one() {
-        return Ok((Some(Realization::constant(true, config)), CheckVia::Trivial));
-    }
-    let Some(pf) = positive_form(f) else {
-        return Ok((None, CheckVia::Trivial));
-    };
-    record_support(&pf, solver);
-    if let Some(answer) = tier0_answer(&pf, config, solver) {
-        return Ok((answer, CheckVia::Tier0));
-    }
-    match tier05_flow(&pf.positive, &pf.support, config, neg, solver) {
-        Tier05Flow::NegCacheHit | Tier05Flow::NotThreshold => {
-            return Ok((None, CheckVia::Tier05));
-        }
-        Tier05Flow::PrefilterReject => return Ok((None, CheckVia::Prefilter)),
-        Tier05Flow::Threshold(wpos, t) => {
-            return Ok((Some(back_substitute(&wpos, t, &pf)), CheckVia::Tier05));
-        }
-        Tier05Flow::Fallthrough(chow, neg_key) => {
-            let solved = solve_positive(&pf.positive, &pf.support, chow.as_ref(), config, solver)?;
-            if solved.is_none() {
-                if let (Some(neg), Some(neg_key)) = (neg, neg_key) {
-                    neg.insert(neg_key);
-                }
-            }
-            return Ok((
-                solved.map(|(wpos, t)| back_substitute(&wpos, t, &pf)),
-                CheckVia::Ilp,
-            ));
-        }
-        Tier05Flow::NotApplicable => {}
-    }
-    let chow = match timed_structure(&pf.positive, &pf.support, solver) {
-        Structure::NotThreshold => return Ok((None, CheckVia::Prefilter)),
-        Structure::TwoMonotonic(a) => Some(a),
-        Structure::Unknown => None,
-    };
-    let solved = solve_positive(&pf.positive, &pf.support, chow.as_ref(), config, solver)?;
-    Ok((
-        solved.map(|(wpos, t)| back_substitute(&wpos, t, &pf)),
-        CheckVia::Ilp,
-    ))
-}
-
 /// Outcome of the tier-0.5 layer for one query.
 enum Tier05Flow {
-    /// Tier inactive or support out of its 6–9 range — take the legacy
+    /// Tier inactive or support out of its 6–9 range — take the plain
     /// structure + solve path.
     NotApplicable,
     /// The Chow-canonical signature is a known rejection.
@@ -340,7 +269,7 @@ enum Tier05Flow {
 /// Runs the tier-0.5 layer: one truth-table build shared between the
 /// negative-cache probe, the structure analysis, and the decision
 /// procedure. Table build, probe, and decision time bill to `tier05_ns`;
-/// the structure pass bills to `structure_ns` exactly as on the legacy
+/// the structure pass bills to `structure_ns` exactly as on the plain
 /// path.
 fn tier05_flow(
     positive: &Sop,
@@ -919,6 +848,17 @@ mod tests {
         check_threshold(f, &TelsConfig::default()).unwrap()
     }
 
+    /// One query through a fresh cache, reporting how it was decided.
+    fn counted(
+        f: &Sop,
+        config: &TelsConfig,
+        solver: &mut SolverBreakdown,
+    ) -> (Option<Realization>, CheckVia) {
+        let cache = RealizationCache::new();
+        let mut scratch = SignatureScratch::new();
+        check_threshold_cached(f, config, &cache, None, solver, &mut scratch).unwrap()
+    }
+
     /// Exhaustively validates a realization against the function.
     fn validate(f: &Sop, r: &Realization) {
         let vars: Vec<Var> = f.support().iter().collect();
@@ -1046,14 +986,15 @@ mod tests {
             chow::analyze(&pf.positive, &pf.support),
             Structure::NotThreshold
         ));
-        // The counted path therefore reports that no solve happened
-        // (tier 0 off so the pre-filter, not the oracle, answers).
+        // The checker therefore reports that no solve happened (tier 0
+        // and Theorem 1 off so the pre-filter answers).
         let cfg = TelsConfig {
             use_tier0: false,
+            use_theorem1: false,
             ..TelsConfig::default()
         };
         let mut solver = SolverBreakdown::default();
-        let (r, via) = check_threshold_counted(&f, &cfg, None, &mut solver).unwrap();
+        let (r, via) = counted(&f, &cfg, &mut solver);
         assert_eq!(r, None);
         assert_eq!(via, CheckVia::Prefilter);
         assert_eq!(solver.ilp_solves(), 0);
@@ -1102,7 +1043,7 @@ mod tests {
             ..TelsConfig::default()
         };
         let mut solver = SolverBreakdown::default();
-        let (r, via) = check_threshold_counted(&f, &cfg, None, &mut solver).unwrap();
+        let (r, via) = counted(&f, &cfg, &mut solver);
         let r = r.expect("majority-of-5 is threshold");
         assert_eq!(via, CheckVia::Ilp);
         validate(&f, &r);
@@ -1121,7 +1062,7 @@ mod tests {
         };
         let g = sop(&[&[(0, true), (1, true)], &[(0, true), (2, true)]]);
         let mut solver = SolverBreakdown::default();
-        let (r, _) = check_threshold_counted(&g, &cfg, None, &mut solver).unwrap();
+        let (r, _) = counted(&g, &cfg, &mut solver);
         let r = r.expect("threshold within cap");
         validate(&g, &r);
         assert!(r.weights.iter().all(|&(_, w)| w.abs() <= 4));
@@ -1153,16 +1094,15 @@ mod tests {
         ] {
             let mut st = SolverBreakdown::default();
             let mut so = SolverBreakdown::default();
-            let (rt, _) = check_threshold_counted(&f, &tiered_cfg, None, &mut st).unwrap();
-            let (ro, _) = check_threshold_counted(&f, &oracle_cfg, None, &mut so).unwrap();
+            let (rt, _) = counted(&f, &tiered_cfg, &mut st);
+            let (ro, _) = counted(&f, &oracle_cfg, &mut so);
             assert_eq!(rt, ro, "{f}");
             assert_eq!(so.int_fast_path_solves, 0);
         }
     }
 
     #[test]
-    fn cached_path_matches_uncached() {
-        use crate::cache::RealizationCache;
+    fn cache_hit_matches_miss() {
         // Tier 0 off so these small-support queries actually reach the
         // cache (the oracle bypasses it entirely).
         let cfg = TelsConfig {
@@ -1187,10 +1127,10 @@ mod tests {
                 check_threshold_cached(f, &cfg, &cache, None, &mut solver, &mut scratch).unwrap();
             let (second, _) =
                 check_threshold_cached(f, &cfg, &cache, None, &mut solver, &mut scratch).unwrap();
-            // Hit must equal miss bit-for-bit, and agree with the plain
-            // checker on the decision.
+            // Hit must equal miss bit-for-bit, and equal a fresh-cache
+            // query through the public checker.
             assert_eq!(first, second, "{f}");
-            assert_eq!(direct.is_some(), first.is_some(), "{f}");
+            assert_eq!(direct, first, "{f}");
             if let Some(r) = &first {
                 validate(f, r);
             }
@@ -1199,7 +1139,6 @@ mod tests {
 
     #[test]
     fn cache_hits_across_renamings_and_phases() {
-        use crate::cache::RealizationCache;
         // Tier 0 off so the cache (not the oracle) answers these queries.
         let cfg = TelsConfig {
             use_tier0: false,
@@ -1228,7 +1167,6 @@ mod tests {
 
     #[test]
     fn cached_non_threshold_is_remembered() {
-        use crate::cache::RealizationCache;
         // Tier 0 off so the Theorem-1/pre-filter/memoization chain runs.
         let cfg = TelsConfig {
             use_tier0: false,
@@ -1308,8 +1246,8 @@ mod tests {
         ] {
             let mut s_on = SolverBreakdown::default();
             let mut s_off = SolverBreakdown::default();
-            let (r_on, via) = check_threshold_counted(&f, &on, None, &mut s_on).unwrap();
-            let (r_off, _) = check_threshold_counted(&f, &off, None, &mut s_off).unwrap();
+            let (r_on, via) = counted(&f, &on, &mut s_on);
+            let (r_off, _) = counted(&f, &off, &mut s_off);
             // Same Option<Realization>, bit for bit: same weights, same
             // threshold, same variable order.
             assert_eq!(r_on, r_off, "{f}");
@@ -1325,7 +1263,6 @@ mod tests {
 
     #[test]
     fn tier0_bypasses_the_cache() {
-        use crate::cache::RealizationCache;
         let cfg = TelsConfig::default();
         let cache = RealizationCache::new();
         let mut solver = SolverBreakdown::default();
@@ -1352,7 +1289,6 @@ mod tests {
     /// ILP + cache) must agree bit for bit. Debug builds sample the space;
     /// release builds (and `--ignored` runs) sweep all 65,536.
     fn cached_tier0_differential(stride: u32) {
-        use crate::cache::RealizationCache;
         let on = TelsConfig::default();
         let off = TelsConfig {
             use_tier0: false,

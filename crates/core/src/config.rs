@@ -42,8 +42,8 @@ pub enum SplitHeuristic {
 /// canonical space from the function key plus these fields — the margins
 /// δ_on/δ_off, the weight cap, and the ILP effort limits. Two
 /// configurations with equal keys may share (or persist/reload) one cache;
-/// the remaining knobs (ψ, strategy, tier-0, Theorem 1, thread counts)
-/// change which queries are *asked*, never what a given key's answer is.
+/// the remaining knobs (ψ, strategy, tier-0, Theorem 1) change which
+/// queries are *asked*, never what a given key's answer is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// ON-side defect tolerance δ_on.
@@ -135,32 +135,6 @@ pub struct TelsConfig {
     /// treated as non-threshold and split further. `None` (the paper's
     /// setting) leaves weights unbounded.
     pub weight_cap: Option<i64>,
-    /// Memoize threshold-check answers in a canonical-form cache shared
-    /// across the whole run (and across the warming worker threads).
-    ///
-    /// Cached answers are decided in canonical space, so the synthesized
-    /// network is a pure function of the input and the configuration —
-    /// but its gate weights may differ from a `use_cache = false` run
-    /// (which solves every query in its original variable order). Both are
-    /// exact realizations of the same functions.
-    pub use_cache: bool,
-    /// Worker threads for the level-parallel cache-warming pass
-    /// (`0` = auto-detect from [`std::thread::available_parallelism`]).
-    ///
-    /// `1` skips warming entirely: the single serial pass populates the
-    /// cache on the fly and reproduces the emission order bit-for-bit.
-    /// Because warming only pre-populates the cache with canonical-space
-    /// answers, the output network is identical for every thread count.
-    pub num_threads: usize,
-    /// Smallest logic-node count for which the cached/parallel synthesis
-    /// machinery (canonical cache + warming threads) engages at all. A
-    /// c17-sized circuit issues a handful of threshold queries, and
-    /// canonicalizing, hashing, and warm-thread spawning cost more than
-    /// just solving them (such circuits were measurably *slower* with
-    /// `use_cache`/threads on), so below the gate the run uses the plain
-    /// serial flow regardless of `use_cache` and `num_threads`. Default
-    /// tuned on the bundled bench suite.
-    pub parallel_min_nodes: usize,
     /// Attempt each LP relaxation on the fraction-free `i128` integer
     /// simplex before the exact-rational one (overflow always falls back,
     /// so answers are identical either way). Disable to force every solve
@@ -201,9 +175,6 @@ impl Default for TelsConfig {
             split_heuristic: SplitHeuristic::default(),
             strategy: SynthStrategy::default(),
             weight_cap: None,
-            use_cache: true,
-            num_threads: 0,
-            parallel_min_nodes: 8,
             use_int_solver: true,
             use_tier0: true,
             use_tier05: true,
@@ -286,21 +257,6 @@ impl TelsConfig {
             max_nodes: self.ilp_limits.max_nodes,
         }
     }
-
-    /// The number of warming worker threads this configuration resolves to:
-    /// `num_threads`, or the machine's available parallelism when it is `0`,
-    /// clamped to 256 (spawning is per-run; absurd counts would only burn
-    /// memory on idle workers).
-    pub fn effective_threads(&self) -> usize {
-        let n = if self.num_threads != 0 {
-            self.num_threads
-        } else {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        };
-        n.min(256)
-    }
 }
 
 #[cfg(test)]
@@ -312,24 +268,6 @@ mod tests {
         let c = TelsConfig::default();
         assert_eq!((c.psi, c.delta_on, c.delta_off), (3, 0, 1));
         assert!(c.use_theorem1);
-    }
-
-    #[test]
-    fn cache_and_threads_defaults() {
-        let c = TelsConfig::default();
-        assert!(c.use_cache);
-        assert_eq!(c.num_threads, 0);
-        assert!(c.effective_threads() >= 1);
-        let fixed = TelsConfig {
-            num_threads: 3,
-            ..TelsConfig::default()
-        };
-        assert_eq!(fixed.effective_threads(), 3);
-        let absurd = TelsConfig {
-            num_threads: usize::MAX,
-            ..TelsConfig::default()
-        };
-        assert_eq!(absurd.effective_threads(), 256);
     }
 
     #[test]

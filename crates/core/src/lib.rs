@@ -78,8 +78,7 @@ pub use map11::{map_one_to_one, synthesize_best};
 pub use qca::{map_to_majority, MajorityStats};
 pub use split::{split_binate, split_cubes_k, split_unate, split_unate_with, UnateSplit};
 pub use synth::{
-    synthesize, synthesize_with_shared_cache, synthesize_with_shared_caches, synthesize_with_stats,
-    warm_cache_queue, warm_cache_scheduler, warm_on_pool, GatePath, SynthStats, WarmPlan,
+    synthesize, synthesize_with_shared_caches, synthesize_with_stats, GatePath, SynthStats,
 };
 pub use theorems::{theorem1_refutes, theorem2_extend};
 pub use tier0::prewarm_tier0;

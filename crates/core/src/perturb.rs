@@ -318,7 +318,7 @@ pub fn failure_rate(
             .map(|_| Mutex::new((Disturbance::new(), ctx.scratch())))
             .collect();
         Scheduler::new(DepGraph::new(options.trials)).run(threads, |worker, task| {
-            let mut state = states[worker.index].lock().expect("perturb worker state");
+            let mut state = states[worker].lock().expect("perturb worker state");
             let (dist, scratch) = &mut *state;
             if ctx.trial_fails(tn, task as u64, dist, scratch) {
                 failed[task as usize].store(true, Ordering::Relaxed);

@@ -1,23 +1,15 @@
-//! Work-stealing task scheduling for cache warming and the serve daemon.
+//! Work-stealing task scheduling on scoped threads.
 //!
-//! The warming pass used to run as a level-ordered shared queue: workers
-//! pulled deepest-level nodes first and idled whenever the remaining work
-//! clustered on a few deep cones. This module replaces that with
-//! *dependency-counted node tasks* on a work-stealing substrate — an
-//! injector queue plus one deque per worker; owners pop their own deque
-//! LIFO (locality), thieves steal FIFO (oldest, likely largest, work) — so
-//! a worker only waits when the whole frontier is empty, never at a level
-//! boundary.
-//!
-//! Two execution layers share the [`DepGraph`] bookkeeping:
-//!
-//! * [`Scheduler`] — scoped threads for a single run; tasks may borrow the
-//!   run's data ([`Scheduler::run`] uses [`std::thread::scope`]).
-//! * [`Pool`] — persistent workers executing boxed closures; many jobs
-//!   interleave on one pool (the `tels serve` daemon).
+//! A [`Scheduler`] runs *dependency-counted tasks* from a [`DepGraph`] on a
+//! work-stealing substrate — an injector queue plus one deque per worker;
+//! owners pop their own deque LIFO (locality), thieves steal FIFO (oldest,
+//! likely largest, work) — so a worker only waits when the whole frontier
+//! is empty. Tasks may borrow the run's data ([`Scheduler::run`] uses
+//! [`std::thread::scope`]); the Monte Carlo trials of [`crate::perturb`]
+//! run on it.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 use tels_metrics::instruments as metrics;
@@ -26,10 +18,8 @@ use tels_metrics::instruments as metrics;
 /// indices: each task holds a count of unfinished prerequisites and a list
 /// of dependents to release on completion.
 ///
-/// The graph itself is not thread-safe; both execution layers guard it with
-/// their own lock. Tasks may be added while the graph is running
-/// ([`DepGraph::push_task`]) — dynamically discovered work enters
-/// dependency-free.
+/// The graph itself is not thread-safe; the [`Scheduler`] guards it with
+/// its own lock.
 #[derive(Debug, Default)]
 pub struct DepGraph {
     /// Unfinished-prerequisite count per task.
@@ -59,22 +49,14 @@ impl DepGraph {
 
     /// Requires `before` to complete before `after` may start. Duplicate
     /// edges are ignored; callers must not introduce cycles (a cycle
-    /// deadlocks its member tasks — the execution layers run every task
-    /// whose dependencies resolve and then stop).
+    /// deadlocks its member tasks — the scheduler runs every task
+    /// whose dependencies resolve and then stops).
     pub fn add_edge(&mut self, before: u32, after: u32) {
         if before == after || self.dependents[before as usize].contains(&after) {
             return;
         }
         self.dependents[before as usize].push(after);
         self.deps[after as usize] += 1;
-    }
-
-    /// Adds a dependency-free task, returning its index.
-    pub fn push_task(&mut self) -> u32 {
-        let id = u32::try_from(self.deps.len()).expect("task count exceeds u32");
-        self.deps.push(0);
-        self.dependents.push(Vec::new());
-        id
     }
 
     /// Tasks with no prerequisites, in index order.
@@ -112,8 +94,7 @@ struct SchedState {
 }
 
 /// A work-stealing scheduler over a [`DepGraph`], executed on scoped
-/// threads: [`Scheduler::run`] blocks until every task (including any
-/// spawned mid-run via [`Worker::spawn`]) has completed.
+/// threads: [`Scheduler::run`] blocks until every task has completed.
 ///
 /// # Example
 ///
@@ -136,33 +117,6 @@ struct SchedState {
 pub struct Scheduler {
     state: Mutex<SchedState>,
     work: Condvar,
-}
-
-/// Per-worker handle passed to the task callback; allows spawning new
-/// dependency-free tasks onto the worker's own deque.
-pub struct Worker<'a> {
-    sched: &'a Scheduler,
-    local: &'a Mutex<VecDeque<u32>>,
-    /// Index of this worker in `0..threads`.
-    pub index: usize,
-}
-
-impl Worker<'_> {
-    /// Adds a new dependency-free task, scheduled on this worker's own
-    /// deque (stealable by idle workers), and returns its index.
-    pub fn spawn(&self) -> u32 {
-        let id = {
-            let mut st = self.sched.state.lock().expect("scheduler state poisoned");
-            st.outstanding += 1;
-            st.graph.push_task()
-        };
-        self.local
-            .lock()
-            .expect("worker deque poisoned")
-            .push_back(id);
-        self.sched.publish();
-        id
-    }
 }
 
 impl Scheduler {
@@ -190,12 +144,12 @@ impl Scheduler {
     }
 
     /// Runs every task on `threads` scoped workers, blocking until the
-    /// graph is drained. The callback receives the worker handle and the
-    /// task index; it runs exactly once per task, only after all the
+    /// graph is drained. The callback receives the worker index (in
+    /// `0..threads`) and the task index; it runs exactly once per task, only after all the
     /// task's prerequisites completed.
     pub fn run<F>(&self, threads: usize, f: F)
     where
-        F: Fn(&Worker<'_>, u32) + Sync,
+        F: Fn(usize, u32) + Sync,
     {
         let threads = threads.max(1);
         let locals: Vec<Mutex<VecDeque<u32>>> =
@@ -210,18 +164,13 @@ impl Scheduler {
 
     fn worker_loop<F>(&self, index: usize, locals: &[Mutex<VecDeque<u32>>], f: &F)
     where
-        F: Fn(&Worker<'_>, u32) + Sync,
+        F: Fn(usize, u32) + Sync,
     {
-        let worker = Worker {
-            sched: self,
-            local: &locals[index],
-            index,
-        };
         loop {
             match self.find_task(index, locals) {
                 Some(task) => {
                     let t0 = tels_metrics::enabled().then(Instant::now);
-                    f(&worker, task);
+                    f(index, task);
                     self.finish(task, &locals[index]);
                     metrics::SCHED_TASKS.inc(index);
                     if let Some(t0) = t0 {
@@ -319,221 +268,6 @@ impl Scheduler {
     }
 }
 
-/// A boxed job for the persistent pool.
-pub type PoolTask = Box<dyn FnOnce(&PoolWorker<'_>) + Send>;
-
-struct PoolState {
-    injector: VecDeque<PoolTask>,
-    version: u64,
-    shutdown: bool,
-}
-
-struct PoolInner {
-    state: Mutex<PoolState>,
-    work: Condvar,
-    locals: Vec<Mutex<VecDeque<PoolTask>>>,
-}
-
-/// Per-worker handle for pool tasks; allows pushing follow-up work onto
-/// the worker's own deque.
-pub struct PoolWorker<'a> {
-    inner: &'a PoolInner,
-    /// Index of this worker in `0..threads`.
-    pub index: usize,
-}
-
-impl PoolWorker<'_> {
-    /// Schedules a follow-up task on this worker's own deque (stealable by
-    /// idle workers).
-    pub fn spawn_local(&self, task: PoolTask) {
-        self.inner.locals[self.index]
-            .lock()
-            .expect("pool deque poisoned")
-            .push_back(task);
-        self.inner.publish();
-    }
-}
-
-impl PoolInner {
-    fn publish(&self) {
-        self.state.lock().expect("pool state poisoned").version += 1;
-        self.work.notify_all();
-    }
-
-    fn find_task(&self, index: usize) -> Option<PoolTask> {
-        if let Some(t) = self.locals[index]
-            .lock()
-            .expect("pool deque poisoned")
-            .pop_back()
-        {
-            return Some(t);
-        }
-        if let Some(t) = self
-            .state
-            .lock()
-            .expect("pool state poisoned")
-            .injector
-            .pop_front()
-        {
-            return Some(t);
-        }
-        for off in 1..self.locals.len() {
-            let victim = (index + off) % self.locals.len();
-            if let Some(t) = self.locals[victim]
-                .lock()
-                .expect("pool deque poisoned")
-                .pop_front()
-            {
-                metrics::SCHED_STEALS.inc(index);
-                return Some(t);
-            }
-        }
-        None
-    }
-
-    fn worker_loop(&self, index: usize) {
-        tels_trace::set_thread_label(format!("pool-{index}"));
-        let worker = PoolWorker { inner: self, index };
-        loop {
-            match self.find_task(index) {
-                Some(task) => {
-                    let t0 = tels_metrics::enabled().then(Instant::now);
-                    task(&worker);
-                    metrics::SCHED_TASKS.inc(index);
-                    if let Some(t0) = t0 {
-                        metrics::SCHED_BUSY_NS.add(index, t0.elapsed().as_nanos() as u64);
-                    }
-                }
-                None => {
-                    metrics::SCHED_STEAL_FAILS.inc(index);
-                    let t0 = tels_metrics::enabled().then(Instant::now);
-                    let more = self.park();
-                    if let Some(t0) = t0 {
-                        metrics::SCHED_IDLE_NS.add(index, t0.elapsed().as_nanos() as u64);
-                    }
-                    if !more {
-                        return; // shutdown
-                    }
-                }
-            }
-        }
-    }
-
-    /// Blocks until new work is published or the pool shuts down. Returns
-    /// `false` on shutdown. Never sleeps while the injector is non-empty
-    /// (a `submit` from an external thread could otherwise land between a
-    /// worker's deque scan and its wait, with nobody awake to claim it).
-    fn park(&self) -> bool {
-        let mut st = self.state.lock().expect("pool state poisoned");
-        loop {
-            if st.shutdown {
-                return false;
-            }
-            if !st.injector.is_empty() {
-                return true;
-            }
-            let seen = st.version;
-            st = self.work.wait(st).expect("pool state poisoned");
-            if st.version != seen {
-                return true;
-            }
-        }
-    }
-}
-
-/// A persistent work-stealing thread pool executing boxed closures.
-///
-/// Structure mirrors [`Scheduler`] — an injector plus per-worker deques —
-/// but workers live for the pool's lifetime, so many independent jobs
-/// (e.g. concurrent `tels serve` requests) interleave their tasks on one
-/// set of threads. Dropping the pool shuts the workers down after the
-/// queues drain is *not* guaranteed: shutdown is prompt and pending tasks
-/// may be discarded, so callers must track their own job completion (see
-/// [`crate::warm_on_pool`]).
-pub struct Pool {
-    inner: Arc<PoolInner>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl Pool {
-    /// Starts `threads` workers (at least one).
-    pub fn new(threads: usize) -> Pool {
-        let threads = threads.max(1);
-        let inner = Arc::new(PoolInner {
-            state: Mutex::new(PoolState {
-                injector: VecDeque::new(),
-                version: 0,
-                shutdown: false,
-            }),
-            work: Condvar::new(),
-            locals: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-        });
-        let handles = (0..threads)
-            .map(|index| {
-                let inner = Arc::clone(&inner);
-                std::thread::spawn(move || inner.worker_loop(index))
-            })
-            .collect();
-        Pool { inner, handles }
-    }
-
-    /// Number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.inner.locals.len()
-    }
-
-    /// Samples the queue depths: `(injector length, sum of worker deque
-    /// lengths)`. Used by metrics samplers to feed the depth gauges at
-    /// snapshot time instead of updating a gauge on every push/pop.
-    pub fn queue_depths(&self) -> (usize, usize) {
-        let injector = self
-            .inner
-            .state
-            .lock()
-            .expect("pool state poisoned")
-            .injector
-            .len();
-        let deques = self
-            .inner
-            .locals
-            .iter()
-            .map(|l| l.lock().expect("pool deque poisoned").len())
-            .sum();
-        (injector, deques)
-    }
-
-    /// Submits a task through the injector queue.
-    pub fn submit(&self, task: impl FnOnce(&PoolWorker<'_>) + Send + 'static) {
-        self.inner
-            .state
-            .lock()
-            .expect("pool state poisoned")
-            .injector
-            .push_back(Box::new(task));
-        self.inner.publish();
-    }
-}
-
-impl Drop for Pool {
-    fn drop(&mut self) {
-        {
-            let mut st = self.inner.state.lock().expect("pool state poisoned");
-            st.shutdown = true;
-            st.version += 1;
-        }
-        self.work_notify();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Pool {
-    fn work_notify(&self) {
-        self.inner.work.notify_all();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -579,21 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_dynamic_spawn() {
-        // Each seed task spawns two children; all must run.
-        let ran = AtomicUsize::new(0);
-        let sched = Scheduler::new(DepGraph::new(8));
-        sched.run(3, |w, t| {
-            ran.fetch_add(1, Ordering::SeqCst);
-            if t < 8 {
-                w.spawn();
-                w.spawn();
-            }
-        });
-        assert_eq!(ran.load(Ordering::SeqCst), 24);
-    }
-
-    #[test]
     fn scheduler_single_thread_and_empty() {
         let ran = AtomicUsize::new(0);
         Scheduler::new(DepGraph::new(5)).run(1, |_, _| {
@@ -601,38 +320,5 @@ mod tests {
         });
         assert_eq!(ran.load(Ordering::SeqCst), 5);
         Scheduler::new(DepGraph::new(0)).run(4, |_, _| unreachable!("no tasks"));
-    }
-
-    #[test]
-    fn pool_runs_submitted_and_local_tasks() {
-        let pool = Pool::new(3);
-        let done = Arc::new((Mutex::new(0usize), Condvar::new()));
-        let total = 32usize;
-        for _ in 0..total / 2 {
-            let done = Arc::clone(&done);
-            pool.submit(move |w| {
-                let done2 = Arc::clone(&done);
-                // Follow-up task on the worker's own deque.
-                w.spawn_local(Box::new(move |_| {
-                    let mut n = done2.0.lock().unwrap();
-                    *n += 1;
-                    done2.1.notify_all();
-                }));
-                let mut n = done.0.lock().unwrap();
-                *n += 1;
-                done.1.notify_all();
-            });
-        }
-        let (lock, cv) = &*done;
-        let mut n = lock.lock().unwrap();
-        while *n < total {
-            let (guard, timeout) = cv
-                .wait_timeout(n, std::time::Duration::from_secs(10))
-                .unwrap();
-            n = guard;
-            assert!(!timeout.timed_out(), "pool tasks did not complete");
-        }
-        drop(n);
-        drop(pool); // join cleanly
     }
 }

@@ -1,42 +1,30 @@
 //! The TELS synthesis driver (Fig. 3): collapse → threshold-check → split,
 //! recursively, from the primary outputs backwards.
 //!
-//! When the canonical realization cache is enabled (the default), the
-//! driver may first run a *parallel warming pass*: worker threads walk the
-//! same collapse/split decision tree over independent boundary nodes,
-//! issuing every threshold query through the shared cache without emitting
-//! gates. Warming runs as dependency-counted node tasks on the
-//! work-stealing scheduler of [`crate::sched`] — a root becomes runnable
-//! the moment the boundary roots inside its collapse cone have been
-//! planned, so workers never idle at level boundaries. The serial emission
-//! pass then replays the flow deterministically, answering almost every
-//! query from the warmed cache. Because cache entries are decided in
-//! canonical space (see [`crate::cache`]), the emitted network is
-//! identical for every thread count.
+//! Every threshold query goes through the canonical realization cache (see
+//! [`crate::cache`]): answers are decided in canonical space, so the
+//! emitted network depends only on the input and the configuration, never
+//! on what an earlier job or query left in the cache.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Condvar, Mutex};
+use std::collections::HashMap;
 
 use tels_logic::opt::global_sop;
 use tels_logic::{Cube, Network, NodeId, SignatureScratch, Sop, Var};
 
 use crate::cache::RealizationCache;
-use crate::check::{
-    check_threshold_cached, check_threshold_counted, CheckVia, Realization, SolverBreakdown,
-};
+use crate::check::{check_threshold_cached, CheckVia, Realization, SolverBreakdown};
 use crate::config::TelsConfig;
 use crate::error::SynthError;
-use crate::sched::{DepGraph, Pool, PoolWorker, Scheduler};
 use crate::split::{split_binate, split_cubes_k, split_unate_with, UnateSplit};
-use crate::theorems::{theorem1_refutes, theorem2_extend};
+use crate::theorems::theorem2_extend;
 use crate::tier05::NegativeCache;
 use crate::tnet::{ThresholdGate, ThresholdNetwork, TnId};
 
 /// Statistics of a synthesis run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SynthStats {
-    /// Threshold queries issued by the emission pass (constants, cache
-    /// hits, pre-filter rejections, and actual solves alike).
+    /// Threshold queries issued (constants, cache hits, pre-filter
+    /// rejections, and actual solves alike).
     pub ilp_calls: usize,
     /// Threshold checks skipped thanks to the Theorem-1 pre-filter.
     pub theorem1_refutations: usize,
@@ -53,10 +41,10 @@ pub struct SynthStats {
     pub cache_hits: usize,
     /// Queries rejected by the 2-monotonicity pre-filter before the ILP.
     pub prefilter_rejections: usize,
-    /// Actual ILP solver runs, across the warming and emission passes.
+    /// Actual ILP solver runs.
     pub ilp_solves: usize,
     /// Per-tier solver breakdown (Chow reduction, integer fast path,
-    /// rational fallbacks, per-stage wall time) across all passes.
+    /// rational fallbacks, per-stage wall time).
     pub solver: SolverBreakdown,
 }
 
@@ -237,83 +225,20 @@ pub fn synthesize_with_stats(
     net: &Network,
     config: &TelsConfig,
 ) -> Result<(ThresholdNetwork, SynthStats), SynthError> {
-    config.assert_valid();
-    let mut span = tels_trace::span("core", "synthesize");
-    // Tiny circuits issue a handful of threshold queries; canonicalizing
-    // and hashing them costs more than just solving, and spawning warm
-    // threads costs more still (the c17-sized regression). Below the gate
-    // the run uses the plain serial flow.
-    let logic_nodes = net.node_ids().filter(|&n| !net.is_input(n)).count();
-    let big_enough = logic_nodes >= config.parallel_min_nodes;
-    let cache = (config.use_cache && big_enough).then(RealizationCache::new);
-    // The negative cache is per-run like the (one-shot) realization cache,
-    // but engages regardless of circuit size: its probe is a table build
-    // plus one hash lookup, far cheaper than the solve it short-circuits.
-    let neg = NegativeCache::new();
-    let mut s = Synth::new(net, config, cache.as_ref(), Some(&neg))?;
-    if let Some(cache) = &cache {
-        let threads = config.effective_threads();
-        // Warming additionally needs hardware that can actually run the
-        // workers concurrently: on a single hardware thread the planner's
-        // extra decision-tree walk is pure overhead no matter what
-        // `num_threads` asks for.
-        let hw = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        if threads > 1 && hw > 1 {
-            let _warm_span = tels_trace::span("core", "warm_cache");
-            let (solves, solver) = warm_cache(
-                net,
-                config,
-                cache,
-                Some(&neg),
-                &s.boundary,
-                &s.net_levels,
-                threads,
-            );
-            s.stats.ilp_solves += solves;
-            s.stats.solver.merge(&solver);
-        }
-    }
-    run_with_depth_stack(net, || s.run())??;
-    span.arg("gates", s.tn.num_gates() as u64);
-    span.arg("ilp_calls", s.stats.ilp_calls as u64);
-    Ok((s.tn, s.stats))
+    synthesize_with_shared_caches(net, config, &RealizationCache::new(), &NegativeCache::new())
 }
 
-/// [`synthesize_with_stats`] against a caller-owned realization cache —
-/// the `tels serve` entry point, where one cache outlives many jobs.
+/// [`synthesize_with_stats`] against caller-owned realization and negative
+/// caches — the `tels serve` entry point, where both caches outlive many
+/// jobs (and persist between daemon runs).
 ///
-/// The cache engages under exactly the same gate as the one-shot flow
-/// (`use_cache` and the `parallel_min_nodes` size threshold), so the
-/// emitted network is byte-identical to a one-shot run of the same
-/// configuration: warming and pre-populated entries only change *when* an
-/// answer is computed, never what it is. No warming threads are spawned
-/// here — a daemon warms through its shared pool via [`warm_on_pool`]
-/// before (or instead of) calling this.
-///
-/// The caller must only reuse a cache across configurations that agree on
-/// [`TelsConfig::cache_key`]; entries are pure functions of the canonical
-/// key and those fields.
-///
-/// # Errors
-///
-/// Same as [`synthesize`].
-pub fn synthesize_with_shared_cache(
-    net: &Network,
-    config: &TelsConfig,
-    cache: &RealizationCache,
-) -> Result<(ThresholdNetwork, SynthStats), SynthError> {
-    let neg = NegativeCache::new();
-    synthesize_with_shared_caches(net, config, cache, &neg)
-}
-
-/// [`synthesize_with_shared_cache`] with a caller-owned negative cache as
-/// well — the full `tels serve` entry point, where both caches outlive
-/// many jobs (and the negative cache persists alongside the realization
-/// cache). The same [`TelsConfig::cache_key`] compatibility rule applies
-/// to both caches: negative entries are proofs only under the margins and
-/// ILP limits they were recorded with.
+/// Pre-populated entries only change *when* an answer is computed, never
+/// what it is, so the emitted network is byte-identical to a one-shot run
+/// of the same configuration. The caller must only reuse the caches across
+/// configurations that agree on [`TelsConfig::cache_key`]: realizations
+/// are pure functions of the canonical key and those fields, and negative
+/// entries are proofs only under the margins and ILP limits they were
+/// recorded with.
 ///
 /// # Errors
 ///
@@ -325,11 +250,8 @@ pub fn synthesize_with_shared_caches(
     neg: &NegativeCache,
 ) -> Result<(ThresholdNetwork, SynthStats), SynthError> {
     config.assert_valid();
-    let mut span = tels_trace::span("core", "synthesize_shared");
-    let logic_nodes = net.node_ids().filter(|&n| !net.is_input(n)).count();
-    let big_enough = logic_nodes >= config.parallel_min_nodes;
-    let engaged = (config.use_cache && big_enough).then_some(cache);
-    let mut s = Synth::new(net, config, engaged, Some(neg))?;
+    let mut span = tels_trace::span("core", "synthesize");
+    let mut s = Synth::new(net, config, cache, neg)?;
     run_with_depth_stack(net, || s.run())??;
     span.arg("gates", s.tn.num_gates() as u64);
     span.arg("ilp_calls", s.stats.ilp_calls as u64);
@@ -341,48 +263,13 @@ pub fn synthesize_with_shared_caches(
 /// this many cubes the substitution is undone.
 const COLLAPSE_CUBE_CAP: usize = 64;
 
-/// Node collapsing (Fig. 4), shared by the emission pass and the warming
-/// planner so both walk identical expressions: substitute non-boundary
-/// fanin functions into the expression while the support stays within ψ;
-/// undo any substitution that pushes it past ψ (or past the starting
-/// support, for nodes that already exceed ψ).
-fn collapse_with(
-    net: &Network,
-    config: &TelsConfig,
-    boundary: &[bool],
-    mut expr: Sop,
-    collapses: &mut usize,
-) -> Sop {
-    let limit = config.psi.max(expr.support().len());
-    let mut blocked: Vec<Var> = Vec::new();
-    loop {
-        let candidate_var = expr.support().iter().find(|&v| {
-            let node = NodeId::from_index(v.0 as usize);
-            !boundary[node.index()] && !blocked.contains(&v)
-        });
-        let Some(v) = candidate_var else { break };
-        let inner = global_sop(net, NodeId::from_index(v.0 as usize));
-        let substituted = expr.substitute(v, &inner);
-        if substituted.support().len() <= limit && substituted.num_cubes() <= COLLAPSE_CUBE_CAP {
-            expr = substituted;
-            *collapses += 1;
-        } else {
-            blocked.push(v);
-        }
-    }
-    expr
-}
-
 struct Synth<'a> {
     net: &'a Network,
     config: &'a TelsConfig,
-    /// Canonical threshold-check cache (None when `config.use_cache` is
-    /// off; the run then solves every query in its original variable
-    /// order, reproducing the pre-cache flow bit-for-bit).
-    cache: Option<&'a RealizationCache>,
-    /// Chow-canonical negative cache for the tier-0.5 layer (None only in
-    /// paths that never see supports 6–9, e.g. unit probes).
-    neg: Option<&'a NegativeCache>,
+    /// Canonical threshold-check cache.
+    cache: &'a RealizationCache,
+    /// Chow-canonical negative cache for the tier-0.5 layer.
+    neg: &'a NegativeCache,
     tn: ThresholdNetwork,
     /// Boundary nodes (PIs and fanout nodes) and synthesized roots, mapped
     /// to their threshold-network signal.
@@ -407,8 +294,8 @@ impl<'a> Synth<'a> {
     fn new(
         net: &'a Network,
         config: &'a TelsConfig,
-        cache: Option<&'a RealizationCache>,
-        neg: Option<&'a NegativeCache>,
+        cache: &'a RealizationCache,
+        neg: &'a NegativeCache,
     ) -> Result<Synth<'a>, SynthError> {
         let mut tn = ThresholdNetwork::new(net.model().to_string());
         let mut signal_map = HashMap::new();
@@ -471,18 +358,33 @@ impl<'a> Synth<'a> {
         Ok(signal)
     }
 
-    /// Node collapsing (Fig. 4) — see [`collapse_with`]. Also applied to
-    /// split products: the Fig. 3 flow feeds split nodes back through
-    /// collapsing, so a leaf blocked by ψ at the parent can be absorbed
-    /// once a split shrinks the support.
-    fn collapse_expr(&mut self, expr: Sop) -> Sop {
-        collapse_with(
-            self.net,
-            self.config,
-            &self.boundary,
-            expr,
-            &mut self.stats.collapses,
-        )
+    /// Node collapsing (Fig. 4): substitute non-boundary fanin functions
+    /// into the expression while the support stays within ψ; undo any
+    /// substitution that pushes it past ψ (or past the starting support,
+    /// for nodes that already exceed ψ). Also applied to split products:
+    /// the Fig. 3 flow feeds split nodes back through collapsing, so a leaf
+    /// blocked by ψ at the parent can be absorbed once a split shrinks the
+    /// support.
+    fn collapse_expr(&mut self, mut expr: Sop) -> Sop {
+        let limit = self.config.psi.max(expr.support().len());
+        let mut blocked: Vec<Var> = Vec::new();
+        loop {
+            let candidate_var = expr.support().iter().find(|&v| {
+                let node = NodeId::from_index(v.0 as usize);
+                !self.boundary[node.index()] && !blocked.contains(&v)
+            });
+            let Some(v) = candidate_var else { break };
+            let inner = global_sop(self.net, NodeId::from_index(v.0 as usize));
+            let substituted = expr.substitute(v, &inner);
+            if substituted.support().len() <= limit && substituted.num_cubes() <= COLLAPSE_CUBE_CAP
+            {
+                expr = substituted;
+                self.stats.collapses += 1;
+            } else {
+                blocked.push(v);
+            }
+        }
+        expr
     }
 
     /// The threshold-network signal for a leaf variable of an expression,
@@ -540,56 +442,21 @@ impl<'a> Synth<'a> {
         )
     }
 
-    /// One threshold check with the Theorem-1 filter, also reporting how
-    /// the query was decided (provenance tagging for the emitted gate).
-    fn checked_threshold(
-        &mut self,
-        expr: &Sop,
-    ) -> Result<(Option<Realization>, CheckVia), SynthError> {
-        // With the cache enabled, Theorem 1 runs inside the cached checker
-        // (miss path only) so a cache hit skips it; without, it runs here
-        // as the pre-cache flow did. Either way the query counts toward
-        // `ilp_calls` — the cached flow tallies it inside query_threshold,
-        // so the serial refutation must tally it too or the two runs'
-        // call counts diverge. Queries the tier-0 oracle will answer skip
-        // the filter: the lookup is definitive and cheaper than the
-        // substitution test.
-        if self.cache.is_none()
-            && self.config.use_theorem1
-            && !(self.config.tier0_active() && expr.support().len() <= crate::tier0::MAX_VARS)
-            && theorem1_refutes(expr)
-        {
-            self.stats.ilp_calls += 1;
-            self.stats.theorem1_refutations += 1;
-            return Ok((None, CheckVia::Theorem1));
-        }
-        self.query_threshold(expr)
-    }
-
-    /// One threshold query, through the canonical cache when enabled.
+    /// One threshold query through the canonical cache, also reporting how
+    /// it was decided (provenance tagging for the emitted gate). The
+    /// Theorem-1 filter runs inside the cached checker, on the miss path.
     fn query_threshold(&mut self, f: &Sop) -> Result<(Option<Realization>, CheckVia), SynthError> {
         self.stats.ilp_calls += 1;
-        let config = self.config;
-        match self.cache {
-            Some(cache) => {
-                let (r, via) = check_threshold_cached(
-                    f,
-                    config,
-                    cache,
-                    self.neg,
-                    &mut self.stats.solver,
-                    &mut self.scratch,
-                )?;
-                self.bucket_via(via);
-                Ok((r, via))
-            }
-            None => {
-                let (r, via) =
-                    check_threshold_counted(f, config, self.neg, &mut self.stats.solver)?;
-                self.bucket_via(via);
-                Ok((r, via))
-            }
-        }
+        let (r, via) = check_threshold_cached(
+            f,
+            self.config,
+            self.cache,
+            Some(self.neg),
+            &mut self.stats.solver,
+            &mut self.scratch,
+        )?;
+        self.bucket_via(via);
+        Ok((r, via))
     }
 
     /// Folds one query verdict into the run statistics (`tier0_lookups`
@@ -797,7 +664,7 @@ impl<'a> Synth<'a> {
         // Shannon expansion instead of the paper's Fig. 7/8 splitting.
         if self.config.strategy == crate::config::SynthStrategy::Shannon {
             if expr.is_unate() && expr.support().len() <= self.config.psi {
-                let (r, via) = self.checked_threshold(expr)?;
+                let (r, via) = self.query_threshold(expr)?;
                 if let Some(r) = r {
                     return self.emit_gate(&r, name_hint, path_for(via));
                 }
@@ -821,7 +688,7 @@ impl<'a> Synth<'a> {
         // (Theorem-1 refutation vs. a plain non-threshold answer).
         let mut refuted_by_t1 = false;
         if expr.support().len() <= self.config.psi {
-            let (r, via) = self.checked_threshold(expr)?;
+            let (r, via) = self.query_threshold(expr)?;
             if let Some(r) = r {
                 return self.emit_gate(&r, name_hint, path_for(via));
             }
@@ -877,7 +744,7 @@ impl<'a> Synth<'a> {
                     if gate_half.support().len() + 1 > self.config.psi {
                         continue;
                     }
-                    if let (Some(r), _) = self.checked_threshold(gate_half)? {
+                    if let (Some(r), _) = self.query_threshold(gate_half)? {
                         // The extra OR input gets weight T_pos + δ_on, which
                         // must also respect the dynamic-range cap.
                         let (_, w_extra) = theorem2_extend(&r, Var(u32::MAX), self.config);
@@ -927,709 +794,6 @@ fn and_proto(phases: impl Iterator<Item = bool>) -> Sop {
     Sop::from_cubes([Cube::from_literals(
         phases.enumerate().map(|(i, phase)| (Var(i as u32), phase)),
     )])
-}
-
-/// The cache-warming planner: mirrors [`Synth::synth_expr`]'s decision tree
-/// without emitting gates, so worker threads can pre-answer every threshold
-/// query of independent nodes through the shared canonical cache.
-///
-/// Planning is *advisory*: cache entries are decided in canonical space, so
-/// any divergence between a plan and the later emission pass costs at worst
-/// a cache miss, never correctness — which is also why planning errors are
-/// swallowed by [`warm_cache`] (the emission pass reproduces and reports
-/// any real failure deterministically).
-struct Planner<'a> {
-    net: &'a Network,
-    config: &'a TelsConfig,
-    cache: &'a RealizationCache,
-    neg: Option<&'a NegativeCache>,
-    boundary: &'a [bool],
-    net_levels: &'a [usize],
-    /// ILP solves performed by this worker (merged into the run stats).
-    ilp_solves: usize,
-    /// Per-tier solver counters of this worker (merged into the run stats).
-    solver: SolverBreakdown,
-    /// Non-input nodes demanded as expression leaves while planning.
-    discovered: Vec<NodeId>,
-    /// Canonicalization buffers, reused across the worker's whole node
-    /// loop instead of allocating fresh vectors per query.
-    scratch: SignatureScratch,
-}
-
-impl Planner<'_> {
-    fn query(&mut self, f: &Sop) -> Result<Option<Realization>, SynthError> {
-        let (r, via) = check_threshold_cached(
-            f,
-            self.config,
-            self.cache,
-            self.neg,
-            &mut self.solver,
-            &mut self.scratch,
-        )?;
-        if via == CheckVia::Ilp {
-            self.ilp_solves += 1;
-        }
-        Ok(r)
-    }
-
-    fn leaf(&mut self, v: Var) {
-        let node = NodeId::from_index(v.0 as usize);
-        if !self.net.is_input(node) {
-            self.discovered.push(node);
-        }
-    }
-
-    /// Mirror of [`Synth::or_gate`]'s prototype query.
-    fn plan_or(&mut self, n: usize) -> Result<(), SynthError> {
-        if n >= 2 {
-            self.query(&or_proto(n))?;
-        }
-        Ok(())
-    }
-
-    /// Mirror of [`Synth::and_terms`]'s chunked prototype queries.
-    fn plan_and_terms(&mut self, mut phases: Vec<bool>) -> Result<(), SynthError> {
-        if phases.len() == 1 {
-            if !phases[0] {
-                self.query(&Sop::literal(Var(0), false))?;
-            }
-            return Ok(());
-        }
-        loop {
-            let take = phases.len().min(self.config.psi);
-            let group: Vec<bool> = phases.drain(..take).collect();
-            self.query(&and_proto(group.into_iter()))?;
-            if phases.is_empty() {
-                return Ok(());
-            }
-            phases.push(true);
-        }
-    }
-
-    /// Mirror of [`Synth::shannon_expr`].
-    fn plan_shannon(&mut self, expr: &Sop) -> Result<(), SynthError> {
-        let support = expr.support();
-        let v = expr
-            .binate_vars()
-            .into_iter()
-            .max_by_key(|&v| expr.occurrence_count(v))
-            .or_else(|| support.iter().max_by_key(|&v| expr.occurrence_count(v)))
-            .expect("non-constant expression has support");
-        let f1 = expr.cofactor(v, true);
-        let f0 = expr.cofactor(v, false);
-        if f1.equivalent(&f0) {
-            return self.plan_expr(&f1);
-        }
-        self.leaf(v);
-        let lit = |phase: bool| Sop::literal(Var(0), phase);
-        if f1.is_one() {
-            self.plan_expr(&f0)?;
-            self.query(&lit(true).or(&Sop::literal(Var(1), true)))?;
-            return Ok(());
-        }
-        if f0.is_one() {
-            self.plan_expr(&f1)?;
-            self.query(&lit(false).or(&Sop::literal(Var(1), true)))?;
-            return Ok(());
-        }
-        if f0.is_zero() {
-            self.plan_expr(&f1)?;
-            return self.plan_and_terms(vec![true, true]);
-        }
-        if f1.is_zero() {
-            self.plan_expr(&f0)?;
-            return self.plan_and_terms(vec![false, true]);
-        }
-        self.plan_expr(&f1)?;
-        self.plan_expr(&f0)?;
-        self.plan_and_terms(vec![true, true])?;
-        self.plan_and_terms(vec![false, true])?;
-        self.plan_or(2)
-    }
-
-    /// Mirror of [`Synth::synth_expr`]: same collapse, same splits, same
-    /// threshold queries — minus the gate bookkeeping.
-    fn plan_expr(&mut self, expr: &Sop) -> Result<(), SynthError> {
-        let mut collapses = 0;
-        let expr = &collapse_with(
-            self.net,
-            self.config,
-            self.boundary,
-            expr.clone(),
-            &mut collapses,
-        );
-        if expr.is_zero() || expr.is_one() {
-            return Ok(());
-        }
-        if expr.num_cubes() == 1 && expr.cubes()[0].literal_count() == 1 {
-            let (v, phase) = expr.cubes()[0].literals().next().expect("one literal");
-            self.leaf(v);
-            if !phase {
-                self.query(&Sop::literal(Var(0), false))?;
-            }
-            return Ok(());
-        }
-        if self.config.strategy == crate::config::SynthStrategy::Shannon {
-            if expr.is_unate() && expr.support().len() <= self.config.psi {
-                if let Some(r) = self.query(expr)? {
-                    for &(v, _) in &r.weights {
-                        self.leaf(v);
-                    }
-                    return Ok(());
-                }
-            }
-            return self.plan_shannon(expr);
-        }
-        if !expr.is_unate() {
-            let parts = split_binate(expr, self.config.psi)?;
-            for p in &parts {
-                self.plan_expr(p)?;
-            }
-            return self.plan_or(parts.len());
-        }
-        if expr.support().len() <= self.config.psi {
-            if let Some(r) = self.query(expr)? {
-                for &(v, _) in &r.weights {
-                    self.leaf(v);
-                }
-                return Ok(());
-            }
-        }
-        if expr.num_cubes() == 1 {
-            let phases: Vec<bool> = expr.cubes()[0]
-                .literals()
-                .map(|(v, phase)| {
-                    self.leaf(v);
-                    phase
-                })
-                .collect();
-            return self.plan_and_terms(phases);
-        }
-        match split_unate_with(expr, self.config.split_heuristic)? {
-            UnateSplit::AndCube(cube, rest) => {
-                self.plan_expr(&rest)?;
-                let mut phases: Vec<bool> = cube
-                    .literals()
-                    .map(|(v, phase)| {
-                        self.leaf(v);
-                        phase
-                    })
-                    .collect();
-                phases.push(true);
-                self.plan_and_terms(phases)
-            }
-            UnateSplit::Or(a, b) => {
-                let leaf_depth = |s: &Sop| -> usize {
-                    s.support()
-                        .iter()
-                        .map(|v| self.net_levels[v.0 as usize])
-                        .max()
-                        .unwrap_or(0)
-                };
-                let (big, small) =
-                    if (a.num_cubes(), leaf_depth(&a)) >= (b.num_cubes(), leaf_depth(&b)) {
-                        (a, b)
-                    } else {
-                        (b, a)
-                    };
-                for (gate_half, rec_half) in [(&big, &small), (&small, &big)] {
-                    if gate_half.support().len() + 1 > self.config.psi {
-                        continue;
-                    }
-                    if let Some(r) = self.query(gate_half)? {
-                        let (_, w_extra) = theorem2_extend(&r, Var(u32::MAX), self.config);
-                        if self.config.weight_cap.is_some_and(|cap| w_extra > cap) {
-                            continue;
-                        }
-                        self.plan_expr(rec_half)?;
-                        for &(v, _) in &r.weights {
-                            self.leaf(v);
-                        }
-                        return Ok(());
-                    }
-                }
-                let k = self.config.psi.min(expr.num_cubes());
-                let parts = split_cubes_k(expr, k);
-                for p in &parts {
-                    self.plan_expr(p)?;
-                }
-                self.plan_or(parts.len())
-            }
-        }
-    }
-}
-
-/// The static portion of a warming pass: the boundary roots the backward
-/// flow will synthesize as shared signals, plus the dependency edges
-/// between them (root A before root B when A is a boundary leaf inside
-/// B's collapse cone — planning A first means B's queries over A's signal
-/// hit a warm cache).
-///
-/// The plan is *advisory*, exactly like planning itself: collapse can stop
-/// early at the ψ bound and demand a non-boundary leaf no static analysis
-/// predicted, so executors must also handle dynamically discovered nodes
-/// (which enter dependency-free). A wrong or missing edge costs at worst a
-/// cache miss, never correctness.
-pub struct WarmPlan {
-    /// Roots in scheduling order: deepest net level first, ties by index.
-    roots: Vec<NodeId>,
-    /// Dependency edges as `(before, after)` indices into `roots`.
-    edges: Vec<(u32, u32)>,
-    /// Nodes collapse must not look through (PIs and fanout nodes).
-    boundary: Vec<bool>,
-    /// Logic depth per original-network node (split tie-breaking).
-    net_levels: Vec<usize>,
-}
-
-impl WarmPlan {
-    /// Builds the warming plan for a network: boundary, levels, reachable
-    /// roots, and inter-root dependency edges.
-    ///
-    /// # Errors
-    ///
-    /// Fails only when the network is cyclic.
-    pub fn build(net: &Network) -> Result<WarmPlan, SynthError> {
-        let fanouts = net.fanout_counts();
-        let boundary: Vec<bool> = net
-            .node_ids()
-            .map(|id| net.is_input(id) || fanouts[id.index()] >= 2)
-            .collect();
-        let net_levels = net.levels()?;
-        Ok(WarmPlan::from_parts(net, boundary, net_levels))
-    }
-
-    /// Builds the plan from precomputed boundary/level tables (the one-shot
-    /// driver already owns both).
-    fn from_parts(net: &Network, boundary: Vec<bool>, net_levels: Vec<usize>) -> WarmPlan {
-        // Roots: output drivers plus every fanout boundary node reachable
-        // from an output.
-        let mut reachable: HashSet<NodeId> = HashSet::new();
-        let mut stack: Vec<NodeId> = net.outputs().iter().map(|&(_, id)| id).collect();
-        while let Some(n) = stack.pop() {
-            if reachable.insert(n) {
-                stack.extend(net.fanins(n).iter().copied());
-            }
-        }
-        let mut roots: Vec<NodeId> = reachable
-            .into_iter()
-            .filter(|&n| !net.is_input(n))
-            .filter(|&n| boundary[n.index()] || net.outputs().iter().any(|&(_, o)| o == n))
-            .collect();
-        // Deepest first; ties in a stable order for reproducible scheduling.
-        roots.sort_by_key(|&n| (std::cmp::Reverse(net_levels[n.index()]), n.index()));
-        let index_of: HashMap<NodeId, u32> = roots
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (n, i as u32))
-            .collect();
-        // Edges: DFS each root's fanin cone through non-boundary nodes
-        // (the nodes collapse can absorb); every boundary node the cone
-        // touches is a root this root's plan will query as a leaf.
-        let mut edges: Vec<(u32, u32)> = Vec::new();
-        let mut visited: Vec<u32> = vec![u32::MAX; boundary.len()];
-        for (i, &root) in roots.iter().enumerate() {
-            let i = i as u32;
-            let mut stack: Vec<NodeId> = net.fanins(root).to_vec();
-            while let Some(n) = stack.pop() {
-                if net.is_input(n) || visited[n.index()] == i {
-                    continue;
-                }
-                visited[n.index()] = i;
-                if boundary[n.index()] {
-                    if let Some(&before) = index_of.get(&n) {
-                        edges.push((before, i));
-                    }
-                } else {
-                    stack.extend(net.fanins(n).iter().copied());
-                }
-            }
-        }
-        WarmPlan {
-            roots,
-            edges,
-            boundary,
-            net_levels,
-        }
-    }
-
-    /// Number of roots to plan.
-    pub fn num_roots(&self) -> usize {
-        self.roots.len()
-    }
-
-    /// Number of inter-root dependency edges.
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// The dependency graph over the roots, one task per root.
-    fn dep_graph(&self) -> DepGraph {
-        let mut g = DepGraph::new(self.roots.len());
-        for &(before, after) in &self.edges {
-            g.add_edge(before, after);
-        }
-        g
-    }
-}
-
-/// Mutable warming state shared by all workers of one pass: the task →
-/// node table (growing as planning discovers new leaves) and the claim
-/// set preventing duplicate planning.
-struct WarmNodes {
-    nodes: Vec<NodeId>,
-    claimed: HashSet<NodeId>,
-}
-
-/// The read-only context one warming pass shares across all of its
-/// workers (the node table rides along because every task resolves and
-/// extends it under the same lock).
-struct WarmShared<'a> {
-    net: &'a Network,
-    config: &'a TelsConfig,
-    cache: &'a RealizationCache,
-    neg: Option<&'a NegativeCache>,
-    plan: &'a WarmPlan,
-    nodes: &'a Mutex<WarmNodes>,
-}
-
-/// Plans one root and registers dynamically discovered nodes as fresh
-/// dependency-free tasks via `spawn` (which must make task id
-/// `nodes.nodes.len()` runnable). Returns the planner's solve counters.
-fn plan_one(
-    shared: &WarmShared<'_>,
-    task: u32,
-    scratch: SignatureScratch,
-    mut spawn: impl FnMut(&mut WarmNodes),
-) -> (usize, SolverBreakdown, SignatureScratch) {
-    let node = shared.nodes.lock().expect("warm node table poisoned").nodes[task as usize];
-    let mut planner = Planner {
-        net: shared.net,
-        config: shared.config,
-        cache: shared.cache,
-        neg: shared.neg,
-        boundary: &shared.plan.boundary,
-        net_levels: &shared.plan.net_levels,
-        ilp_solves: 0,
-        solver: SolverBreakdown::default(),
-        discovered: Vec::new(),
-        scratch,
-    };
-    // Advisory: a planning error is left for the serial pass to reproduce
-    // and report.
-    let _ = planner.plan_expr(&global_sop(shared.net, node));
-    if !planner.discovered.is_empty() {
-        let mut table = shared.nodes.lock().expect("warm node table poisoned");
-        for d in planner.discovered.drain(..) {
-            if table.claimed.insert(d) {
-                // The new task becomes stealable immediately, but readers
-                // resolve it through this same lock, so the push below is
-                // visible before any worker looks it up.
-                spawn(&mut table);
-                table.nodes.push(d);
-            }
-        }
-    }
-    (planner.ilp_solves, planner.solver, planner.scratch)
-}
-
-/// The parallel warming pass of a one-shot run: plans every reachable
-/// boundary root as a dependency-counted task on the work-stealing
-/// scheduler, with `threads` scoped workers sharing one claim set and the
-/// canonical cache. Returns the total number of ILP solves the workers
-/// performed plus their merged solver counters.
-fn warm_cache(
-    net: &Network,
-    config: &TelsConfig,
-    cache: &RealizationCache,
-    neg: Option<&NegativeCache>,
-    boundary: &[bool],
-    net_levels: &[usize],
-    threads: usize,
-) -> (usize, SolverBreakdown) {
-    let plan = WarmPlan::from_parts(net, boundary.to_vec(), net_levels.to_vec());
-    if plan.roots.is_empty() {
-        return (0, SolverBreakdown::default());
-    }
-    let nodes = Mutex::new(WarmNodes {
-        nodes: plan.roots.clone(),
-        claimed: plan.roots.iter().copied().collect(),
-    });
-    // Per-worker totals and reusable canonicalization buffers (uncontended
-    // locks: only worker `i` touches slot `i`).
-    struct Slot {
-        solves: usize,
-        solver: SolverBreakdown,
-        scratch: SignatureScratch,
-    }
-    let slots: Vec<Mutex<Slot>> = (0..threads.max(1))
-        .map(|_| {
-            Mutex::new(Slot {
-                solves: 0,
-                solver: SolverBreakdown::default(),
-                scratch: SignatureScratch::new(),
-            })
-        })
-        .collect();
-    let sched = Scheduler::new(plan.dep_graph());
-    let shared = WarmShared {
-        net,
-        config,
-        cache,
-        neg,
-        plan: &plan,
-        nodes: &nodes,
-    };
-    sched.run(threads, |worker, task| {
-        if tels_trace::enabled() {
-            tels_trace::set_thread_label(format!("warm-{}", worker.index));
-        }
-        let mut slot = slots[worker.index].lock().expect("warm slot poisoned");
-        let scratch = std::mem::replace(&mut slot.scratch, SignatureScratch::new());
-        let (solves, solver, scratch) = plan_one(&shared, task, scratch, |_| {
-            worker.spawn();
-        });
-        slot.solves += solves;
-        slot.solver.merge(&solver);
-        slot.scratch = scratch;
-    });
-    let mut totals = (0, SolverBreakdown::default());
-    for slot in slots {
-        let slot = slot.into_inner().expect("warm slot poisoned");
-        totals.0 += slot.solves;
-        totals.1.merge(&slot.solver);
-    }
-    totals
-}
-
-/// Runs only the work-stealing warming pass against a caller-provided
-/// cache — the standalone entry the `serve_pipeline` bench uses to time
-/// warming in isolation and to compare it against [`warm_cache_queue`].
-/// Returns the ILP solves performed plus the merged solver counters.
-///
-/// # Errors
-///
-/// Fails only when the network is cyclic.
-pub fn warm_cache_scheduler(
-    net: &Network,
-    config: &TelsConfig,
-    cache: &RealizationCache,
-    threads: usize,
-) -> Result<(usize, SolverBreakdown), SynthError> {
-    config.assert_valid();
-    let fanouts = net.fanout_counts();
-    let boundary: Vec<bool> = net
-        .node_ids()
-        .map(|id| net.is_input(id) || fanouts[id.index()] >= 2)
-        .collect();
-    let net_levels = net.levels()?;
-    Ok(warm_cache(
-        net,
-        config,
-        cache,
-        None,
-        &boundary,
-        &net_levels,
-        threads,
-    ))
-}
-
-/// The pre-scheduler warming pass, preserved verbatim for benchmarking
-/// against [`warm_cache_scheduler`]: scoped workers drain one shared FIFO
-/// of roots (deepest level first) with a claim set, but with no dependency
-/// ordering — a worker can plan a consumer before the subfunctions it
-/// shares are cached, repeating threshold checks the scheduler's
-/// dependency edges let later tasks reuse. Byte-identity is unaffected
-/// either way (warming is advisory); only the work distribution differs.
-///
-/// # Errors
-///
-/// Fails only when the network is cyclic.
-pub fn warm_cache_queue(
-    net: &Network,
-    config: &TelsConfig,
-    cache: &RealizationCache,
-    threads: usize,
-) -> Result<(usize, SolverBreakdown), SynthError> {
-    config.assert_valid();
-    let fanouts = net.fanout_counts();
-    let boundary: Vec<bool> = net
-        .node_ids()
-        .map(|id| net.is_input(id) || fanouts[id.index()] >= 2)
-        .collect();
-    let net_levels = net.levels()?;
-    let plan = WarmPlan::from_parts(net, boundary.clone(), net_levels);
-    let queue: Mutex<std::collections::VecDeque<NodeId>> =
-        Mutex::new(plan.roots.iter().copied().collect());
-    let claimed: Mutex<HashSet<NodeId>> = Mutex::new(plan.roots.iter().copied().collect());
-    let totals: Mutex<(usize, SolverBreakdown)> = Mutex::new((0, SolverBreakdown::default()));
-    std::thread::scope(|s| {
-        for _ in 0..threads.max(1) {
-            let (queue, claimed, totals, plan) = (&queue, &claimed, &totals, &plan);
-            s.spawn(move || {
-                let mut planner = Planner {
-                    net,
-                    config,
-                    cache,
-                    neg: None,
-                    boundary: &plan.boundary,
-                    net_levels: &plan.net_levels,
-                    ilp_solves: 0,
-                    solver: SolverBreakdown::default(),
-                    discovered: Vec::new(),
-                    scratch: SignatureScratch::new(),
-                };
-                let mut local: Vec<NodeId> = Vec::new();
-                loop {
-                    let node = match local.pop() {
-                        Some(n) => n,
-                        None => match queue.lock().expect("queue poisoned").pop_front() {
-                            Some(n) => n,
-                            None => break,
-                        },
-                    };
-                    // Advisory, exactly like the scheduler pass.
-                    let _ = planner.plan_expr(&global_sop(net, node));
-                    if !planner.discovered.is_empty() {
-                        let mut seen = claimed.lock().expect("claim set poisoned");
-                        for d in planner.discovered.drain(..) {
-                            if seen.insert(d) {
-                                local.push(d);
-                            }
-                        }
-                    }
-                }
-                let mut totals = totals.lock().expect("counter poisoned");
-                totals.0 += planner.ilp_solves;
-                totals.1.merge(&planner.solver);
-            });
-        }
-    });
-    Ok(totals.into_inner().expect("counter poisoned"))
-}
-
-/// State of one pool-driven warming job (the `tels serve` path).
-struct PoolWarm {
-    net: Arc<Network>,
-    config: TelsConfig,
-    cache: Arc<RealizationCache>,
-    neg: Option<Arc<NegativeCache>>,
-    plan: WarmPlan,
-    nodes: Mutex<WarmNodes>,
-    /// Dependency graph plus the not-yet-completed task count.
-    graph: Mutex<(DepGraph, usize)>,
-    done: Condvar,
-    totals: Mutex<(usize, SolverBreakdown)>,
-    /// Job id attached to worker trace spans while planning this job.
-    job: Option<u64>,
-}
-
-/// Warms a shared realization cache for `net` on a persistent worker
-/// [`Pool`], blocking until every node task of this job has completed.
-/// Tasks from concurrent jobs interleave freely on the same pool.
-///
-/// `job` tags the workers' trace output (see [`tels_trace::set_job`]) so a
-/// daemon profile attributes warming work to the job that asked for it.
-/// Returns the ILP solves performed for this job plus the merged solver
-/// counters; like all warming this is advisory and cannot fail (planning
-/// errors surface in the later emission pass).
-///
-/// # Errors
-///
-/// Fails only when the network is cyclic.
-pub fn warm_on_pool(
-    pool: &Pool,
-    net: Arc<Network>,
-    config: &TelsConfig,
-    cache: Arc<RealizationCache>,
-    neg: Option<Arc<NegativeCache>>,
-    job: Option<u64>,
-) -> Result<(usize, SolverBreakdown), SynthError> {
-    config.assert_valid();
-    let plan = WarmPlan::build(&net)?;
-    if plan.roots.is_empty() {
-        return Ok((0, SolverBreakdown::default()));
-    }
-    let graph = plan.dep_graph();
-    let ready = graph.initial_ready();
-    let outstanding = graph.len();
-    let warm = Arc::new(PoolWarm {
-        nodes: Mutex::new(WarmNodes {
-            nodes: plan.roots.clone(),
-            claimed: plan.roots.iter().copied().collect(),
-        }),
-        net,
-        config: config.clone(),
-        cache,
-        neg,
-        plan,
-        graph: Mutex::new((graph, outstanding)),
-        done: Condvar::new(),
-        totals: Mutex::new((0, SolverBreakdown::default())),
-        job,
-    });
-    for task in ready {
-        let warm = Arc::clone(&warm);
-        pool.submit(move |w| pool_warm_task(&warm, w, task));
-    }
-    let mut st = warm.graph.lock().expect("warm graph poisoned");
-    while st.1 > 0 {
-        st = warm.done.wait(st).expect("warm graph poisoned");
-    }
-    drop(st);
-    let totals = warm.totals.lock().expect("warm totals poisoned");
-    Ok((totals.0, totals.1))
-}
-
-/// One node task of a pool-driven warming job: plan the node, release its
-/// dependents, and re-submit whatever became runnable onto this worker's
-/// own deque.
-fn pool_warm_task(warm: &Arc<PoolWarm>, w: &PoolWorker<'_>, task: u32) {
-    if tels_trace::enabled() {
-        tels_trace::set_job(warm.job);
-    }
-    let span = tels_trace::span("core", "warm_task");
-    let shared = WarmShared {
-        net: &warm.net,
-        config: &warm.config,
-        cache: &warm.cache,
-        neg: warm.neg.as_deref(),
-        plan: &warm.plan,
-        nodes: &warm.nodes,
-    };
-    let (solves, solver, _) = plan_one(&shared, task, SignatureScratch::new(), |_| {
-        // Discovered node: register a dependency-free task and submit
-        // it on this worker's own deque right away.
-        let t = {
-            let mut g = warm.graph.lock().expect("warm graph poisoned");
-            g.1 += 1;
-            g.0.push_task()
-        };
-        let warm2 = Arc::clone(warm);
-        w.spawn_local(Box::new(move |w2| pool_warm_task(&warm2, w2, t)));
-    });
-    drop(span);
-    {
-        let mut totals = warm.totals.lock().expect("warm totals poisoned");
-        totals.0 += solves;
-        totals.1.merge(&solver);
-    }
-    let (newly_ready, finished) = {
-        let mut g = warm.graph.lock().expect("warm graph poisoned");
-        let ready = g.0.complete(task);
-        g.1 -= 1;
-        let finished = g.1 == 0;
-        (ready, finished)
-    };
-    for t in newly_ready {
-        let warm2 = Arc::clone(warm);
-        w.spawn_local(Box::new(move |w2| pool_warm_task(&warm2, w2, t)));
-    }
-    if finished {
-        warm.done.notify_all();
-    }
-    if tels_trace::enabled() {
-        tels_trace::set_job(None);
-    }
 }
 
 #[cfg(test)]

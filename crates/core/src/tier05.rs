@@ -360,7 +360,7 @@ const NEG_SHARDS: usize = 16;
 /// Sharded set of Chow-canonical signatures proven *not* threshold (or
 /// abandoned by the ILP under the run's limits — the same memoization the
 /// realization cache applies to `None` entries). Sharding mirrors
-/// `RealizationCache` so concurrent warm workers rarely contend.
+/// `RealizationCache` so concurrent serve jobs rarely contend.
 pub struct NegativeCache {
     shards: Vec<RwLock<HashSet<Vec<u64>>>>,
 }

@@ -2,7 +2,7 @@
 //!
 //! The pipeline has four distinct answer paths for every threshold query
 //! (tier-0 truth-table oracle, canonical cache, pre-filters, tiered ILP)
-//! plus thread-count, trace, and cache knobs that must all be
+//! plus tier, trace, metrics, and serve knobs that must all be
 //! observationally identical. This crate cross-checks them:
 //!
 //! - [`gen`] draws small seeded random Boolean networks, over-sampling the
@@ -53,7 +53,7 @@ pub struct FuzzOptions {
     pub seed: u64,
     /// Generator bounds.
     pub gen: GenOptions,
-    /// Oracle knobs (ψ, thread count, simulation depth).
+    /// Oracle knobs (ψ, simulation depth).
     pub oracle: OracleOptions,
     /// Minimize failing cases before reporting them.
     pub shrink: bool,

@@ -8,17 +8,13 @@
 //! | parse | streaming vs in-memory BLIF parse | BLIF bytes |
 //! | tier-0 | `use_tier0` on vs off | `.tnet` bytes |
 //! | tier-0.5 | `use_tier05` on vs off | `.tnet` bytes |
-//! | threads | 1 thread vs N threads | `.tnet` bytes |
 //! | trace | tracing off vs on | `.tnet` bytes |
 //! | serve | in-process serve session vs one-shot | `.tnet` bytes |
-//! | cache | `use_cache` on vs off | gate count, depth, function |
 //! | synthesis | TELS result vs source network | function (exhaustive) |
 //! | baseline | `map_one_to_one` vs source and vs TELS | function (exhaustive) |
 //!
 //! Byte-identity legs pin the determinism guarantees established by the
-//! pipeline (canonical-space cache solves, deterministic tie-breaks); the
-//! cache leg is *functional* because cache-off solves in the original
-//! variable order and may pick different (equally optimal) weights.
+//! pipeline (canonical-space cache solves, deterministic tie-breaks).
 //!
 //! All functional legs run on the word-parallel threshold evaluation
 //! engine (`tels_core::eval`): threshold-vs-Boolean goes through
@@ -41,8 +37,6 @@ use tels_logic::{Cube, Network, Sop, Var};
 pub struct OracleOptions {
     /// Fanin restriction ψ used for every synthesis leg.
     pub psi: usize,
-    /// The "N" of the 1-vs-N thread determinism leg.
-    pub alt_threads: usize,
     /// Exhaustive equivalence up to this many inputs (a proof); random
     /// patterns beyond.
     pub exhaustive_limit: u32,
@@ -56,7 +50,6 @@ impl Default for OracleOptions {
     fn default() -> Self {
         OracleOptions {
             psi: 3,
-            alt_threads: 4,
             exhaustive_limit: 12,
             random_patterns: 2048,
             sim_seed: 0x7e15,
@@ -75,17 +68,13 @@ pub enum FailureKind {
     Tier0Bytes,
     /// Tier-0.5 on/off produced different `.tnet` bytes.
     Tier05Bytes,
-    /// 1 vs N threads produced different `.tnet` bytes.
-    ThreadBytes,
     /// Tracing on/off produced different `.tnet` bytes.
     TraceBytes,
     /// Metrics on/off produced different `.tnet` bytes.
     MetricsBytes,
     /// An in-process serve session produced different `.tnet` bytes than
-    /// the one-shot path (scheduler or shared-cache nondeterminism).
+    /// the one-shot path (shared-cache nondeterminism).
     ServeBytes,
-    /// Cache on/off disagreed on gate count, depth, or function.
-    CacheDiff,
     /// The synthesized network is not equivalent to the source.
     SynthEquiv,
     /// The one-to-one baseline errored or is not equivalent to the source.
@@ -102,11 +91,9 @@ impl FailureKind {
             FailureKind::ParseStream => "parse",
             FailureKind::Tier0Bytes => "tier0",
             FailureKind::Tier05Bytes => "tier05",
-            FailureKind::ThreadBytes => "threads",
             FailureKind::TraceBytes => "trace",
             FailureKind::MetricsBytes => "metrics",
             FailureKind::ServeBytes => "serve",
-            FailureKind::CacheDiff => "cache",
             FailureKind::SynthEquiv => "equiv",
             FailureKind::Map11 => "map11",
             FailureKind::Baseline => "baseline",
@@ -155,10 +142,6 @@ fn guarded<T>(
 fn base_config(opts: &OracleOptions) -> TelsConfig {
     TelsConfig {
         psi: opts.psi,
-        num_threads: 1,
-        // Engage the cache/thread machinery even on tiny fuzz networks —
-        // the whole point is to drive the parallel paths.
-        parallel_min_nodes: 0,
         ..TelsConfig::default()
     }
 }
@@ -303,7 +286,7 @@ fn parse_leg(net: &Network) -> Result<(), Failure> {
 }
 
 /// The serve-vs-one-shot byte-identity leg (see [`run_case`]).
-fn serve_leg(net: &Network, cfg: &TelsConfig, opts: &OracleOptions) -> Result<(), Failure> {
+fn serve_leg(net: &Network, cfg: &TelsConfig) -> Result<(), Failure> {
     use tels_serve::protocol::JobRequest;
     use tels_serve::{ServeOptions, ServeSession};
 
@@ -316,10 +299,7 @@ fn serve_leg(net: &Network, cfg: &TelsConfig, opts: &OracleOptions) -> Result<()
     })?
     .to_tnet();
     let served = catch_unwind(AssertUnwindSafe(|| {
-        let session = ServeSession::new(ServeOptions {
-            threads: opts.alt_threads,
-            ..ServeOptions::default()
-        })?;
+        let session = ServeSession::new(ServeOptions::default())?;
         let req = JobRequest {
             blif: text.clone(),
             factor: false,
@@ -369,7 +349,7 @@ pub fn run_case(net: &Network, opts: &OracleOptions) -> Result<(), Failure> {
     // partial fills is exercised on every case.
     parse_leg(net)?;
 
-    // Baseline synthesis (1 thread, cache + tier-0 on).
+    // Baseline synthesis (tier 0 and tier 0.5 on).
     let base = guarded(FailureKind::Synth, "synthesize", || synthesize(net, &cfg))?;
     let base_bytes = base.to_tnet();
 
@@ -409,26 +389,6 @@ pub fn run_case(net: &Network, opts: &OracleOptions) -> Result<(), Failure> {
         ));
     }
 
-    // Leg: 1 vs N threads byte identity.
-    let threaded = guarded(FailureKind::ThreadBytes, "synthesize(threads)", || {
-        synthesize(
-            net,
-            &TelsConfig {
-                num_threads: opts.alt_threads,
-                ..cfg.clone()
-            },
-        )
-    })?;
-    if threaded.to_tnet() != base_bytes {
-        return Err(Failure::new(
-            FailureKind::ThreadBytes,
-            format!(
-                "1 vs {} threads produced different .tnet bytes",
-                opts.alt_threads
-            ),
-        ));
-    }
-
     // Leg: tracing on/off byte identity. Tracing is process-global, so
     // enable/disable around the leg and drain the buffer afterwards.
     tels_trace::enable();
@@ -460,45 +420,13 @@ pub fn run_case(net: &Network, opts: &OracleOptions) -> Result<(), Failure> {
         ));
     }
 
-    // Leg: an in-process serve session (pooled scheduler + shared
-    // realization cache) must match the one-shot path byte for byte. The
-    // job is submitted twice — cold, then again against the now-populated
-    // shared cache — so both the scheduler and cross-job cache reuse are
-    // on the hook. `factor: false` because the oracle synthesizes the raw
+    // Leg: an in-process serve session (shared realization cache) must
+    // match the one-shot path byte for byte. The job is submitted twice —
+    // cold, then again against the now-populated shared cache — so
+    // cross-job cache reuse is on the hook. `factor: false` because the oracle synthesizes the raw
     // generated network, and the comparison reference goes through the
     // same BLIF round-trip the daemon's parser sees.
-    serve_leg(net, &cfg, opts)?;
-
-    // Leg: cache on/off — same gate structure, same function (weights may
-    // legitimately differ: the cache solves in canonical variable order).
-    let no_cache = guarded(FailureKind::CacheDiff, "synthesize(no-cache)", || {
-        synthesize(
-            net,
-            &TelsConfig {
-                use_cache: false,
-                ..cfg.clone()
-            },
-        )
-    })?;
-    if no_cache.num_gates() != base.num_gates() || no_cache.depth() != base.depth() {
-        return Err(Failure::new(
-            FailureKind::CacheDiff,
-            format!(
-                "cache on/off gate structure differs: {} gates depth {} vs {} gates depth {}",
-                base.num_gates(),
-                base.depth(),
-                no_cache.num_gates(),
-                no_cache.depth()
-            ),
-        ));
-    }
-    expect_tn_vs_tn(
-        FailureKind::CacheDiff,
-        "cache-on and cache-off results",
-        &base,
-        &no_cache,
-        opts,
-    )?;
+    serve_leg(net, &cfg)?;
 
     // Leg: synthesized network vs the source, on the packed engine.
     expect_tn_vs_source(

@@ -411,9 +411,9 @@ impl Sop {
     /// through [`SignatureScratch::key`] / [`SignatureScratch::order`]) and
     /// returns whether a signature exists (support ≤ 64 variables). The
     /// outputs stay valid until the next call on the same scratch. Hot
-    /// loops — the cache-warming workers, the serial emission walk — reuse
-    /// one scratch across thousands of covers instead of allocating seven
-    /// fresh `Vec`s per node.
+    /// loops — the synthesis driver's query walk — reuse one scratch
+    /// across thousands of covers instead of allocating seven fresh `Vec`s
+    /// per node.
     pub fn canonical_signature_into(&self, scratch: &mut SignatureScratch) -> bool {
         debug_assert!(
             self.is_positive_unate(),

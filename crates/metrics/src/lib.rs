@@ -1,7 +1,7 @@
 //! # tels-metrics — live runtime metrics for TELS-RS
 //!
 //! A process-wide registry of lock-free instruments for the long-running
-//! parts of the pipeline (the work-stealing pool, the realization cache,
+//! parts of the pipeline (the work-stealing scheduler, the realization cache,
 //! the threshold-check dispatch, the packed simulator, and the `tels
 //! serve` daemon). Dependency-free, like [`tels_trace`], whose in-tree
 //! JSON machinery and log₂ [`tels_trace::Histogram`] it reuses.
@@ -192,7 +192,7 @@ impl Default for Gauge {
     }
 }
 
-/// A counter family keyed by a small index (pool worker, cache shard,
+/// A counter family keyed by a small index (scheduler worker, cache shard,
 /// connection id) with one dedicated cell per index — writers with
 /// distinct indices never contend. Indices wrap modulo [`MAX_INDEX`].
 #[derive(Debug)]
@@ -338,7 +338,7 @@ pub struct Descriptor {
 pub mod instruments {
     use super::{AtomicHistogram, Counter, Gauge, PerIndex};
 
-    /// Tasks executed, per pool/scheduler worker.
+    /// Tasks executed, per scheduler worker.
     pub static SCHED_TASKS: PerIndex = PerIndex::new();
     /// Tasks obtained by stealing from a peer's deque, per worker.
     pub static SCHED_STEALS: PerIndex = PerIndex::new();
@@ -348,10 +348,6 @@ pub mod instruments {
     pub static SCHED_BUSY_NS: PerIndex = PerIndex::new();
     /// Nanoseconds spent parked waiting for work, per worker.
     pub static SCHED_IDLE_NS: PerIndex = PerIndex::new();
-    /// Pool injector queue depth (sampled).
-    pub static SCHED_INJECTOR_DEPTH: Gauge = Gauge::new();
-    /// Sum of pool worker deque depths (sampled).
-    pub static SCHED_DEQUE_DEPTH: Gauge = Gauge::new();
 
     /// Realization-cache lookup hits, per cache shard.
     pub static CACHE_HITS: PerIndex = PerIndex::new();
@@ -417,7 +413,7 @@ use instruments as i9s;
 pub static REGISTRY: &[Descriptor] = &[
     Descriptor {
         name: "tels_sched_tasks_total",
-        help: "Tasks executed by pool/scheduler workers",
+        help: "Tasks executed by scheduler workers",
         instrument: InstrumentRef::PerIndex {
             family: &i9s::SCHED_TASKS,
             label: "worker",
@@ -454,16 +450,6 @@ pub static REGISTRY: &[Descriptor] = &[
             family: &i9s::SCHED_IDLE_NS,
             label: "worker",
         },
-    },
-    Descriptor {
-        name: "tels_sched_injector_depth",
-        help: "Pool injector queue depth (sampled)",
-        instrument: InstrumentRef::Gauge(&i9s::SCHED_INJECTOR_DEPTH),
-    },
-    Descriptor {
-        name: "tels_sched_deque_depth",
-        help: "Sum of pool worker deque depths (sampled)",
-        instrument: InstrumentRef::Gauge(&i9s::SCHED_DEQUE_DEPTH),
     },
     Descriptor {
         name: "tels_cache_hits_total",

@@ -1,23 +1,21 @@
 //! `tels serve`: a batched synthesis daemon.
 //!
 //! One-shot `tels synth` pays its startup costs — tier-0 oracle table
-//! construction, thread spawning, and above all an empty realization cache —
-//! on every invocation. This crate amortizes them across jobs: a
-//! [`ServeSession`] owns one work-stealing [`Pool`](tels_core::sched::Pool)
-//! of workers and one [`RealizationCache`] per configuration fingerprint
-//! ([`CacheKey`]), accepts synthesis jobs over a length-prefixed JSON
-//! protocol ([`protocol`]), and optionally persists the caches to disk
-//! between runs ([`persist`]).
+//! construction and above all an empty realization cache — on every
+//! invocation. This crate amortizes them across jobs: a [`ServeSession`]
+//! owns one [`RealizationCache`] and one [`NegativeCache`] per
+//! configuration fingerprint ([`CacheKey`]), accepts synthesis jobs over a
+//! length-prefixed JSON protocol ([`protocol`]), and optionally persists
+//! the caches to disk between runs ([`persist`]).
 //!
 //! # Determinism contract
 //!
 //! A job's `.tnet` output is byte-identical to what a one-shot `tels synth`
-//! run of the same input and configuration produces, at any pool width,
-//! with a cold or pre-warmed cache. This follows from the core invariants:
-//! cache entries are pure functions of their canonical key plus the
-//! [`CacheKey`] fields, warming is advisory (it only changes *when* answers
-//! are computed), and [`synthesize_with_shared_caches`] applies exactly the
-//! one-shot cache-engagement gate. The serve layer's contribution is
+//! run of the same input and configuration produces, with a cold or
+//! pre-populated cache. This follows from the core invariant: cache
+//! entries are pure functions of their canonical key plus the [`CacheKey`]
+//! fields, so a pre-populated entry only changes *when* an answer is
+//! computed, never what it is. The serve layer's contribution is
 //! discipline: caches — the realization cache and the tier-0.5 negative
 //! cache alike — are keyed by configuration fingerprint so a job can never
 //! observe entries computed under different δ or solver limits.
@@ -27,7 +25,8 @@
 //! [`serve_stdio`] runs the protocol over stdin/stdout (one client, e.g.
 //! a build system holding a child process). [`serve_unix`] listens on a
 //! unix socket and serves concurrent clients, one thread per connection;
-//! jobs from all connections share the pool and caches. A `shutdown`
+//! each job runs on its connection's thread, and jobs from all connections
+//! share the caches. A `shutdown`
 //! request from any client stops the listener, and the session saves its
 //! caches if a cache file is configured.
 
@@ -49,10 +48,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use tels_core::sched::Pool;
 use tels_core::{
-    prewarm_tier0, synthesize_with_shared_caches, warm_on_pool, CacheKey, NegativeCache,
-    RealizationCache, SynthStats, ThresholdNetwork,
+    prewarm_tier0, synthesize_with_shared_caches, CacheKey, NegativeCache, RealizationCache,
+    SynthStats, ThresholdNetwork,
 };
 use tels_logic::blif;
 use tels_logic::opt::script_algebraic;
@@ -65,8 +63,6 @@ use protocol::{error_reply, parse_request, validate_config, JobRequest, Request}
 /// Daemon construction options.
 #[derive(Debug, Clone, Default)]
 pub struct ServeOptions {
-    /// Worker threads in the shared pool (`0` = one per hardware thread).
-    pub threads: usize,
     /// Cache persistence file: loaded at startup when present, saved on
     /// shutdown and by [`ServeSession::persist_now`].
     pub cache_file: Option<PathBuf>,
@@ -99,20 +95,19 @@ pub struct JobReply {
     pub id: u64,
     /// The synthesized network.
     pub tn: ThresholdNetwork,
-    /// Run statistics (warming counters merged in).
+    /// Run statistics.
     pub stats: SynthStats,
     /// Wall-clock latency of the job inside the session, in microseconds.
     pub micros: u64,
 }
 
-/// A long-lived synthesis session: shared worker pool, per-configuration
-/// realization caches, job counters, and optional disk persistence.
+/// A long-lived synthesis session: per-configuration realization and
+/// negative caches, job counters, and optional disk persistence.
 ///
 /// Transport-independent — [`serve_stdio`]/[`serve_unix`] drive it over
 /// byte streams, and in-process callers ([`Client`] alternatives like the
 /// fuzz harness and benches) call [`ServeSession::submit`] directly.
 pub struct ServeSession {
-    pool: Pool,
     caches: Mutex<HashMap<CacheKey, Arc<RealizationCache>>>,
     /// Tier-0.5 negative caches, keyed like `caches`: a rejection proof is
     /// only reusable under the margins and limits it was computed with.
@@ -128,8 +123,8 @@ pub struct ServeSession {
 }
 
 impl ServeSession {
-    /// Builds a session: prewarms the tier-0 oracle, spawns the worker
-    /// pool, and loads the cache file when one is configured and present.
+    /// Builds a session: prewarms the tier-0 oracle and loads the cache
+    /// file when one is configured and present.
     ///
     /// # Errors
     ///
@@ -139,18 +134,10 @@ impl ServeSession {
     /// *missing* cache file is not an error.
     pub fn new(opts: ServeOptions) -> Result<ServeSession, String> {
         prewarm_tier0();
-        let threads = if opts.threads == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        } else {
-            opts.threads
-        };
         if opts.metrics_enabled {
             tels_metrics::enable();
         }
         let session = ServeSession {
-            pool: Pool::new(threads),
             caches: Mutex::new(HashMap::new()),
             negs: Mutex::new(HashMap::new()),
             counters: Mutex::new(Counters::default()),
@@ -180,9 +167,10 @@ impl ServeSession {
         Ok(session)
     }
 
-    /// Worker threads in the shared pool.
+    /// Threads a single job runs on: always 1, since a job runs on the
+    /// thread that submitted it (in the daemon, its connection's thread).
     pub fn threads(&self) -> usize {
-        self.pool.threads()
+        1
     }
 
     /// The shared cache for a configuration fingerprint (created empty on
@@ -214,7 +202,7 @@ impl ServeSession {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Runs one synthesis job against the shared pool and caches. Assigns
+    /// Runs one synthesis job against the shared caches. Assigns
     /// an id when the request carries none; records latency and outcome in
     /// the server counters either way.
     ///
@@ -230,14 +218,13 @@ impl ServeSession {
         let start = Instant::now();
         let traced = tels_trace::enabled();
         if traced {
-            // Label every span this job emits — including those from pool
-            // workers warming on its behalf — with the job id.
+            // Label every span this job emits with the job id.
             tels_trace::set_job(Some(id));
         }
         metrics::SERVE_JOBS_INFLIGHT.add(1);
         let result = {
             let _span = tels_trace::span("serve", "job");
-            self.run_job(id, req)
+            self.run_job(req)
         };
         metrics::SERVE_JOBS_INFLIGHT.add(-1);
         if traced {
@@ -265,7 +252,6 @@ impl ServeSession {
                     // Freeze the registry at the moment of failure so the
                     // ring answers "what did the daemon look like when job
                     // N died" even after later frames wrap the ring.
-                    self.sample_gauges();
                     self.recorder.record(Some(format!("job {id} failed: {e}")));
                 }
                 Err(e)
@@ -273,22 +259,22 @@ impl ServeSession {
         }
     }
 
-    fn run_job(&self, id: u64, req: &JobRequest) -> Result<(ThresholdNetwork, SynthStats), String> {
+    fn run_job(&self, req: &JobRequest) -> Result<(ThresholdNetwork, SynthStats), String> {
         let setup_t0 = tels_metrics::enabled().then(Instant::now);
         validate_config(&req.config)?;
         let net = blif::parse_reader(req.blif.as_bytes()).map_err(|e| format!("blif: {e}"))?;
         // Mirror one-shot `tels synth`: factor by default, synthesize the
         // prepared network, verify (when asked) against the *original*.
-        let prepared = Arc::new(if req.factor {
+        let prepared = if req.factor {
             script_algebraic(&net)
         } else {
             net.clone()
-        });
+        };
         let config = &req.config;
         let cache = self.cache(config.cache_key());
         let neg = self.neg(config.cache_key());
         // Setup (parse, factoring, cache fetch) is the job's "queue wait":
-        // everything before pool work could start on its behalf.
+        // everything before synthesis proper starts.
         let run_t0 = setup_t0.map(|t0| {
             metrics::SERVE_QUEUE_WAIT_NS.record(t0.elapsed().as_nanos() as u64);
             Instant::now()
@@ -300,33 +286,8 @@ impl ServeSession {
             result
         };
         finish((|| {
-            let logic_nodes = prepared
-                .node_ids()
-                .filter(|&n| !prepared.is_input(n))
-                .count();
-            let engaged = config.use_cache && logic_nodes >= config.parallel_min_nodes;
-            let mut warm = None;
-            if engaged && self.pool.threads() > 1 {
-                warm = Some(
-                    warm_on_pool(
-                        &self.pool,
-                        Arc::clone(&prepared),
-                        config,
-                        Arc::clone(&cache),
-                        Some(Arc::clone(&neg)),
-                        Some(id),
-                    )
-                    .map_err(|e| e.to_string())?,
-                );
-            }
-            // Applies the same engagement gate internally, so sub-threshold
-            // jobs reproduce the uncached one-shot flow bit-for-bit.
-            let (tn, mut stats) = synthesize_with_shared_caches(&prepared, config, &cache, &neg)
+            let (tn, stats) = synthesize_with_shared_caches(&prepared, config, &cache, &neg)
                 .map_err(|e| e.to_string())?;
-            if let Some((solves, solver)) = warm {
-                stats.ilp_solves += solves;
-                stats.solver.merge(&solver);
-            }
             if req.verify {
                 match tn
                     .verify_against(&net, 12, 1024, 1)
@@ -398,7 +359,7 @@ impl ServeSession {
 
     /// Server statistics: job counts, per-job latency histogram
     /// (microseconds, log2 buckets), cache population per configuration
-    /// fingerprint, pool width, uptime.
+    /// fingerprint, uptime.
     pub fn stats_json(&self) -> Json {
         // Union of fingerprints across both cache maps: a section can hold
         // only negative signatures (every query rejected).
@@ -437,7 +398,6 @@ impl ServeSession {
             ("jobs_ok", Json::Num(counters.jobs_ok as f64)),
             ("jobs_failed", Json::Num(counters.jobs_failed as f64)),
             ("bad_frames", Json::Num(counters.bad_frames as f64)),
-            ("pool_threads", Json::Num(self.pool.threads() as f64)),
             (
                 "uptime_ms",
                 Json::Num(self.started.elapsed().as_millis() as f64),
@@ -491,20 +451,9 @@ impl ServeSession {
         self.metrics_interval
     }
 
-    /// Samples the scheduler depth gauges from the pool. Gauges have no
-    /// hot-path writers; they are refreshed here — by the daemon's sampler
-    /// thread and on demand when a `metrics` request arrives — so a
-    /// snapshot always carries values no staler than the last request.
-    pub fn sample_gauges(&self) {
-        let (injector, deques) = self.pool.queue_depths();
-        metrics::SCHED_INJECTOR_DEPTH.set(injector as i64);
-        metrics::SCHED_DEQUE_DEPTH.set(deques as i64);
-    }
-
-    /// Takes one annotation-free flight-recorder frame (fresh snapshot,
-    /// gauges sampled first). Called by the daemon's sampler thread.
+    /// Takes one annotation-free flight-recorder frame (fresh snapshot).
+    /// Called by the daemon's sampler thread.
     pub fn record_frame(&self) {
-        self.sample_gauges();
         self.recorder.record(None);
     }
 
@@ -512,7 +461,6 @@ impl ServeSession {
     /// as JSON or Prometheus text, optionally with the flight-recorder
     /// ring dumped alongside.
     fn metrics_reply(&self, prometheus: bool, recorder: bool) -> Json {
-        self.sample_gauges();
         let snap = tels_metrics::snapshot();
         let mut fields = vec![
             ("ok", Json::Bool(true)),
@@ -540,7 +488,6 @@ impl ServeSession {
         let Some(path) = &self.cache_file else {
             return Ok(None);
         };
-        self.sample_gauges();
         let mut out = path.clone();
         out.set_file_name(format!(
             "{}.metrics.json",
@@ -562,19 +509,9 @@ mod tests {
     use super::*;
     use tels_core::TelsConfig;
 
-    /// BLIF text of the smallest suite circuit that still engages the
-    /// cache under the default config (>= `parallel_min_nodes` logic nodes
-    /// *after* `script_algebraic` — the count the engagement gate sees).
-    fn big_blif() -> String {
-        let min = TelsConfig::default().parallel_min_nodes;
-        let bench = tels_circuits::paper_suite()
-            .into_iter()
-            .find(|b| {
-                let p = script_algebraic(&b.network);
-                p.node_ids().filter(|&n| !p.is_input(n)).count() >= min
-            })
-            .expect("paper suite must contain a cache-engaging circuit");
-        blif::write(&bench.network)
+    /// BLIF text of the first paper-suite circuit.
+    fn suite_blif() -> String {
+        blif::write(&tels_circuits::paper_suite()[0].network)
     }
 
     /// Default config with the tier-0 oracle disabled: tier-0 answers
@@ -588,18 +525,14 @@ mod tests {
         }
     }
 
-    fn session(threads: usize) -> ServeSession {
-        ServeSession::new(ServeOptions {
-            threads,
-            ..ServeOptions::default()
-        })
-        .expect("session")
+    fn session() -> ServeSession {
+        ServeSession::new(ServeOptions::default()).expect("session")
     }
 
     #[test]
     fn serve_bytes_match_one_shot() {
-        let s = session(3);
-        let text = big_blif();
+        let s = session();
+        let text = suite_blif();
         let req = JobRequest {
             blif: text.clone(),
             verify: true,
@@ -625,8 +558,8 @@ mod tests {
 
     #[test]
     fn jobs_isolated_by_config_fingerprint() {
-        let s = session(2);
-        let text = big_blif();
+        let s = session();
+        let text = suite_blif();
         let relaxed = cacheable_config();
         let strict = TelsConfig {
             delta_off: 2,
@@ -660,7 +593,7 @@ mod tests {
 
     #[test]
     fn bad_jobs_reported_not_fatal() {
-        let s = session(2);
+        let s = session();
         let bad = JobRequest {
             blif: ".model broken\n.inputs a\n.names a a a\n.end\n".to_string(),
             ..JobRequest::default()
@@ -668,7 +601,7 @@ mod tests {
         assert!(s.submit(&bad).is_err());
         // Session still serves good jobs afterwards.
         let good = JobRequest {
-            blif: big_blif(),
+            blif: suite_blif(),
             ..JobRequest::default()
         };
         assert!(s.submit(&good).is_ok());
@@ -690,7 +623,7 @@ mod tests {
             std::env::temp_dir().join(format!("tels-serve-cache-{}.bin", std::process::id()));
         std::fs::remove_file(&path).ok();
         let req = JobRequest {
-            blif: big_blif(),
+            blif: suite_blif(),
             config: cacheable_config(),
             ..JobRequest::default()
         };
@@ -698,7 +631,6 @@ mod tests {
         let cold_entries;
         {
             let s = ServeSession::new(ServeOptions {
-                threads: 2,
                 cache_file: Some(path.clone()),
                 ..ServeOptions::default()
             })
@@ -710,7 +642,6 @@ mod tests {
         }
         {
             let s = ServeSession::new(ServeOptions {
-                threads: 2,
                 cache_file: Some(path.clone()),
                 ..ServeOptions::default()
             })
@@ -725,7 +656,6 @@ mod tests {
         bytes.truncate(bytes.len() / 2);
         std::fs::write(&path, &bytes).unwrap();
         let err = ServeSession::new(ServeOptions {
-            threads: 2,
             cache_file: Some(path.clone()),
             ..ServeOptions::default()
         })
@@ -741,7 +671,6 @@ mod tests {
             std::env::temp_dir().join(format!("tels-serve-concurrent-{}.bin", std::process::id()));
         std::fs::remove_file(&path).ok();
         let s = ServeSession::new(ServeOptions {
-            threads: 2,
             cache_file: Some(path.clone()),
             ..ServeOptions::default()
         })
@@ -754,7 +683,7 @@ mod tests {
                         for _ in 0..4 {
                             session
                                 .submit(&JobRequest {
-                                    blif: big_blif(),
+                                    blif: suite_blif(),
                                     ..JobRequest::default()
                                 })
                                 .expect("job under concurrent save");
@@ -787,7 +716,6 @@ mod tests {
 
     fn metrics_session() -> ServeSession {
         ServeSession::new(ServeOptions {
-            threads: 2,
             metrics_enabled: true,
             ..ServeOptions::default()
         })
@@ -798,7 +726,7 @@ mod tests {
     fn metrics_request_round_trips_json_and_prometheus() {
         let s = metrics_session();
         s.submit(&JobRequest {
-            blif: big_blif(),
+            blif: suite_blif(),
             ..JobRequest::default()
         })
         .expect("job");

@@ -154,6 +154,16 @@ pub fn save(
     Ok(total)
 }
 
+/// Smallest encoded section: a 5-word fingerprint plus the two entry
+/// counts, all 8 bytes wide.
+const MIN_SECTION_BYTES: usize = 7 * 8;
+
+/// Largest element count any `Vec` is preallocated for while loading.
+/// Counts are bounded by the file size first, but a large file can still
+/// claim far more elements than it will turn out to hold, so vectors grow
+/// past this only as their elements actually parse.
+const PREALLOC_CAP: usize = 1 << 16;
+
 /// A bounds-checked little-endian cursor over the file body.
 struct Cursor<'a> {
     data: &'a [u8],
@@ -203,8 +213,13 @@ pub fn load(path: &Path) -> Result<Vec<Section>, PersistError> {
     if version != VERSION {
         return Err(PersistError::BadVersion { found: version });
     }
-    let sections = c.u32("section count")?;
-    let mut out: Vec<Section> = Vec::with_capacity(sections as usize);
+    let sections = c.u32("section count")? as usize;
+    if sections > (data.len() - c.pos) / MIN_SECTION_BYTES {
+        return Err(PersistError::Corrupt(format!(
+            "section count {sections} exceeds file size"
+        )));
+    }
+    let mut out: Vec<Section> = Vec::with_capacity(sections.min(PREALLOC_CAP));
     for _ in 0..sections {
         let mut words = [0u64; 5];
         for w in &mut words {
@@ -219,10 +234,10 @@ pub fn load(path: &Path) -> Result<Vec<Section>, PersistError> {
                 "entry count {count} exceeds file size"
             )));
         }
-        let mut entries = Vec::with_capacity(count as usize);
+        let mut entries = Vec::with_capacity((count as usize).min(PREALLOC_CAP));
         for _ in 0..count {
             let key_words = c.u32("key length")? as usize;
-            let mut key = Vec::with_capacity(key_words.min(1 << 16));
+            let mut key = Vec::with_capacity(key_words.min(PREALLOC_CAP));
             for _ in 0..key_words {
                 key.push(c.u64("key word")?);
             }
@@ -230,7 +245,7 @@ pub fn load(path: &Path) -> Result<Vec<Section>, PersistError> {
                 0 => None,
                 1 => {
                     let n = c.u32("weight count")? as usize;
-                    let mut weights = Vec::with_capacity(n.min(1 << 16));
+                    let mut weights = Vec::with_capacity(n.min(PREALLOC_CAP));
                     for _ in 0..n {
                         weights.push(c.i64("weight")?);
                     }
@@ -249,10 +264,10 @@ pub fn load(path: &Path) -> Result<Vec<Section>, PersistError> {
                 "negative entry count {neg_count} exceeds file size"
             )));
         }
-        let mut neg_entries = Vec::with_capacity(neg_count as usize);
+        let mut neg_entries = Vec::with_capacity((neg_count as usize).min(PREALLOC_CAP));
         for _ in 0..neg_count {
             let key_words = c.u32("negative key length")? as usize;
-            let mut key = Vec::with_capacity(key_words.min(1 << 16));
+            let mut key = Vec::with_capacity(key_words.min(PREALLOC_CAP));
             for _ in 0..key_words {
                 key.push(c.u64("negative key word")?);
             }
@@ -395,6 +410,20 @@ mod tests {
             );
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn huge_section_count_rejected_without_allocating() {
+        // Magic, version, then a section count of u32::MAX: 16 bytes that
+        // once made the loader preallocate hundreds of gigabytes and abort.
+        let path = tmp_path("sections");
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = load(&path).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert!(matches!(err, PersistError::Corrupt(_)), "{err}");
     }
 
     #[test]

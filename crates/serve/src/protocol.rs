@@ -203,6 +203,8 @@ fn field_bool(doc: &Json, key: &str) -> Result<Option<bool>, String> {
 }
 
 /// Applies the `config` object of a synth request on top of the defaults.
+/// Unknown keys are ignored, so clients that still send fields a newer
+/// daemon has retired keep working.
 fn parse_config(doc: &Json) -> Result<TelsConfig, String> {
     let mut config = TelsConfig::default();
     if let Some(v) = field_u64(doc, "psi")? {
@@ -217,9 +219,6 @@ fn parse_config(doc: &Json) -> Result<TelsConfig, String> {
     if let Some(v) = field_i64(doc, "weight_cap")? {
         config.weight_cap = Some(v);
     }
-    if let Some(v) = field_bool(doc, "use_cache")? {
-        config.use_cache = v;
-    }
     if let Some(v) = field_bool(doc, "use_theorem1")? {
         config.use_theorem1 = v;
     }
@@ -231,9 +230,6 @@ fn parse_config(doc: &Json) -> Result<TelsConfig, String> {
     }
     if let Some(v) = field_bool(doc, "use_tier05")? {
         config.use_tier05 = v;
-    }
-    if let Some(v) = field_u64(doc, "parallel_min_nodes")? {
-        config.parallel_min_nodes = v as usize;
     }
     match doc.get("strategy").and_then(Json::as_str) {
         None => {}
@@ -327,11 +323,7 @@ pub fn synth_request_json(req: &JobRequest) -> Json {
     if let Some(cap) = c.weight_cap {
         num("weight_cap", cap as f64);
     }
-    if c.parallel_min_nodes != d.parallel_min_nodes {
-        num("parallel_min_nodes", c.parallel_min_nodes as f64);
-    }
     for (key, ours, default) in [
-        ("use_cache", c.use_cache, d.use_cache),
         ("use_theorem1", c.use_theorem1, d.use_theorem1),
         ("use_int_solver", c.use_int_solver, d.use_int_solver),
         ("use_tier0", c.use_tier0, d.use_tier0),
@@ -455,6 +447,25 @@ mod tests {
                 assert!(parsed.verify);
                 assert_eq!(parsed.config, req.config);
             }
+            other => panic!("expected synth, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn unknown_config_fields_are_ignored() {
+        let doc = tels_trace::json::parse(
+            r#"{"op": "synth", "blif": ".model m\n.end\n",
+                "config": {"psi": 4, "retired_flag": false, "retired_count": 0}}"#,
+        )
+        .unwrap();
+        match parse_request(&doc).unwrap() {
+            Request::Synth(parsed) => assert_eq!(
+                parsed.config,
+                TelsConfig {
+                    psi: 4,
+                    ..TelsConfig::default()
+                }
+            ),
             other => panic!("expected synth, got {other:?}"),
         }
     }

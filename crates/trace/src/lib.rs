@@ -193,7 +193,7 @@ pub struct Event {
 }
 
 /// Per-thread event buffer, registered globally so [`drain`] can reach it
-/// after the owning thread exits (scoped warming workers, for example).
+/// after the owning thread exits (scoped scheduler workers, for example).
 #[derive(Debug)]
 struct ThreadBuffer {
     tid: u64,
@@ -244,8 +244,8 @@ fn push(kind: EventKind) {
         .push(Event { ts, tid, kind });
 }
 
-/// Labels the current thread in exported traces (e.g. `warm-3` for a
-/// cache-warming worker). No-op while tracing is disabled.
+/// Labels the current thread in exported traces (e.g. `worker-3`). No-op
+/// while tracing is disabled.
 pub fn set_thread_label(label: impl Into<String>) {
     if !enabled() {
         return;
@@ -262,10 +262,9 @@ thread_local! {
 /// Attributes subsequent spans opened on this thread to a job: every span
 /// gains a `job` argument until the label is cleared with `set_job(None)`.
 ///
-/// Daemon-style callers (`tels serve`) set this around each unit of work —
-/// on the connection thread for a job's emission pass and inside each
-/// pooled warming task — so a drained profile can split shared-pool time
-/// per job. Cheap enough to call unconditionally, but pairs naturally with
+/// Daemon-style callers (`tels serve`) set this around each job on the
+/// connection thread that runs it, so a drained profile of a busy daemon
+/// can split its time per job. Cheap enough to call unconditionally, but pairs naturally with
 /// an [`enabled`] check since the label only matters while collecting.
 pub fn set_job(job: Option<u64>) {
     CURRENT_JOB.with(|j| j.set(job));

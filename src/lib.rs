@@ -16,7 +16,7 @@
 //! * [`trace`] — span-based tracing, the per-gate synthesis provenance
 //!   journal, and Chrome-trace / profile exporters.
 //! * [`serve`] — the batched synthesis daemon (`tels serve`): framed JSON
-//!   protocol, shared work-stealing pool, persistent realization cache.
+//!   protocol, shared and persistent realization caches.
 //!
 //! The most common entry points are also re-exported at the top level.
 //!

@@ -1,12 +1,9 @@
-//! Properties of the canonical realization cache and the level-parallel
-//! warming pass: cached answers must be exact after remapping, and the
-//! synthesized network must not depend on the thread count.
+//! Properties of the canonical realization cache: cached answers must be
+//! exact after remapping.
 
-use tels::circuits::{comparator, random_network, ripple_adder, RandomNetOptions};
-use tels::logic::opt::script_algebraic;
 use tels::logic::rng::Xoshiro256;
-use tels::logic::{Cube, Network, Sop, Var};
-use tels::{check_threshold, synthesize, synthesize_with_stats, Realization, TelsConfig};
+use tels::logic::{Cube, Sop, Var};
+use tels::{check_threshold, Realization, TelsConfig};
 
 /// Exhaustively validates a realization against the function it claims to
 /// compute.
@@ -29,86 +26,6 @@ fn assert_exact(f: &Sop, r: &Realization) {
             "minterm {m} of {f}: sum {sum} vs T {}",
             r.threshold
         );
-    }
-}
-
-fn random_nets() -> Vec<Network> {
-    (0..6u64)
-        .map(|seed| {
-            random_network(
-                &format!("net_{seed}"),
-                0x5eed ^ seed,
-                &RandomNetOptions::default(),
-            )
-        })
-        .collect()
-}
-
-/// The emitted network is identical — byte for byte — for every warming
-/// thread count, because cache entries are decided in canonical space.
-#[test]
-fn synthesis_is_thread_count_invariant() {
-    for net in random_nets() {
-        let prepared = script_algebraic(&net);
-        let texts: Vec<String> = [1, 2, 4, 8]
-            .into_iter()
-            .map(|num_threads| {
-                let config = TelsConfig {
-                    num_threads,
-                    ..TelsConfig::default()
-                };
-                synthesize(&prepared, &config).expect("synthesis").to_tnet()
-            })
-            .collect();
-        for t in &texts[1..] {
-            assert_eq!(&texts[0], t, "thread count changed the output network");
-        }
-    }
-}
-
-/// Cache on and cache off may pick different (but equally exact) gate
-/// weights; both must realize the source network.
-#[test]
-fn cached_synthesis_matches_uncached_functionally() {
-    let mut nets = random_nets();
-    nets.push(ripple_adder(4));
-    nets.push(comparator(4));
-    for net in &nets {
-        let prepared = script_algebraic(net);
-        for psi in [3, 5] {
-            let cached = TelsConfig {
-                psi,
-                use_cache: true,
-                num_threads: 4,
-                // The suite includes circuits below the default engagement
-                // gate; force the cache on — it is what is under test.
-                parallel_min_nodes: 0,
-                ..TelsConfig::default()
-            };
-            let uncached = TelsConfig {
-                psi,
-                use_cache: false,
-                num_threads: 1,
-                ..TelsConfig::default()
-            };
-            let (tn_c, stats_c) = synthesize_with_stats(&prepared, &cached).expect("cached");
-            let (tn_u, stats_u) = synthesize_with_stats(&prepared, &uncached).expect("uncached");
-            assert_eq!(
-                tn_c.verify_against(net, 14, 2048, 0xC0FE).expect("sim"),
-                None,
-                "cached synthesis diverged from the source network"
-            );
-            assert_eq!(
-                tn_u.verify_against(net, 14, 2048, 0xC0FE).expect("sim"),
-                None,
-                "uncached synthesis diverged from the source network"
-            );
-            // Theorem-1 refutations are tallied identically on both paths,
-            // so the two emission passes issue the same query count — and
-            // the cached one must answer some without the solver.
-            assert_eq!(stats_c.ilp_calls, stats_u.ilp_calls);
-            assert!(stats_c.ilp_avoided() > 0, "cache never hit");
-        }
     }
 }
 
