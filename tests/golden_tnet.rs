@@ -2,12 +2,14 @@
 //!
 //! Every factored paper-suite circuit is synthesized at ψ = 3..=9 under the
 //! default configuration, and again at ψ = 6 with δ_on = 1, where the tier-0
-//! and tier-0.5 oracles switch off and the ILP answers every query. The
-//! FNV-1a digest of each `.tnet` text must equal the committed value, so
-//! any refactor of the synthesis or threshold-check paths that changes a
-//! single emitted byte fails here.
+//! and tier-0.5 oracles switch off and the ILP answers every query. Two
+//! wide random networks are pinned at ψ = 6..=9 with Theorem 1 off, so
+//! that non-threshold queries reach tier 0.5 and the ILP instead of being
+//! refuted up front. The FNV-1a digest of each `.tnet` text must equal the
+//! committed value, so any refactor of the synthesis or threshold-check
+//! paths that changes a single emitted byte fails here.
 
-use tels::circuits::paper_suite;
+use tels::circuits::{paper_suite, random_network, RandomNetOptions};
 use tels::logic::opt::script_algebraic;
 use tels::{synthesize, TelsConfig};
 
@@ -140,4 +142,51 @@ fn suite_tnet_bytes_match_golden_digests() {
             got.0, got.1, got.2
         );
     }
+}
+
+/// `(seed, ψ, digest)` for the random networks synthesized with Theorem 1 off.
+const GOLDEN_NO_THEOREM1: &[(u64, usize, u64)] = &[
+    (0x5EED004C, 6, 0x399b3e7a39314245),
+    (0x5EED004C, 7, 0x724b0307decc5667),
+    (0x5EED004C, 8, 0xda9f7567349148ab),
+    (0x5EED004C, 9, 0x0a8bb827ca4256dc),
+    (0x5EED0030, 6, 0xee1b7190c8508158),
+    (0x5EED0030, 7, 0x4d3b8f16ff336f7f),
+    (0x5EED0030, 8, 0xc761e289cd6b5801),
+    (0x5EED0030, 9, 0x704f5cecd01f2bcd),
+];
+
+#[test]
+fn random_tnet_bytes_without_theorem1_match_golden_digests() {
+    let options = RandomNetOptions {
+        inputs: 24,
+        outputs: 12,
+        nodes: 200,
+        max_fanin: 6,
+        max_cubes: 6,
+        negation_pct: 20,
+        ..Default::default()
+    };
+    let mut actual = Vec::new();
+    for seed in [0x5EED_004C_u64, 0x5EED_0030] {
+        let factored = script_algebraic(&random_network("golden_random", seed, &options));
+        for psi in 6..=9 {
+            let config = TelsConfig {
+                psi,
+                use_theorem1: false,
+                ..TelsConfig::default()
+            };
+            let tn = synthesize(&factored, &config).expect("random network");
+            actual.push((seed, psi, fnv1a(tn.to_tnet().as_bytes())));
+        }
+    }
+    let listing: String = actual
+        .iter()
+        .map(|(seed, psi, h)| format!("    (0x{seed:08X}, {psi}, 0x{h:016x}),\n"))
+        .collect();
+    assert_eq!(
+        actual.as_slice(),
+        GOLDEN_NO_THEOREM1,
+        "random-network .tnet bytes changed; current digests:\n{listing}"
+    );
 }
