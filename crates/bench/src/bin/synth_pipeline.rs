@@ -368,8 +368,8 @@ fn measure_tier05_large(samples: usize) -> (Json, usize, usize, f64, f64) {
     let mut off_ms = 0.0;
     let mut on_ms = 0.0;
     println!(
-        "\n{:<20} {:>10} {:>10} {:>10} {:>9} {:>8} {:>8}",
-        "tier05 circuit", "off ms", "on ms", "solves off", "solves on", "tier05", "negcache"
+        "\n{:<20} {:>10} {:>10} {:>10} {:>9} {:>8}",
+        "tier05 circuit", "off ms", "on ms", "solves off", "solves on", "tier05"
     );
     for (name, net) in &circuits {
         let off = measure(net, &off_config, samples);
@@ -383,14 +383,13 @@ fn measure_tier05_large(samples: usize) -> (Json, usize, usize, f64, f64) {
             "{name}: tier 0.5 increased the ILP solve count"
         );
         println!(
-            "{:<20} {:>10.2} {:>10.2} {:>10} {:>9} {:>8} {:>8}",
+            "{:<20} {:>10.2} {:>10.2} {:>10} {:>9} {:>8}",
             name,
             off.millis,
             on.millis,
             off.stats.ilp_solves,
             on.stats.ilp_solves,
             on.stats.solver.tier05_hits + on.stats.solver.tier05_rejects,
-            on.stats.solver.negcache_hits,
         );
         solves_off += off.stats.ilp_solves;
         solves_on += on.stats.ilp_solves;
@@ -407,10 +406,6 @@ fn measure_tier05_large(samples: usize) -> (Json, usize, usize, f64, f64) {
             (
                 "tier05_rejects",
                 Json::Num(on.stats.solver.tier05_rejects as f64),
-            ),
-            (
-                "negcache_hits",
-                Json::Num(on.stats.solver.negcache_hits as f64),
             ),
         ]));
     }

@@ -24,7 +24,7 @@ use std::fs;
 use std::io;
 use std::process::ExitCode;
 
-use tels_core::perturb::{failure_rate, failure_rate_scalar, PerturbOptions};
+use tels_core::perturb::{failure_rate, PerturbOptions};
 use tels_core::{
     map_one_to_one, map_to_majority, parse_tnet, synthesize, synthesize_best,
     synthesize_with_stats, to_verilog, TelsConfig, ThresholdNetwork,
@@ -51,13 +51,13 @@ const USAGE: &str = "\
 usage: tels <command> [args]
   synth  <in.blif> [-o out.tnet] [--psi N] [--delta-on N] [--delta-off N]
          [--weight-cap N] [--no-factor] [--no-theorem1]
-         [--no-int-solver] [--no-tier0] [--no-tier05] [--best]
+         [--no-tier0] [--no-tier05] [--best]
          [--trace out.json] [--profile] [--stats-json]
   map11  <in.blif> [-o out.tnet] [--psi N] [--delta-on N] [--delta-off N]
   sim    <file.blif|file.tnet> <bits...>
   verify <spec.blif> <impl.tnet>
   perturb <in.blif> [--variation F] [--trials N] [--vectors N] [--seed N]
-         [--threads N] [--delta-on N] [--psi N] [--scalar]
+         [--threads N] [--delta-on N] [--psi N]
                                          Monte Carlo yield analysis (sVI-C):
                                          synthesize, disturb weights, report
                                          the instance failure rate
@@ -157,7 +157,6 @@ fn parse_synth_args(args: &[String]) -> Result<SynthArgs, String> {
             "--weight-cap" => out.config.weight_cap = Some(num("--weight-cap")?),
             "--no-factor" => out.factor = false,
             "--no-theorem1" => out.config.use_theorem1 = false,
-            "--no-int-solver" => out.config.use_int_solver = false,
             "--no-tier0" => out.config.use_tier0 = false,
             "--no-tier05" => out.config.use_tier05 = false,
             "--best" => out.best = true,
@@ -244,14 +243,12 @@ fn cmd_synth(args: &[String]) -> Result<(), String> {
                     stats.theorem2_combines
                 );
                 eprintln!(
-                    "tels: {} ILP solves, {} tier-0 lookups, {} tier-0.5 answers ({} hits, {} rejects, {} negcache hits), {} cache hits, {} pre-filter rejections ({} solves avoided)",
+                    "tels: {} ILP solves, {} tier-0 lookups, {} tier-0.5 answers ({} hits, {} rejects), {} cache hits, {} pre-filter rejections ({} solves avoided)",
                     stats.ilp_solves,
                     stats.solver.tier0_lookups,
-                    stats.solver.tier05_hits + stats.solver.tier05_rejects
-                        + stats.solver.negcache_hits,
+                    stats.solver.tier05_hits + stats.solver.tier05_rejects,
                     stats.solver.tier05_hits,
                     stats.solver.tier05_rejects,
-                    stats.solver.negcache_hits,
                     stats.cache_hits,
                     stats.prefilter_rejections,
                     stats.ilp_avoided()
@@ -571,10 +568,6 @@ fn print_stats_pretty(body: &Json) {
         "cache:       {:.0} entries in {caches} configuration(s)",
         get("cache_entries")
     );
-    println!(
-        "negcache:    {:.0} rejection signature(s)",
-        get("negcache_entries")
-    );
     let Some(lat) = body.get("job_latency_us") else {
         return;
     };
@@ -784,18 +777,6 @@ fn render_top(socket: &str, snap: &Json, prev: Option<&Json>, enabled: bool) {
         v("tels_check_ilp_solves_total"),
         fmt_ns(v("tels_check_canon_ns_total")),
     );
-    let neg_hits = v("tels_negcache_hits_total");
-    let neg_misses = v("tels_negcache_misses_total");
-    let neg_rate = if neg_hits + neg_misses > 0.0 {
-        1e2 * neg_hits / (neg_hits + neg_misses)
-    } else {
-        0.0
-    };
-    println!(
-        "negcache hits {neg_hits:.0} ({})   misses {neg_misses:.0}   inserts {:.0}   hit rate {neg_rate:.1}%",
-        rate("tels_negcache_hits_total"),
-        v("tels_negcache_inserts_total"),
-    );
     println!(
         "eval    vectors {:.0} ({})   perturb trials {:.0}",
         v("tels_eval_vectors_total"),
@@ -957,14 +938,11 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
 /// §VI-C Monte Carlo yield analysis from the command line: synthesize the
 /// input, disturb every weight by `variation · U(−0.5, 0.5)` per trial,
 /// and report the fraction of disturbed instances that compute a wrong
-/// output on any simulated vector. Runs on the word-parallel engine by
-/// default; `--scalar` selects the reference scalar path (same seeds,
-/// bit-identical rate — useful for cross-checking and timing).
+/// output on any simulated vector, on the word-parallel engine.
 fn cmd_perturb(args: &[String]) -> Result<(), String> {
     let mut input = String::new();
     let mut config = TelsConfig::default();
     let mut opts = PerturbOptions::default();
-    let mut scalar = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let mut num = |name: &str| -> Result<usize, String> {
@@ -991,7 +969,6 @@ fn cmd_perturb(args: &[String]) -> Result<(), String> {
                     .ok_or("--delta-on requires an integer")?
             }
             "--psi" => config.psi = num("--psi")?,
-            "--scalar" => scalar = true,
             other if !other.starts_with('-') && input.is_empty() => input = other.to_string(),
             other => return Err(format!("unexpected argument `{other}`")),
         }
@@ -1008,22 +985,16 @@ fn cmd_perturb(args: &[String]) -> Result<(), String> {
     let net = read_blif(&input)?;
     let prepared = script_algebraic(&net);
     let tn = synthesize(&prepared, &config).map_err(|e| e.to_string())?;
-    let rate = if scalar {
-        failure_rate_scalar(&tn, &net, &opts)
-    } else {
-        failure_rate(&tn, &net, &opts)
-    }
-    .map_err(|e| e.to_string())?;
+    let rate = failure_rate(&tn, &net, &opts).map_err(|e| e.to_string())?;
     eprintln!(
-        "tels: {} gates, area {}, delta_on {} | variation {}, {} trials x {} vectors, seed {:#x} ({})",
+        "tels: {} gates, area {}, delta_on {} | variation {}, {} trials x {} vectors, seed {:#x} (packed)",
         tn.num_gates(),
         tn.area(),
         config.delta_on,
         opts.variation,
         opts.trials,
         opts.vectors,
-        opts.seed,
-        if scalar { "scalar" } else { "packed" }
+        opts.seed
     );
     println!(
         "failure rate: {:.6} ({:.2}% of {} trials)",

@@ -38,17 +38,16 @@ use crate::config::TelsConfig;
 use crate::error::SynthError;
 use crate::theorems::theorem1_refutes;
 use crate::tier0;
-use crate::tier05::{self, NegativeCache};
+use crate::tier05;
 
 /// Per-tier breakdown of where the threshold-check solver spent its work.
 ///
 /// `int_fast_path_solves + rational_fallbacks` is the number of ILP solves
 /// that actually ran; a solve lands in `rational_fallbacks` as soon as any
-/// of its LP relaxations needed the exact-rational simplex (including all
-/// solves when the integer fast path is disabled via
-/// [`TelsConfig::use_int_solver`]). The `*_ns` fields are wall-clock
-/// nanoseconds, bucketed the same way; `structure_ns` covers the combined
-/// 2-monotonicity/Chow truth-table pass.
+/// of its LP relaxations needed the exact-rational simplex. The `*_ns`
+/// fields are wall-clock nanoseconds, bucketed the same way;
+/// `structure_ns` covers the combined 2-monotonicity/Chow truth-table
+/// pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverBreakdown {
     /// Queries answered by the tier-0 truth-table oracle (hit or
@@ -60,9 +59,6 @@ pub struct SolverBreakdown {
     /// Queries the tier-0.5 procedure proved non-threshold by
     /// 2-asummability violation.
     pub tier05_rejects: usize,
-    /// Queries short-circuited by a Chow-canonical negative-cache hit
-    /// before any structure analysis or solve.
-    pub negcache_hits: usize,
     /// ILP weight columns eliminated by merging equal-Chow variables.
     pub chow_merged_vars: usize,
     /// ILP solves that ran entirely on the fraction-free integer simplex.
@@ -72,9 +68,8 @@ pub struct SolverBreakdown {
     pub rational_fallbacks: usize,
     /// Wall time of tier-0 lookups (truth-table pass + table probe).
     pub tier0_ns: u64,
-    /// Wall time of tier-0.5 work: table build, negative-cache probe, and
-    /// the decision procedure itself (the shared structure pass stays in
-    /// [`Self::structure_ns`]).
+    /// Wall time of tier-0.5 work: table build and the decision procedure
+    /// itself (the shared structure pass stays in [`Self::structure_ns`]).
     pub tier05_ns: u64,
     /// Wall time of the structure pass (2-monotonicity + Chow parameters).
     pub structure_ns: u64,
@@ -98,7 +93,6 @@ impl SolverBreakdown {
         self.tier0_lookups += other.tier0_lookups;
         self.tier05_hits += other.tier05_hits;
         self.tier05_rejects += other.tier05_rejects;
-        self.negcache_hits += other.negcache_hits;
         self.chow_merged_vars += other.chow_merged_vars;
         self.int_fast_path_solves += other.int_fast_path_solves;
         self.rational_fallbacks += other.rational_fallbacks;
@@ -126,7 +120,6 @@ impl SolverBreakdown {
             ("tier0_ns", Json::Num(self.tier0_ns as f64)),
             ("tier05_hits", Json::Num(self.tier05_hits as f64)),
             ("tier05_rejects", Json::Num(self.tier05_rejects as f64)),
-            ("negcache_hits", Json::Num(self.negcache_hits as f64)),
             ("tier05_ns", Json::Num(self.tier05_ns as f64)),
             (
                 "support_hist",
@@ -230,7 +223,6 @@ pub fn check_threshold(f: &Sop, config: &TelsConfig) -> Result<Option<Realizatio
         f,
         config,
         &RealizationCache::new(),
-        None,
         &mut SolverBreakdown::default(),
         &mut SignatureScratch::new(),
     )?;
@@ -250,32 +242,26 @@ enum Tier05Flow {
     /// Tier inactive or support out of its 6–9 range — take the plain
     /// structure + solve path.
     NotApplicable,
-    /// The Chow-canonical signature is a known rejection.
-    NegCacheHit,
     /// Identified: positive per-variable weights (in support order) and
     /// threshold — provably the merged ILP's unique optimum.
     Threshold(Vec<i64>, i64),
-    /// Proven non-threshold by 2-asummability (negative cache updated).
+    /// Proven non-threshold by 2-asummability.
     NotThreshold,
-    /// The shared structure pass rejected 2-monotonicity (negative cache
-    /// updated).
+    /// The shared structure pass rejected 2-monotonicity.
     PrefilterReject,
     /// No guarantee — carries the Chow analysis from the shared table
-    /// pass and the canonical signature so an ILP `None` can still feed
-    /// the negative cache.
-    Fallthrough(Option<ChowAnalysis>, Option<Vec<u64>>),
+    /// pass to the ILP.
+    Fallthrough(Option<ChowAnalysis>),
 }
 
 /// Runs the tier-0.5 layer: one truth-table build shared between the
-/// negative-cache probe, the structure analysis, and the decision
-/// procedure. Table build, probe, and decision time bill to `tier05_ns`;
-/// the structure pass bills to `structure_ns` exactly as on the plain
-/// path.
+/// structure analysis and the decision procedure. Table build and
+/// decision time bill to `tier05_ns`; the structure pass bills to
+/// `structure_ns` exactly as on the plain path.
 fn tier05_flow(
     positive: &Sop,
     order: &[Var],
     config: &TelsConfig,
-    neg: Option<&NegativeCache>,
     solver: &mut SolverBreakdown,
 ) -> Tier05Flow {
     let k = order.len();
@@ -286,24 +272,12 @@ fn tier05_flow(
     span.arg("support", k as u64);
     let t0 = Instant::now();
     let tt = TruthTable::from_sop(positive, order);
-    let neg_key = tier05::canonical_table_key(&tt);
-    if let Some(neg) = neg {
-        if neg.contains(&neg_key) {
-            solver.negcache_hits += 1;
-            solver.tier05_ns += t0.elapsed().as_nanos() as u64;
-            span.arg("verdict", "negcache");
-            return Tier05Flow::NegCacheHit;
-        }
-    }
     solver.tier05_ns += t0.elapsed().as_nanos() as u64;
     let s0 = Instant::now();
     let structure = chow::analyze_table(&tt);
     solver.structure_ns += s0.elapsed().as_nanos() as u64;
     match structure {
         Structure::NotThreshold => {
-            if let Some(neg) = neg {
-                neg.insert(neg_key);
-            }
             span.arg("verdict", "prefilter");
             Tier05Flow::PrefilterReject
         }
@@ -320,20 +294,17 @@ fn tier05_flow(
                 tier05::Verdict::NotThreshold => {
                     solver.tier05_rejects += 1;
                     span.arg("verdict", "reject");
-                    if let Some(neg) = neg {
-                        neg.insert(neg_key);
-                    }
                     Tier05Flow::NotThreshold
                 }
                 tier05::Verdict::Inconclusive => {
                     span.arg("verdict", "inconclusive");
-                    Tier05Flow::Fallthrough(Some(a), Some(neg_key))
+                    Tier05Flow::Fallthrough(Some(a))
                 }
             }
         }
         // Unreachable for supports 6–9 (within the structure pass's
         // range), kept total for safety.
-        Structure::Unknown => Tier05Flow::Fallthrough(None, Some(neg_key)),
+        Structure::Unknown => Tier05Flow::Fallthrough(None),
     }
 }
 
@@ -380,7 +351,7 @@ pub(crate) enum CheckVia {
     /// miss); never touches the cache or the ILP.
     Tier0,
     /// Settled by the tier-0.5 decision procedure — an identified unique
-    /// optimum, a 2-asummability rejection, or a negative-cache hit.
+    /// optimum or a 2-asummability rejection.
     Tier05,
     /// Served from the canonical realization cache.
     CacheHit,
@@ -438,12 +409,11 @@ pub(crate) fn check_threshold_cached(
     f: &Sop,
     config: &TelsConfig,
     cache: &RealizationCache,
-    neg: Option<&NegativeCache>,
     solver: &mut SolverBreakdown,
     scratch: &mut SignatureScratch,
 ) -> Result<(Option<Realization>, CheckVia), SynthError> {
     let mut span = tels_trace::span("core", "threshold_check");
-    let result = check_threshold_cached_impl(f, config, cache, neg, solver, scratch);
+    let result = check_threshold_cached_impl(f, config, cache, solver, scratch);
     if let Ok((_, via)) = &result {
         span.arg("via", via.as_str());
         via.count_metric();
@@ -455,7 +425,6 @@ fn check_threshold_cached_impl(
     f: &Sop,
     config: &TelsConfig,
     cache: &RealizationCache,
-    neg: Option<&NegativeCache>,
     solver: &mut SolverBreakdown,
     scratch: &mut SignatureScratch,
 ) -> Result<(Option<Realization>, CheckVia), SynthError> {
@@ -523,10 +492,9 @@ fn check_threshold_cached_impl(
     }));
     // Tier 0.5 in canonical space: its answers are exactly what the ILP
     // would have produced, so they memoize in the realization cache the
-    // same way (rejections also feed the negative cache inside
-    // `tier05_flow`).
-    match tier05_flow(&canon, &canon_order, config, neg, solver) {
-        Tier05Flow::NegCacheHit | Tier05Flow::NotThreshold => {
+    // same way.
+    let chow = match tier05_flow(&canon, &canon_order, config, solver) {
+        Tier05Flow::NotThreshold => {
             cache.insert(key.to_vec(), None);
             return Ok((None, CheckVia::Tier05));
         }
@@ -540,27 +508,15 @@ fn check_threshold_cached_impl(
             cache.insert(key.to_vec(), entry);
             return Ok((result, CheckVia::Tier05));
         }
-        Tier05Flow::Fallthrough(chow, neg_key) => {
-            let entry = solve_positive(&canon, &canon_order, chow.as_ref(), config, solver)?
-                .map(|(weights, threshold)| CanonicalRealization { weights, threshold });
-            if entry.is_none() {
-                if let (Some(neg), Some(neg_key)) = (neg, neg_key) {
-                    neg.insert(neg_key);
-                }
+        Tier05Flow::Fallthrough(chow) => chow,
+        Tier05Flow::NotApplicable => match timed_structure(&canon, &canon_order, solver) {
+            Structure::NotThreshold => {
+                cache.insert(key.to_vec(), None);
+                return Ok((None, CheckVia::Prefilter));
             }
-            let result = realize_canonical(entry.as_ref(), order, &pf);
-            cache.insert(key.to_vec(), entry);
-            return Ok((result, CheckVia::Ilp));
-        }
-        Tier05Flow::NotApplicable => {}
-    }
-    let chow = match timed_structure(&canon, &canon_order, solver) {
-        Structure::NotThreshold => {
-            cache.insert(key.to_vec(), None);
-            return Ok((None, CheckVia::Prefilter));
-        }
-        Structure::TwoMonotonic(a) => Some(a),
-        Structure::Unknown => None,
+            Structure::TwoMonotonic(a) => Some(a),
+            Structure::Unknown => None,
+        },
     };
     let entry = solve_positive(&canon, &canon_order, chow.as_ref(), config, solver)?
         .map(|(weights, threshold)| CanonicalRealization { weights, threshold });
@@ -740,11 +696,7 @@ fn solve_positive(
     }
 
     let t0 = Instant::now();
-    let (solution, solve_stats) = if config.use_int_solver {
-        problem.solve_with_stats(&config.ilp_limits)?
-    } else {
-        problem.solve_rational(&config.ilp_limits)?
-    };
+    let (solution, solve_stats) = problem.solve_with_stats(&config.ilp_limits)?;
     let solve_ns = t0.elapsed().as_nanos() as u64;
     if solve_stats.rational_lp_solves == 0 {
         solver.int_fast_path_solves += 1;
@@ -856,7 +808,7 @@ mod tests {
     ) -> (Option<Realization>, CheckVia) {
         let cache = RealizationCache::new();
         let mut scratch = SignatureScratch::new();
-        check_threshold_cached(f, config, &cache, None, solver, &mut scratch).unwrap()
+        check_threshold_cached(f, config, &cache, solver, &mut scratch).unwrap()
     }
 
     /// Exhaustively validates a realization against the function.
@@ -1070,38 +1022,6 @@ mod tests {
     }
 
     #[test]
-    fn rational_oracle_mode_matches_tiered() {
-        // Tier 0 off on both sides: the point is comparing the two ILP
-        // backends, which the truth-table oracle would otherwise preempt.
-        let tiered_cfg = TelsConfig {
-            use_tier0: false,
-            ..TelsConfig::default()
-        };
-        let oracle_cfg = TelsConfig {
-            use_int_solver: false,
-            use_tier0: false,
-            ..TelsConfig::default()
-        };
-        for f in [
-            sop(&[&[(0, true), (1, true)], &[(0, true), (2, true)]]),
-            sop(&[
-                &[(0, true), (1, true)][..],
-                &[(0, true), (2, true)],
-                &[(1, true), (2, true)],
-            ]),
-            sop(&[&[(0, true)], &[(1, false)]]),
-            sop(&[&[(0, true), (1, true)], &[(2, true), (3, true)]]),
-        ] {
-            let mut st = SolverBreakdown::default();
-            let mut so = SolverBreakdown::default();
-            let (rt, _) = counted(&f, &tiered_cfg, &mut st);
-            let (ro, _) = counted(&f, &oracle_cfg, &mut so);
-            assert_eq!(rt, ro, "{f}");
-            assert_eq!(so.int_fast_path_solves, 0);
-        }
-    }
-
-    #[test]
     fn cache_hit_matches_miss() {
         // Tier 0 off so these small-support queries actually reach the
         // cache (the oracle bypasses it entirely).
@@ -1124,9 +1044,9 @@ mod tests {
         for f in &fns {
             let direct = check_threshold(f, &cfg).unwrap();
             let (first, _) =
-                check_threshold_cached(f, &cfg, &cache, None, &mut solver, &mut scratch).unwrap();
+                check_threshold_cached(f, &cfg, &cache, &mut solver, &mut scratch).unwrap();
             let (second, _) =
-                check_threshold_cached(f, &cfg, &cache, None, &mut solver, &mut scratch).unwrap();
+                check_threshold_cached(f, &cfg, &cache, &mut solver, &mut scratch).unwrap();
             // Hit must equal miss bit-for-bit, and equal a fresh-cache
             // query through the public checker.
             assert_eq!(first, second, "{f}");
@@ -1150,13 +1070,13 @@ mod tests {
         // x₁x₂ ∨ x₁x₃ populates the cache ...
         let a = sop(&[&[(1, true), (2, true)], &[(1, true), (3, true)]]);
         let (ra, via_a) =
-            check_threshold_cached(&a, &cfg, &cache, None, &mut solver, &mut scratch).unwrap();
+            check_threshold_cached(&a, &cfg, &cache, &mut solver, &mut scratch).unwrap();
         assert_eq!(via_a, CheckVia::Ilp);
         // ... and x̄₅x₇ ∨ x̄₅x₉ — the same function up to renaming and
         // phase — must hit and remap exactly.
         let b = sop(&[&[(5, false), (7, true)], &[(5, false), (9, true)]]);
         let (rb, via_b) =
-            check_threshold_cached(&b, &cfg, &cache, None, &mut solver, &mut scratch).unwrap();
+            check_threshold_cached(&b, &cfg, &cache, &mut solver, &mut scratch).unwrap();
         assert_eq!(via_b, CheckVia::CacheHit);
         let (ra, rb) = (ra.unwrap(), rb.unwrap());
         validate(&b, &rb);
@@ -1177,13 +1097,13 @@ mod tests {
         let mut scratch = SignatureScratch::new();
         let f = sop(&[&[(0, true), (1, true)], &[(2, true), (3, true)]]);
         let (r1, via1) =
-            check_threshold_cached(&f, &cfg, &cache, None, &mut solver, &mut scratch).unwrap();
+            check_threshold_cached(&f, &cfg, &cache, &mut solver, &mut scratch).unwrap();
         assert_eq!(r1, None);
         // Theorem 1 (enabled by default) refutes this one before the
         // pre-filter gets a look.
         assert_eq!(via1, CheckVia::Theorem1);
         let (r2, via2) =
-            check_threshold_cached(&f, &cfg, &cache, None, &mut solver, &mut scratch).unwrap();
+            check_threshold_cached(&f, &cfg, &cache, &mut solver, &mut scratch).unwrap();
         assert_eq!(r2, None);
         assert_eq!(via2, CheckVia::CacheHit);
         // With Theorem 1 disabled, the 2-monotonicity pre-filter catches it.
@@ -1194,7 +1114,7 @@ mod tests {
         };
         let cache2 = RealizationCache::new();
         let (_, via3) =
-            check_threshold_cached(&f, &cfg2, &cache2, None, &mut solver, &mut scratch).unwrap();
+            check_threshold_cached(&f, &cfg2, &cache2, &mut solver, &mut scratch).unwrap();
         assert_eq!(via3, CheckVia::Prefilter);
     }
 
@@ -1269,7 +1189,7 @@ mod tests {
         let mut scratch = SignatureScratch::new();
         let f = sop(&[&[(0, true), (1, true)], &[(0, true), (2, true)]]);
         let (r1, via1) =
-            check_threshold_cached(&f, &cfg, &cache, None, &mut solver, &mut scratch).unwrap();
+            check_threshold_cached(&f, &cfg, &cache, &mut solver, &mut scratch).unwrap();
         assert_eq!(via1, CheckVia::Tier0);
         assert!(r1.is_some());
         assert!(
@@ -1278,7 +1198,7 @@ mod tests {
         );
         // Second query re-resolves through the oracle, identically.
         let (r2, via2) =
-            check_threshold_cached(&f, &cfg, &cache, None, &mut solver, &mut scratch).unwrap();
+            check_threshold_cached(&f, &cfg, &cache, &mut solver, &mut scratch).unwrap();
         assert_eq!(via2, CheckVia::Tier0);
         assert_eq!(r1, r2);
         assert_eq!(solver.tier0_lookups, 2);
@@ -1302,10 +1222,9 @@ mod tests {
         for bits in (0u32..=u16::MAX as u32).step_by(stride as usize) {
             let f = sop_of_bits(4, bits);
             let (r_on, _) =
-                check_threshold_cached(&f, &on, &cache_on, None, &mut s_on, &mut scratch).unwrap();
+                check_threshold_cached(&f, &on, &cache_on, &mut s_on, &mut scratch).unwrap();
             let (r_off, _) =
-                check_threshold_cached(&f, &off, &cache_off, None, &mut s_off, &mut scratch)
-                    .unwrap();
+                check_threshold_cached(&f, &off, &cache_off, &mut s_off, &mut scratch).unwrap();
             assert_eq!(r_on, r_off, "tt {bits:#06x}: {f}");
             if let Some(r) = &r_on {
                 validate(&f, r);

@@ -135,12 +135,6 @@ pub struct TelsConfig {
     /// treated as non-threshold and split further. `None` (the paper's
     /// setting) leaves weights unbounded.
     pub weight_cap: Option<i64>,
-    /// Attempt each LP relaxation on the fraction-free `i128` integer
-    /// simplex before the exact-rational one (overflow always falls back,
-    /// so answers are identical either way). Disable to force every solve
-    /// onto the rational oracle — the differential-testing and
-    /// field-debugging mode.
-    pub use_int_solver: bool,
     /// Answer small-support queries from the tier-0 truth-table oracle: a
     /// lazily built enumeration of every threshold function of up to 5
     /// variables, keyed by truth table and storing the same minimal
@@ -156,11 +150,10 @@ pub struct TelsConfig {
     /// before building an ILP: a bounded search over the merged ILP's own
     /// feasible region that answers only when it finds a provably unique
     /// optimum (so `.tnet` output is byte-identical with the tier on or
-    /// off), plus a 2-asummability non-thresholdness proof feeding the
-    /// Chow-canonical negative cache. Like tier 0 it is built for the
-    /// paper's default margins and silently disengages (see
-    /// [`Self::tier05_active`]) for non-default `delta_on`/`delta_off`, a
-    /// `weight_cap`, or non-default ILP limits.
+    /// off), plus a 2-asummability non-thresholdness proof. Like tier 0 it
+    /// is built for the paper's default margins and silently disengages
+    /// (see [`Self::tier05_active`]) for non-default `delta_on`/`delta_off`,
+    /// a `weight_cap`, or non-default ILP limits.
     pub use_tier05: bool,
 }
 
@@ -175,7 +168,6 @@ impl Default for TelsConfig {
             split_heuristic: SplitHeuristic::default(),
             strategy: SynthStrategy::default(),
             weight_cap: None,
-            use_int_solver: true,
             use_tier0: true,
             use_tier05: true,
         }

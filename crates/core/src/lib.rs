@@ -77,11 +77,8 @@ pub use eval::{verify_tn_vs_network, verify_tn_vs_tn, EvalPlan, EvalScratch};
 pub use map11::{map_one_to_one, synthesize_best};
 pub use qca::{map_to_majority, MajorityStats};
 pub use split::{split_binate, split_cubes_k, split_unate, split_unate_with, UnateSplit};
-pub use synth::{
-    synthesize, synthesize_with_shared_caches, synthesize_with_stats, GatePath, SynthStats,
-};
+pub use synth::{synthesize, synthesize_with_cache, synthesize_with_stats, GatePath, SynthStats};
 pub use theorems::{theorem1_refutes, theorem2_extend};
 pub use tier0::prewarm_tier0;
-pub use tier05::NegativeCache;
 pub use tnet::{parse_tnet, NetworkReport, ThresholdGate, ThresholdNetwork, TnId};
 pub use verilog::to_verilog;

@@ -17,7 +17,6 @@ use crate::config::TelsConfig;
 use crate::error::SynthError;
 use crate::split::{split_binate, split_cubes_k, split_unate_with, UnateSplit};
 use crate::theorems::theorem2_extend;
-use crate::tier05::NegativeCache;
 use crate::tnet::{ThresholdGate, ThresholdNetwork, TnId};
 
 /// Statistics of a synthesis run.
@@ -50,15 +49,13 @@ pub struct SynthStats {
 
 impl SynthStats {
     /// ILP solves avoided by the tier-0 oracle, the tier-0.5 decision
-    /// procedure (with its negative cache), memoization, and the cheap
-    /// pre-filters.
+    /// procedure, memoization, and the cheap pre-filters.
     pub fn ilp_avoided(&self) -> usize {
         self.cache_hits
             + self.prefilter_rejections
             + self.solver.tier0_lookups
             + self.solver.tier05_hits
             + self.solver.tier05_rejects
-            + self.solver.negcache_hits
     }
 
     /// Machine-readable form of the run statistics (including the
@@ -225,33 +222,30 @@ pub fn synthesize_with_stats(
     net: &Network,
     config: &TelsConfig,
 ) -> Result<(ThresholdNetwork, SynthStats), SynthError> {
-    synthesize_with_shared_caches(net, config, &RealizationCache::new(), &NegativeCache::new())
+    synthesize_with_cache(net, config, &RealizationCache::new())
 }
 
-/// [`synthesize_with_stats`] against caller-owned realization and negative
-/// caches — the `tels serve` entry point, where both caches outlive many
-/// jobs (and persist between daemon runs).
+/// [`synthesize_with_stats`] against a caller-owned realization cache —
+/// the `tels serve` entry point, where the cache outlives many jobs (and
+/// persists between daemon runs).
 ///
 /// Pre-populated entries only change *when* an answer is computed, never
 /// what it is, so the emitted network is byte-identical to a one-shot run
-/// of the same configuration. The caller must only reuse the caches across
+/// of the same configuration. The caller must only reuse the cache across
 /// configurations that agree on [`TelsConfig::cache_key`]: realizations
-/// are pure functions of the canonical key and those fields, and negative
-/// entries are proofs only under the margins and ILP limits they were
-/// recorded with.
+/// are pure functions of the canonical key and those fields.
 ///
 /// # Errors
 ///
 /// Same as [`synthesize`].
-pub fn synthesize_with_shared_caches(
+pub fn synthesize_with_cache(
     net: &Network,
     config: &TelsConfig,
     cache: &RealizationCache,
-    neg: &NegativeCache,
 ) -> Result<(ThresholdNetwork, SynthStats), SynthError> {
     config.assert_valid();
     let mut span = tels_trace::span("core", "synthesize");
-    let mut s = Synth::new(net, config, cache, neg)?;
+    let mut s = Synth::new(net, config, cache)?;
     run_with_depth_stack(net, || s.run())??;
     span.arg("gates", s.tn.num_gates() as u64);
     span.arg("ilp_calls", s.stats.ilp_calls as u64);
@@ -268,8 +262,6 @@ struct Synth<'a> {
     config: &'a TelsConfig,
     /// Canonical threshold-check cache.
     cache: &'a RealizationCache,
-    /// Chow-canonical negative cache for the tier-0.5 layer.
-    neg: &'a NegativeCache,
     tn: ThresholdNetwork,
     /// Boundary nodes (PIs and fanout nodes) and synthesized roots, mapped
     /// to their threshold-network signal.
@@ -295,7 +287,6 @@ impl<'a> Synth<'a> {
         net: &'a Network,
         config: &'a TelsConfig,
         cache: &'a RealizationCache,
-        neg: &'a NegativeCache,
     ) -> Result<Synth<'a>, SynthError> {
         let mut tn = ThresholdNetwork::new(net.model().to_string());
         let mut signal_map = HashMap::new();
@@ -313,7 +304,6 @@ impl<'a> Synth<'a> {
             net,
             config,
             cache,
-            neg,
             tn,
             signal_map,
             boundary,
@@ -451,7 +441,6 @@ impl<'a> Synth<'a> {
             f,
             self.config,
             self.cache,
-            Some(self.neg),
             &mut self.stats.solver,
             &mut self.scratch,
         )?;

@@ -41,26 +41,10 @@
 //! (summing the four constraints gives `2T ≤ 2T − δ_on − δ_off`). The
 //! check hashes pairwise coordinate sums — 2 bits per variable, so a
 //! support-9 sum packs into 18 bits.
-//!
-//! Proven rejections feed the sharded **negative cache**: a set of
-//! Chow-canonical table signatures ("this table is NOT threshold") probed
-//! before any structure analysis or solver work on repeat queries. The
-//! key permutes table rows into descending-Chow variable order; ties
-//! within a class are broken by source position, which is canonical for
-//! 2-monotonic functions (equal Chow parameters imply the variables are
-//! interchangeable, see `chow.rs`) and merely lossy — never unsound — for
-//! functions that are not (the permuted table still describes a function
-//! that is a variable permutation of the query, and non-thresholdness is
-//! permutation invariant).
 
-use std::cmp::Reverse;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
-use std::hash::{Hash, Hasher};
-use std::sync::RwLock;
 
 use tels_logic::TruthTable;
-use tels_metrics::{self as metrics, instruments as m};
 
 use crate::chow::ChowAnalysis;
 
@@ -318,128 +302,6 @@ fn two_asummability_violated(tt: &TruthTable) -> bool {
     false
 }
 
-/// Chow-canonical signature of a table: `[k, rows…]` with variables
-/// permuted into descending Chow-parameter order (ties by source
-/// position). Canonical across variable orderings for 2-monotonic
-/// functions; for others still sound as a cache key, merely less sharing
-/// (see module docs).
-pub(crate) fn canonical_table_key(tt: &TruthTable) -> Vec<u64> {
-    let k = tt.num_vars() as usize;
-    let rows = 1usize << k;
-    let mut chow = vec![0u32; k];
-    for m in 0..rows {
-        if tt.bit(m) {
-            let mut bits = m;
-            while bits != 0 {
-                chow[bits.trailing_zeros() as usize] += 1;
-                bits &= bits - 1;
-            }
-        }
-    }
-    let mut perm: Vec<usize> = (0..k).collect();
-    perm.sort_by_key(|&i| (Reverse(chow[i]), i));
-
-    let mut words = vec![0u64; rows.div_ceil(64)];
-    for m in 0..rows {
-        if tt.bit(m) {
-            let mut canon = 0usize;
-            for (j, &src) in perm.iter().enumerate() {
-                canon |= (m >> src & 1) << j;
-            }
-            words[canon / 64] |= 1 << (canon % 64);
-        }
-    }
-    let mut key = Vec::with_capacity(1 + words.len());
-    key.push(k as u64);
-    key.append(&mut words);
-    key
-}
-
-const NEG_SHARDS: usize = 16;
-
-/// Sharded set of Chow-canonical signatures proven *not* threshold (or
-/// abandoned by the ILP under the run's limits — the same memoization the
-/// realization cache applies to `None` entries). Sharding mirrors
-/// `RealizationCache` so concurrent serve jobs rarely contend.
-pub struct NegativeCache {
-    shards: Vec<RwLock<HashSet<Vec<u64>>>>,
-}
-
-impl Default for NegativeCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl NegativeCache {
-    /// An empty cache with all shards allocated.
-    pub fn new() -> Self {
-        NegativeCache {
-            shards: (0..NEG_SHARDS)
-                .map(|_| RwLock::new(HashSet::new()))
-                .collect(),
-        }
-    }
-
-    fn shard_index(key: &[u64]) -> usize {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        (hasher.finish() as usize) % NEG_SHARDS
-    }
-
-    /// True iff the signature is a proven rejection. Billed to the
-    /// per-shard negative-cache hit/miss metrics.
-    pub fn contains(&self, key: &[u64]) -> bool {
-        let shard = Self::shard_index(key);
-        let hit = self.shards[shard].read().unwrap().contains(key);
-        if metrics::enabled() {
-            if hit {
-                m::NEGCACHE_HITS.add(shard, 1);
-            } else {
-                m::NEGCACHE_MISSES.add(shard, 1);
-            }
-        }
-        hit
-    }
-
-    /// Records a proven rejection.
-    pub fn insert(&self, key: Vec<u64>) {
-        let shard = Self::shard_index(&key);
-        let fresh = self.shards[shard].write().unwrap().insert(key);
-        if fresh && metrics::enabled() {
-            m::NEGCACHE_INSERTS.add(shard, 1);
-        }
-    }
-
-    /// Total signatures across all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().unwrap().len()).sum()
-    }
-
-    /// True iff no shard holds any signature.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.read().unwrap().is_empty())
-    }
-
-    /// Deterministic (sorted) dump of every signature, for persistence.
-    pub fn snapshot(&self) -> Vec<Vec<u64>> {
-        let mut all: Vec<Vec<u64>> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.read().unwrap().iter().cloned().collect::<Vec<_>>())
-            .collect();
-        all.sort_unstable();
-        all
-    }
-
-    /// Bulk-loads persisted signatures (deduplicating against residents).
-    pub fn extend(&self, keys: impl IntoIterator<Item = Vec<u64>>) {
-        for key in keys {
-            self.insert(key);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -536,46 +398,6 @@ mod tests {
     fn two_asummability_accepts_threshold_functions() {
         let tt = table_of_bits(6, |m| m.count_ones() >= 3);
         assert!(!two_asummability_violated(&tt));
-    }
-
-    #[test]
-    fn canonical_key_invariant_under_variable_permutation() {
-        // Same weighted function with variables listed in two different
-        // orders must produce identical signatures.
-        let w_a = [4i64, 3, 2, 1, 1, 1];
-        let w_b = [1i64, 1, 2, 1, 3, 4]; // a permutation of w_a
-        let tta = table_of_bits(6, |m| {
-            (0..6)
-                .filter(|&i| m >> i & 1 != 0)
-                .map(|i| w_a[i])
-                .sum::<i64>()
-                >= 5
-        });
-        let ttb = table_of_bits(6, |m| {
-            (0..6)
-                .filter(|&i| m >> i & 1 != 0)
-                .map(|i| w_b[i])
-                .sum::<i64>()
-                >= 5
-        });
-        assert_eq!(canonical_table_key(&tta), canonical_table_key(&ttb));
-    }
-
-    #[test]
-    fn negative_cache_round_trip() {
-        let cache = NegativeCache::new();
-        assert!(cache.is_empty());
-        let key = vec![6u64, 0xdead_beef];
-        assert!(!cache.contains(&key));
-        cache.insert(key.clone());
-        cache.insert(key.clone());
-        assert!(cache.contains(&key));
-        assert_eq!(cache.len(), 1);
-        let snap = cache.snapshot();
-        assert_eq!(snap, vec![key]);
-        let other = NegativeCache::new();
-        other.extend(snap);
-        assert_eq!(other.len(), 1);
     }
 
     #[test]

@@ -356,13 +356,6 @@ pub mod instruments {
     /// Realization-cache inserts, per cache shard.
     pub static CACHE_INSERTS: PerIndex = PerIndex::new();
 
-    /// Negative-cache (proven non-threshold) probe hits, per shard.
-    pub static NEGCACHE_HITS: PerIndex = PerIndex::new();
-    /// Negative-cache probe misses, per shard.
-    pub static NEGCACHE_MISSES: PerIndex = PerIndex::new();
-    /// Negative-cache inserts, per shard.
-    pub static NEGCACHE_INSERTS: PerIndex = PerIndex::new();
-
     /// Nanoseconds spent canonicalizing covers for cache keys.
     pub static CHECK_CANON_NS: Counter = Counter::new();
     /// Threshold checks answered trivially (constants, single literals).
@@ -370,8 +363,7 @@ pub mod instruments {
     /// Threshold checks answered by the tier-0 truth-table oracle.
     pub static CHECK_TIER0_HITS: Counter = Counter::new();
     /// Threshold checks settled by the tier-0.5 decision procedure
-    /// (identified realizations, proven rejections, and negative-cache
-    /// short-circuits).
+    /// (identified realizations and proven rejections).
     pub static CHECK_TIER05: Counter = Counter::new();
     /// Threshold checks answered from the realization cache.
     pub static CHECK_CACHE_HITS: Counter = Counter::new();
@@ -472,30 +464,6 @@ pub static REGISTRY: &[Descriptor] = &[
         help: "Realization-cache inserts",
         instrument: InstrumentRef::PerIndex {
             family: &i9s::CACHE_INSERTS,
-            label: "shard",
-        },
-    },
-    Descriptor {
-        name: "tels_negcache_hits_total",
-        help: "Negative-cache (non-threshold) probe hits",
-        instrument: InstrumentRef::PerIndex {
-            family: &i9s::NEGCACHE_HITS,
-            label: "shard",
-        },
-    },
-    Descriptor {
-        name: "tels_negcache_misses_total",
-        help: "Negative-cache probe misses",
-        instrument: InstrumentRef::PerIndex {
-            family: &i9s::NEGCACHE_MISSES,
-            label: "shard",
-        },
-    },
-    Descriptor {
-        name: "tels_negcache_inserts_total",
-        help: "Negative-cache inserts",
-        instrument: InstrumentRef::PerIndex {
-            family: &i9s::NEGCACHE_INSERTS,
             label: "shard",
         },
     },

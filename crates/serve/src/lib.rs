@@ -3,10 +3,10 @@
 //! One-shot `tels synth` pays its startup costs — tier-0 oracle table
 //! construction and above all an empty realization cache — on every
 //! invocation. This crate amortizes them across jobs: a [`ServeSession`]
-//! owns one [`RealizationCache`] and one [`NegativeCache`] per
-//! configuration fingerprint ([`CacheKey`]), accepts synthesis jobs over a
-//! length-prefixed JSON protocol ([`protocol`]), and optionally persists
-//! the caches to disk between runs ([`persist`]).
+//! owns one [`RealizationCache`] per configuration fingerprint
+//! ([`CacheKey`]), accepts synthesis jobs over a length-prefixed JSON
+//! protocol ([`protocol`]), and optionally persists the caches to disk
+//! between runs ([`persist`]).
 //!
 //! # Determinism contract
 //!
@@ -16,9 +16,8 @@
 //! entries are pure functions of their canonical key plus the [`CacheKey`]
 //! fields, so a pre-populated entry only changes *when* an answer is
 //! computed, never what it is. The serve layer's contribution is
-//! discipline: caches — the realization cache and the tier-0.5 negative
-//! cache alike — are keyed by configuration fingerprint so a job can never
-//! observe entries computed under different δ or solver limits.
+//! discipline: caches are keyed by configuration fingerprint so a job can
+//! never observe entries computed under different δ or solver limits.
 //!
 //! # Transports
 //!
@@ -49,8 +48,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use tels_core::{
-    prewarm_tier0, synthesize_with_shared_caches, CacheKey, NegativeCache, RealizationCache,
-    SynthStats, ThresholdNetwork,
+    prewarm_tier0, synthesize_with_cache, CacheKey, RealizationCache, SynthStats, ThresholdNetwork,
 };
 use tels_logic::blif;
 use tels_logic::opt::script_algebraic;
@@ -101,17 +99,14 @@ pub struct JobReply {
     pub micros: u64,
 }
 
-/// A long-lived synthesis session: per-configuration realization and
-/// negative caches, job counters, and optional disk persistence.
+/// A long-lived synthesis session: per-configuration realization caches,
+/// job counters, and optional disk persistence.
 ///
 /// Transport-independent — [`serve_stdio`]/[`serve_unix`] drive it over
 /// byte streams, and in-process callers ([`Client`] alternatives like the
 /// fuzz harness and benches) call [`ServeSession::submit`] directly.
 pub struct ServeSession {
     caches: Mutex<HashMap<CacheKey, Arc<RealizationCache>>>,
-    /// Tier-0.5 negative caches, keyed like `caches`: a rejection proof is
-    /// only reusable under the margins and limits it was computed with.
-    negs: Mutex<HashMap<CacheKey, Arc<NegativeCache>>>,
     counters: Mutex<Counters>,
     next_id: AtomicU64,
     shutdown: AtomicBool,
@@ -129,9 +124,9 @@ impl ServeSession {
     /// # Errors
     ///
     /// A configured cache file that exists but fails validation (wrong
-    /// magic, incompatible version, truncated body) is rejected with a
-    /// descriptive message — delete or move the file to start fresh. A
-    /// *missing* cache file is not an error.
+    /// magic, incompatible version, truncated body, malformed entry) is
+    /// rejected with a descriptive message — delete or move the file to
+    /// start fresh. A *missing* cache file is not an error.
     pub fn new(opts: ServeOptions) -> Result<ServeSession, String> {
         prewarm_tier0();
         if opts.metrics_enabled {
@@ -139,7 +134,6 @@ impl ServeSession {
         }
         let session = ServeSession {
             caches: Mutex::new(HashMap::new()),
-            negs: Mutex::new(HashMap::new()),
             counters: Mutex::new(Counters::default()),
             next_id: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
@@ -159,9 +153,8 @@ impl ServeSession {
         };
         if let Some(path) = session.cache_file.clone().filter(|p| p.exists()) {
             let sections = persist::load(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-            for (fingerprint, entries, neg_entries) in sections {
+            for (fingerprint, entries) in sections {
                 session.cache(fingerprint).extend(entries);
-                session.neg(fingerprint).extend(neg_entries);
             }
         }
         Ok(session)
@@ -180,18 +173,6 @@ impl ServeSession {
             self.caches
                 .lock()
                 .expect("cache map poisoned")
-                .entry(fingerprint)
-                .or_default(),
-        )
-    }
-
-    /// The shared tier-0.5 negative cache for a configuration fingerprint
-    /// (created empty on first use).
-    pub fn neg(&self, fingerprint: CacheKey) -> Arc<NegativeCache> {
-        Arc::clone(
-            self.negs
-                .lock()
-                .expect("negative cache map poisoned")
                 .entry(fingerprint)
                 .or_default(),
         )
@@ -272,7 +253,6 @@ impl ServeSession {
         };
         let config = &req.config;
         let cache = self.cache(config.cache_key());
-        let neg = self.neg(config.cache_key());
         // Setup (parse, factoring, cache fetch) is the job's "queue wait":
         // everything before synthesis proper starts.
         let run_t0 = setup_t0.map(|t0| {
@@ -286,8 +266,8 @@ impl ServeSession {
             result
         };
         finish((|| {
-            let (tn, stats) = synthesize_with_shared_caches(&prepared, config, &cache, &neg)
-                .map_err(|e| e.to_string())?;
+            let (tn, stats) =
+                synthesize_with_cache(&prepared, config, &cache).map_err(|e| e.to_string())?;
             if req.verify {
                 match tn
                     .verify_against(&net, 12, 1024, 1)
@@ -361,35 +341,24 @@ impl ServeSession {
     /// (microseconds, log2 buckets), cache population per configuration
     /// fingerprint, uptime.
     pub fn stats_json(&self) -> Json {
-        // Union of fingerprints across both cache maps: a section can hold
-        // only negative signatures (every query rejected).
-        let mut sections: HashMap<CacheKey, (usize, usize)> = HashMap::new();
-        {
-            let caches = self.caches.lock().expect("cache map poisoned");
-            for (k, c) in caches.iter() {
-                sections.entry(*k).or_default().0 = c.len();
-            }
-        }
-        {
-            let negs = self.negs.lock().expect("negative cache map poisoned");
-            for (k, c) in negs.iter() {
-                sections.entry(*k).or_default().1 = c.len();
-            }
-        }
-        let mut sections: Vec<(CacheKey, (usize, usize))> = sections.into_iter().collect();
+        let mut sections: Vec<(CacheKey, usize)> = self
+            .caches
+            .lock()
+            .expect("cache map poisoned")
+            .iter()
+            .map(|(k, c)| (*k, c.len()))
+            .collect();
         sections.sort_by_key(|(k, _)| k.encode());
-        let total: usize = sections.iter().map(|(_, (n, _))| n).sum();
-        let neg_total: usize = sections.iter().map(|(_, (_, n))| n).sum();
+        let total: usize = sections.iter().map(|(_, n)| n).sum();
         let cache_list: Vec<Json> = sections
             .into_iter()
-            .map(|(k, (n, neg))| {
+            .map(|(k, n)| {
                 Json::obj([
                     (
                         "fingerprint",
                         Json::Arr(k.encode().iter().map(|&w| Json::Num(w as f64)).collect()),
                     ),
                     ("entries", Json::Num(n as f64)),
-                    ("neg_entries", Json::Num(neg as f64)),
                 ])
             })
             .collect();
@@ -403,7 +372,6 @@ impl ServeSession {
                 Json::Num(self.started.elapsed().as_millis() as f64),
             ),
             ("cache_entries", Json::Num(total as f64)),
-            ("negcache_entries", Json::Num(neg_total as f64)),
             ("caches", Json::Arr(cache_list)),
             ("job_latency_us", counters.latency_us.to_json()),
         ])
@@ -421,23 +389,18 @@ impl ServeSession {
         let Some(path) = &self.cache_file else {
             return Ok(None);
         };
-        // Union of fingerprints: a section may exist in one map only (the
-        // accessors below create the missing, empty counterpart).
-        let mut fingerprints: Vec<CacheKey> = {
-            let caches = self.caches.lock().expect("cache map poisoned");
-            let negs = self.negs.lock().expect("negative cache map poisoned");
-            caches.keys().chain(negs.keys()).copied().collect()
-        };
+        let mut held: Vec<(CacheKey, Arc<RealizationCache>)> = self
+            .caches
+            .lock()
+            .expect("cache map poisoned")
+            .iter()
+            .map(|(k, c)| (*k, Arc::clone(c)))
+            .collect();
         // Deterministic section order, so identical contents produce an
         // identical file.
-        fingerprints.sort_by_key(|k| k.encode());
-        fingerprints.dedup();
-        let held: Vec<(CacheKey, Arc<RealizationCache>, Arc<NegativeCache>)> = fingerprints
-            .into_iter()
-            .map(|k| (k, self.cache(k), self.neg(k)))
-            .collect();
-        let refs: Vec<(CacheKey, &RealizationCache, &NegativeCache)> =
-            held.iter().map(|(k, c, n)| (*k, &**c, &**n)).collect();
+        held.sort_by_key(|(k, _)| k.encode());
+        let refs: Vec<(CacheKey, &RealizationCache)> =
+            held.iter().map(|(k, c)| (*k, &**c)).collect();
         persist::save(path, &refs).map(Some)
     }
 
@@ -696,13 +659,10 @@ mod tests {
                 for _ in 0..8 {
                     session.persist_now().expect("save during synthesis");
                     let sections = persist::load(&path).expect("saved file must be valid");
-                    for (fingerprint, entries, neg_entries) in sections {
+                    for (_, entries) in sections {
                         // Snapshot consistency: reloading mid-run entries
-                        // into fresh caches must be accepted wholesale.
-                        let fresh = RealizationCache::new();
-                        fresh.extend(entries);
-                        NegativeCache::new().extend(neg_entries);
-                        let _ = fingerprint;
+                        // into a fresh cache must be accepted wholesale.
+                        RealizationCache::new().extend(entries);
                     }
                     std::thread::yield_now();
                 }

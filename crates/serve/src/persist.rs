@@ -1,12 +1,10 @@
-//! Disk persistence for the realization and negative caches.
+//! Disk persistence for the realization caches.
 //!
 //! The cache file is a versioned binary snapshot of every per-configuration
 //! cache the daemon holds. Entries are only reusable under the exact
 //! configuration fingerprint they were computed with ([`CacheKey`]), so the
 //! file stores one *section* per fingerprint and a loader only feeds each
-//! section to caches created for that same fingerprint. Since version 2 a
-//! section carries two entry lists: realization-cache entries and the
-//! tier-0.5 negative cache's Chow-canonical rejection signatures.
+//! section to the cache created for that same fingerprint.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -24,31 +22,30 @@
 //!     if tag == 1:
 //!       weights  u32, then that many i64
 //!       threshold i64
-//!   neg_entries  u64        (since version 2)
-//!   per neg entry:
-//!     key_words  u32
-//!     key        key_words × u64
 //! ```
 //!
-//! A file with the wrong magic, an unknown version, or a truncated body is
-//! *rejected* with a descriptive [`PersistError`] — never a panic and never
-//! a partial load. Version-1 files are rejected too (not migrated): the
-//! caches are a pure performance artifact, so "delete and start fresh" is
-//! always safe. Saves go through a temp file + rename so a crash mid-save
-//! (or a concurrent reader) never observes a half-written file.
+//! A key is a canonical signature (`key[0]` is its support size, at most
+//! 64), and a realization carries exactly `key[0]` weights. A file with
+//! the wrong magic, an unknown version, a truncated body, or an entry that
+//! breaks those invariants is *rejected* with a descriptive
+//! [`PersistError`] — never a panic and never a partial load. Files of
+//! earlier versions are rejected too (not migrated): the caches are a pure
+//! performance artifact, so "delete and start fresh" is always safe. Saves
+//! go through a temp file + rename so a crash mid-save (or a concurrent
+//! reader) never observes a half-written file.
 
 use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
 
-use tels_core::{CacheKey, CanonicalRealization, NegativeCache, RealizationCache};
+use tels_core::{CacheKey, CanonicalRealization, RealizationCache};
 
 /// File signature.
 pub const MAGIC: &[u8; 8] = b"TELSRC\0\0";
 
-/// Current layout version. Bumped 1 → 2 when sections gained the tier-0.5
-/// negative-cache entry list.
-pub const VERSION: u32 = 2;
+/// Current layout version. Bumped 1 → 2 when sections gained a tier-0.5
+/// negative-cache entry list, and 2 → 3 when that list was dropped again.
+pub const VERSION: u32 = 3;
 
 /// Why a cache file could not be loaded.
 #[derive(Debug)]
@@ -87,28 +84,20 @@ impl From<io::Error> for PersistError {
     }
 }
 
-/// One persisted section: a configuration fingerprint, its realization
-/// entries, and its negative-cache signatures.
-pub type Section = (
-    CacheKey,
-    Vec<(Vec<u64>, Option<CanonicalRealization>)>,
-    Vec<Vec<u64>>,
-);
+/// One persisted section: a configuration fingerprint and its realization
+/// entries.
+pub type Section = (CacheKey, Vec<(Vec<u64>, Option<CanonicalRealization>)>);
 
 /// Serializes cache sections to `path` atomically (temp file + rename).
-/// Returns the total number of entries written (realizations plus negative
-/// signatures). Snapshots are taken here, so callers may keep inserting
-/// into the caches concurrently.
-pub fn save(
-    path: &Path,
-    sections: &[(CacheKey, &RealizationCache, &NegativeCache)],
-) -> io::Result<usize> {
+/// Returns the total number of entries written. Snapshots are taken here,
+/// so callers may keep inserting into the caches concurrently.
+pub fn save(path: &Path, sections: &[(CacheKey, &RealizationCache)]) -> io::Result<usize> {
     let mut body: Vec<u8> = Vec::new();
     body.extend_from_slice(MAGIC);
     body.extend_from_slice(&VERSION.to_le_bytes());
     body.extend_from_slice(&(sections.len() as u32).to_le_bytes());
     let mut total = 0usize;
-    for (fingerprint, cache, neg) in sections {
+    for (fingerprint, cache) in sections {
         for word in fingerprint.encode() {
             body.extend_from_slice(&word.to_le_bytes());
         }
@@ -132,15 +121,6 @@ pub fn save(
                 }
             }
         }
-        let neg_entries = neg.snapshot();
-        body.extend_from_slice(&(neg_entries.len() as u64).to_le_bytes());
-        total += neg_entries.len();
-        for key in neg_entries {
-            body.extend_from_slice(&(key.len() as u32).to_le_bytes());
-            for word in &key {
-                body.extend_from_slice(&word.to_le_bytes());
-            }
-        }
     }
     // Atomic replace: a crash mid-write leaves the old file intact, and a
     // concurrent load never sees a torn body.
@@ -154,9 +134,13 @@ pub fn save(
     Ok(total)
 }
 
-/// Smallest encoded section: a 5-word fingerprint plus the two entry
-/// counts, all 8 bytes wide.
-const MIN_SECTION_BYTES: usize = 7 * 8;
+/// Smallest encoded section: a 5-word fingerprint plus the entry count,
+/// all 8 bytes wide.
+const MIN_SECTION_BYTES: usize = 6 * 8;
+
+/// Widest support a canonical signature can describe (one bit per
+/// variable in each 64-bit cube word).
+const MAX_SUPPORT: u64 = 64;
 
 /// Largest element count any `Vec` is preallocated for while loading.
 /// Counts are bounded by the file size first, but a large file can still
@@ -241,10 +225,24 @@ pub fn load(path: &Path) -> Result<Vec<Section>, PersistError> {
             for _ in 0..key_words {
                 key.push(c.u64("key word")?);
             }
+            let support = match key.first() {
+                Some(&k) if k <= MAX_SUPPORT => k,
+                Some(&k) => {
+                    return Err(PersistError::Corrupt(format!(
+                        "key support {k} exceeds {MAX_SUPPORT}"
+                    )));
+                }
+                None => return Err(PersistError::Corrupt("empty entry key".into())),
+            };
             let value = match c.u8("entry tag")? {
                 0 => None,
                 1 => {
                     let n = c.u32("weight count")? as usize;
+                    if n as u64 != support {
+                        return Err(PersistError::Corrupt(format!(
+                            "{n} weights for a support-{support} key"
+                        )));
+                    }
                     let mut weights = Vec::with_capacity(n.min(PREALLOC_CAP));
                     for _ in 0..n {
                         weights.push(c.i64("weight")?);
@@ -258,22 +256,7 @@ pub fn load(path: &Path) -> Result<Vec<Section>, PersistError> {
             };
             entries.push((key, value));
         }
-        let neg_count = c.u64("negative entry count")?;
-        if neg_count > (data.len() - c.pos) as u64 {
-            return Err(PersistError::Corrupt(format!(
-                "negative entry count {neg_count} exceeds file size"
-            )));
-        }
-        let mut neg_entries = Vec::with_capacity((neg_count as usize).min(PREALLOC_CAP));
-        for _ in 0..neg_count {
-            let key_words = c.u32("negative key length")? as usize;
-            let mut key = Vec::with_capacity(key_words.min(PREALLOC_CAP));
-            for _ in 0..key_words {
-                key.push(c.u64("negative key word")?);
-            }
-            neg_entries.push(key);
-        }
-        out.push((fingerprint, entries, neg_entries));
+        out.push((fingerprint, entries));
     }
     if c.pos != data.len() {
         return Err(PersistError::Corrupt(format!(
@@ -309,13 +292,6 @@ mod tests {
         cache
     }
 
-    fn sample_neg() -> NegativeCache {
-        let neg = NegativeCache::new();
-        neg.insert(vec![6, 0xdead, 0xbeef]);
-        neg.insert(vec![7, 1, 2, 3]);
-        neg
-    }
-
     fn tmp_path(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("tels-persist-{name}-{}", std::process::id()))
     }
@@ -323,28 +299,14 @@ mod tests {
     #[test]
     fn roundtrip_preserves_entries() {
         let cache = sample_cache();
-        let neg = sample_neg();
         let key = TelsConfig::default().cache_key();
         let path = tmp_path("roundtrip");
-        save(&path, &[(key, &cache, &neg)]).unwrap();
+        save(&path, &[(key, &cache)]).unwrap();
         let sections = load(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(sections.len(), 1);
         assert_eq!(sections[0].0, key);
         assert_eq!(sections[0].1, cache.snapshot());
-        assert_eq!(sections[0].2, neg.snapshot());
-    }
-
-    #[test]
-    fn empty_negative_cache_roundtrips() {
-        let cache = sample_cache();
-        let neg = NegativeCache::new();
-        let key = TelsConfig::default().cache_key();
-        let path = tmp_path("empty-neg");
-        save(&path, &[(key, &cache, &neg)]).unwrap();
-        let sections = load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert!(sections[0].2.is_empty());
     }
 
     #[test]
@@ -359,10 +321,9 @@ mod tests {
     #[test]
     fn wrong_version_rejected() {
         let cache = sample_cache();
-        let neg = sample_neg();
         let key = TelsConfig::default().cache_key();
         let path = tmp_path("version");
-        save(&path, &[(key, &cache, &neg)]).unwrap();
+        save(&path, &[(key, &cache)]).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[8..12].copy_from_slice(&(VERSION + 7).to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
@@ -376,31 +337,63 @@ mod tests {
 
     #[test]
     fn version_one_files_rejected() {
-        // A pre-tier-0.5 file (version 1) has no negative entry lists; the
-        // loader must refuse it outright rather than misparse the body.
+        // Version-1 sections lack the negative entry list that version-2
+        // sections carry and version 3 dropped again; the loader must
+        // refuse both outright rather than misparse the body.
         let cache = sample_cache();
-        let neg = sample_neg();
         let key = TelsConfig::default().cache_key();
         let path = tmp_path("v1");
-        save(&path, &[(key, &cache, &neg)]).unwrap();
+        save(&path, &[(key, &cache)]).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        let err = load(&path).unwrap_err();
+        for old in [1u32, 2] {
+            bytes[8..12].copy_from_slice(&old.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            let err = load(&path).unwrap_err();
+            assert!(
+                matches!(err, PersistError::BadVersion { found } if found == old),
+                "{err}"
+            );
+        }
         std::fs::remove_file(&path).ok();
-        assert!(
-            matches!(err, PersistError::BadVersion { found: 1 }),
-            "{err}"
-        );
+    }
+
+    #[test]
+    fn entries_breaking_key_invariants_rejected() {
+        // Each file is well-formed byte for byte, but one entry could not
+        // have come from a canonical signature. The zero-weight realization
+        // once loaded and then panicked the daemon's first matching query.
+        let bad_entries = [
+            (
+                vec![2, 0b01, 0b10],
+                Some(CanonicalRealization {
+                    weights: vec![],
+                    threshold: 1,
+                }),
+            ),
+            (vec![], None),
+            (vec![65, 1], None),
+        ];
+        let key = TelsConfig::default().cache_key();
+        let path = tmp_path("invariants");
+        for (entry_key, value) in bad_entries {
+            let cache = sample_cache();
+            cache.insert(entry_key.clone(), value);
+            save(&path, &[(key, &cache)]).unwrap();
+            let err = load(&path).unwrap_err();
+            assert!(
+                matches!(err, PersistError::Corrupt(_)),
+                "{entry_key:?}: {err}"
+            );
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn truncated_body_rejected() {
         let cache = sample_cache();
-        let neg = sample_neg();
         let key = TelsConfig::default().cache_key();
         let path = tmp_path("trunc");
-        save(&path, &[(key, &cache, &neg)]).unwrap();
+        save(&path, &[(key, &cache)]).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         for cut in [bytes.len() - 1, bytes.len() / 2, 13] {
             std::fs::write(&path, &bytes[..cut]).unwrap();
@@ -429,10 +422,9 @@ mod tests {
     #[test]
     fn trailing_garbage_rejected() {
         let cache = sample_cache();
-        let neg = sample_neg();
         let key = TelsConfig::default().cache_key();
         let path = tmp_path("trailing");
-        save(&path, &[(key, &cache, &neg)]).unwrap();
+        save(&path, &[(key, &cache)]).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         bytes.extend_from_slice(b"extra");
         std::fs::write(&path, &bytes).unwrap();

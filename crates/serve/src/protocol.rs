@@ -222,9 +222,6 @@ fn parse_config(doc: &Json) -> Result<TelsConfig, String> {
     if let Some(v) = field_bool(doc, "use_theorem1")? {
         config.use_theorem1 = v;
     }
-    if let Some(v) = field_bool(doc, "use_int_solver")? {
-        config.use_int_solver = v;
-    }
     if let Some(v) = field_bool(doc, "use_tier0")? {
         config.use_tier0 = v;
     }
@@ -325,7 +322,6 @@ pub fn synth_request_json(req: &JobRequest) -> Json {
     }
     for (key, ours, default) in [
         ("use_theorem1", c.use_theorem1, d.use_theorem1),
-        ("use_int_solver", c.use_int_solver, d.use_int_solver),
         ("use_tier0", c.use_tier0, d.use_tier0),
         ("use_tier05", c.use_tier05, d.use_tier05),
     ] {

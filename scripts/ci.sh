@@ -108,13 +108,11 @@ cargo run --release --quiet -p tels-cli --bin tels -- client --socket "$sock" \
     --metrics-prom --lint-prom > "$smoke_dir/metrics.prom"
 grep -q '^tels_serve_jobs_ok_total 2$' "$smoke_dir/metrics.prom" \
     || { echo "ci.sh: metrics scrape missing served jobs" >&2; exit 1; }
-# The tier-0.5 and negative-cache series must be registered and linted
-# (values are 0 here — the smoke jobs run at the default ψ = 3, below
-# the tier's 6-variable floor — presence is what this checks).
+# The tier-0.5 series must be registered and linted (its value is 0 here
+# — the smoke jobs run at the default ψ = 3, below the tier's 6-variable
+# floor — presence is what this checks).
 grep -q '^tels_check_tier05_total ' "$smoke_dir/metrics.prom" \
     || { echo "ci.sh: metrics scrape missing tier-0.5 series" >&2; exit 1; }
-grep -q '^tels_negcache_hits_total{' "$smoke_dir/metrics.prom" \
-    || { echo "ci.sh: metrics scrape missing negative-cache series" >&2; exit 1; }
 cargo run --release --quiet -p tels-cli --bin tels -- top --socket "$sock" --count 1 \
     | grep -q "jobs ok 2" \
     || { echo "ci.sh: tels top did not render live stats" >&2; exit 1; }
