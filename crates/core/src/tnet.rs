@@ -51,13 +51,15 @@ impl ThresholdGate {
     /// Panics if `values.len() != self.inputs.len()`.
     pub fn eval(&self, values: &[bool]) -> bool {
         assert_eq!(values.len(), self.inputs.len());
-        let sum: i64 = self
+        // i128 cannot overflow for any gate a parsed netlist can hold, and
+        // matches the packed engine's exact arithmetic.
+        let sum: i128 = self
             .weights
             .iter()
             .zip(values)
-            .map(|(&w, &v)| if v { w } else { 0 })
+            .map(|(&w, &v)| if v { i128::from(w) } else { 0 })
             .sum();
-        sum >= self.threshold
+        sum >= i128::from(self.threshold)
     }
 
     /// Evaluates the gate with disturbed real-valued weights (the threshold
@@ -78,9 +80,14 @@ impl ThresholdGate {
         sum >= self.threshold as f64
     }
 
-    /// The RTD area model of Eq. (14): `Σ|wᵢ| + |T|` (unit area `A_u = 1`).
+    /// The RTD area model of Eq. (14): `Σ|wᵢ| + |T|` (unit area `A_u = 1`),
+    /// saturating at `u64::MAX`.
     pub fn area(&self) -> u64 {
-        self.weights.iter().map(|w| w.unsigned_abs()).sum::<u64>() + self.threshold.unsigned_abs()
+        self.weights
+            .iter()
+            .fold(self.threshold.unsigned_abs(), |a, w| {
+                a.saturating_add(w.unsigned_abs())
+            })
     }
 
     /// The weight-threshold vector as the paper prints it: `⟨w₁,…,w_l; T⟩`.
@@ -281,9 +288,11 @@ impl ThresholdNetwork {
             .filter_map(|id| self.gate(id).map(|g| (id, g)))
     }
 
-    /// Total network area per Eq. (14): `Σ_gates (Σ|wᵢ| + |T|)`.
+    /// Total network area per Eq. (14): `Σ_gates (Σ|wᵢ| + |T|)`, saturating
+    /// at `u64::MAX`.
     pub fn area(&self) -> u64 {
-        self.gates().map(|(_, g)| g.area()).sum()
+        self.gates()
+            .fold(0, |a: u64, (_, g)| a.saturating_add(g.area()))
     }
 
     /// Per-node logic level (inputs are 0, gates `1 + max(fanin level)`).
@@ -469,8 +478,8 @@ impl ThresholdNetwork {
     /// Summary statistics of the network (used by `tels info` and reports).
     pub fn report(&self) -> NetworkReport {
         let mut fanin_histogram = Vec::new();
-        let mut max_weight = 0i64;
-        let mut max_threshold = 0i64;
+        let mut max_weight = 0u64;
+        let mut max_threshold = 0u64;
         let mut negative_weights = 0usize;
         for (_, g) in self.gates() {
             let f = g.inputs.len();
@@ -479,12 +488,12 @@ impl ThresholdNetwork {
             }
             fanin_histogram[f] += 1;
             for &w in &g.weights {
-                max_weight = max_weight.max(w.abs());
+                max_weight = max_weight.max(w.unsigned_abs());
                 if w < 0 {
                     negative_weights += 1;
                 }
             }
-            max_threshold = max_threshold.max(g.threshold.abs());
+            max_threshold = max_threshold.max(g.threshold.unsigned_abs());
         }
         NetworkReport {
             inputs: self.num_inputs(),
@@ -551,9 +560,9 @@ pub struct NetworkReport {
     /// `fanin_histogram[k]` = number of gates with `k` inputs.
     pub fanin_histogram: Vec<usize>,
     /// Largest weight magnitude in the network.
-    pub max_weight: i64,
+    pub max_weight: u64,
     /// Largest threshold magnitude in the network.
-    pub max_threshold: i64,
+    pub max_threshold: u64,
     /// Number of negative weights (inverting inputs).
     pub negative_weights: usize,
 }

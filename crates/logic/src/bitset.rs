@@ -4,10 +4,15 @@ use std::fmt;
 
 use crate::cube::Var;
 
-/// A set of [`Var`] indices, stored as a growable bitset.
+/// A set of [`Var`] indices, stored as a bitset whose first word is inline.
 ///
-/// The word vector never carries trailing zero words, so the derived
-/// `PartialEq`/`Hash` implementations compare set contents.
+/// Variables 0–63 live in `first`, so sets over a small (fanin-local)
+/// variable space never allocate. Higher words live in `rest`, which never
+/// carries trailing zero words. The derived `PartialEq`/`Hash` therefore
+/// compare set contents, and the derived `Ord` — `first`, then `rest`
+/// lexicographically — is the lexicographic order of the trimmed word
+/// vector `[first, rest…]` (`[]` for the empty set), which is the order
+/// [`Cube`](crate::Cube) sorting and candidate selection rely on.
 ///
 /// # Example
 ///
@@ -23,7 +28,8 @@ use crate::cube::Var;
 /// ```
 #[derive(Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VarSet {
-    words: Vec<u64>,
+    first: u64,
+    rest: Box<[u64]>,
 }
 
 impl VarSet {
@@ -32,88 +38,124 @@ impl VarSet {
         VarSet::default()
     }
 
+    /// Word `i` of the bitset (zero past the end).
+    fn word(&self, i: usize) -> u64 {
+        match i {
+            0 => self.first,
+            _ => self.rest.get(i - 1).copied().unwrap_or(0),
+        }
+    }
+
+    /// Grows `rest` to at least `len` words.
+    fn grow(&mut self, len: usize) {
+        if len > self.rest.len() {
+            let mut words = Vec::with_capacity(len);
+            words.extend_from_slice(&self.rest);
+            words.resize(len, 0);
+            self.rest = words.into_boxed_slice();
+        }
+    }
+
     fn trim(&mut self) {
-        while self.words.last() == Some(&0) {
-            self.words.pop();
+        let len = self.rest.iter().rposition(|&w| w != 0).map_or(0, |i| i + 1);
+        if len < self.rest.len() {
+            self.rest = self.rest[..len].into();
         }
     }
 
     /// Inserts a variable. Returns `true` if it was newly inserted.
     pub fn insert(&mut self, v: Var) -> bool {
-        let (w, b) = (v.0 as usize / 64, v.0 as usize % 64);
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
-        }
-        let fresh = self.words[w] & (1 << b) == 0;
-        self.words[w] |= 1 << b;
+        let (w, bit) = (v.0 as usize / 64, 1u64 << (v.0 % 64));
+        let word = if w == 0 {
+            &mut self.first
+        } else {
+            self.grow(w);
+            &mut self.rest[w - 1]
+        };
+        let fresh = *word & bit == 0;
+        *word |= bit;
         fresh
     }
 
     /// Removes a variable. Returns `true` if it was present.
     pub fn remove(&mut self, v: Var) -> bool {
-        let (w, b) = (v.0 as usize / 64, v.0 as usize % 64);
-        if w >= self.words.len() {
-            return false;
+        let (w, bit) = (v.0 as usize / 64, 1u64 << (v.0 % 64));
+        let present = self.word(w) & bit != 0;
+        if present {
+            if w == 0 {
+                self.first &= !bit;
+            } else {
+                self.rest[w - 1] &= !bit;
+                self.trim();
+            }
         }
-        let present = self.words[w] & (1 << b) != 0;
-        self.words[w] &= !(1 << b);
-        self.trim();
         present
     }
 
     /// Whether the variable is in the set.
     pub fn contains(&self, v: Var) -> bool {
-        let (w, b) = (v.0 as usize / 64, v.0 as usize % 64);
-        self.words.get(w).is_some_and(|word| word & (1 << b) != 0)
+        self.word(v.0 as usize / 64) & (1 << (v.0 % 64)) != 0
     }
 
     /// Number of variables in the set.
     pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.first.count_ones() as usize
+            + self
+                .rest
+                .iter()
+                .map(|w| w.count_ones() as usize)
+                .sum::<usize>()
     }
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
+        self.first == 0 && self.rest.is_empty()
     }
 
     /// In-place union.
     pub fn union_with(&mut self, other: &VarSet) {
-        if other.words.len() > self.words.len() {
-            self.words.resize(other.words.len(), 0);
-        }
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
+        self.first |= other.first;
+        self.grow(other.rest.len());
+        for (w, o) in self.rest.iter_mut().zip(&other.rest) {
             *w |= o;
         }
     }
 
     /// In-place intersection.
     pub fn intersect_with(&mut self, other: &VarSet) {
-        for (i, w) in self.words.iter_mut().enumerate() {
-            *w &= other.words.get(i).copied().unwrap_or(0);
+        self.first &= other.first;
+        if !self.rest.is_empty() {
+            for (i, w) in self.rest.iter_mut().enumerate() {
+                *w &= other.rest.get(i).copied().unwrap_or(0);
+            }
+            self.trim();
         }
-        self.trim();
     }
 
     /// In-place difference (`self − other`).
     pub fn difference_with(&mut self, other: &VarSet) {
-        for (i, w) in self.words.iter_mut().enumerate() {
-            *w &= !other.words.get(i).copied().unwrap_or(0);
+        self.first &= !other.first;
+        if !self.rest.is_empty() && !other.rest.is_empty() {
+            for (w, o) in self.rest.iter_mut().zip(&other.rest) {
+                *w &= !o;
+            }
+            self.trim();
         }
-        self.trim();
     }
 
     /// Whether `self ⊆ other`.
     pub fn is_subset_of(&self, other: &VarSet) -> bool {
-        self.words
-            .iter()
-            .enumerate()
-            .all(|(i, w)| w & !other.words.get(i).copied().unwrap_or(0) == 0)
+        self.first & !other.first == 0
+            && self
+                .rest
+                .iter()
+                .enumerate()
+                .all(|(i, w)| w & !other.rest.get(i).copied().unwrap_or(0) == 0)
     }
 
     /// Whether the two sets share any variable.
     pub fn intersects(&self, other: &VarSet) -> bool {
-        self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
+        self.first & other.first != 0 || self.rest.iter().zip(&other.rest).any(|(a, b)| a & b != 0)
     }
 
     /// Iterates over the variables in ascending index order.
@@ -121,7 +163,7 @@ impl VarSet {
         Iter {
             set: self,
             word: 0,
-            bits: self.words.first().copied().unwrap_or(0),
+            bits: self.first,
         }
     }
 
@@ -132,8 +174,11 @@ impl VarSet {
 
     /// The largest variable in the set, if any.
     pub fn max_var(&self) -> Option<Var> {
-        let w = self.words.len().checked_sub(1)?;
-        let word = self.words[w];
+        let (w, word) = match self.rest.last() {
+            Some(&word) => (self.rest.len(), word),
+            None if self.first != 0 => (0, self.first),
+            None => return None,
+        };
         Some(Var((w * 64 + 63 - word.leading_zeros() as usize) as u32))
     }
 }
@@ -157,7 +202,7 @@ impl Iterator for Iter<'_> {
                 return Some(Var((self.word * 64) as u32 + b));
             }
             self.word += 1;
-            self.bits = *self.set.words.get(self.word)?;
+            self.bits = *self.set.rest.get(self.word - 1)?;
         }
     }
 }
@@ -197,6 +242,8 @@ impl fmt::Debug for VarSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cube::Cube;
+    use crate::rng::Xoshiro256;
 
     #[test]
     fn insert_remove_contains() {
@@ -254,6 +301,154 @@ mod tests {
         let vars = [Var(0), Var(63), Var(64), Var(127), Var(128)];
         let s: VarSet = vars.into_iter().collect();
         assert_eq!(s.iter().collect::<Vec<_>>(), vars);
+    }
+
+    /// Reference model: the trimmed word vector (no trailing zero words)
+    /// whose derived `Eq`/`Ord` the inline-word layout must reproduce.
+    #[derive(Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
+    struct Model(Vec<u64>);
+
+    impl Model {
+        fn trim(&mut self) {
+            while self.0.last() == Some(&0) {
+                self.0.pop();
+            }
+        }
+
+        fn insert(&mut self, v: u32) {
+            let w = v as usize / 64;
+            if w >= self.0.len() {
+                self.0.resize(w + 1, 0);
+            }
+            self.0[w] |= 1 << (v % 64);
+        }
+
+        fn remove(&mut self, v: u32) {
+            if let Some(word) = self.0.get_mut(v as usize / 64) {
+                *word &= !(1 << (v % 64));
+            }
+            self.trim();
+        }
+
+        fn intersect(&mut self, other: &Model) {
+            for (i, w) in self.0.iter_mut().enumerate() {
+                *w &= other.0.get(i).copied().unwrap_or(0);
+            }
+            self.trim();
+        }
+
+        fn difference(&mut self, other: &Model) {
+            for (i, w) in self.0.iter_mut().enumerate() {
+                *w &= !other.0.get(i).copied().unwrap_or(0);
+            }
+            self.trim();
+        }
+
+        fn vars(&self) -> Vec<Var> {
+            (0..self.0.len() as u32 * 64)
+                .filter(|&v| self.0[v as usize / 64] >> (v % 64) & 1 == 1)
+                .map(Var)
+                .collect()
+        }
+    }
+
+    /// Random `(VarSet, Model)` pairs built by the same operation sequence:
+    /// inserts over a window reaching past word 0, removals, and
+    /// intersections/differences with freshly built sets.
+    fn random_pairs(rng: &mut Xoshiro256, count: usize) -> Vec<(VarSet, Model)> {
+        fn fresh(rng: &mut Xoshiro256, span: u32) -> (VarSet, Model) {
+            let (mut s, mut m) = (VarSet::new(), Model::default());
+            for _ in 0..rng.gen_range(0..6usize) {
+                let v = rng.gen_range(0..span);
+                s.insert(Var(v));
+                m.insert(v);
+            }
+            (s, m)
+        }
+        (0..count)
+            .map(|_| {
+                let span = [8u32, 64, 130, 260][rng.gen_range(0..4usize)];
+                let (mut s, mut m) = fresh(rng, span);
+                for _ in 0..rng.gen_range(0..5usize) {
+                    match rng.gen_range(0..4usize) {
+                        0 => {
+                            let v = rng.gen_range(0..span);
+                            s.insert(Var(v));
+                            m.insert(v);
+                        }
+                        1 => {
+                            let v = rng.gen_range(0..span);
+                            assert_eq!(s.remove(Var(v)), m.vars().contains(&Var(v)));
+                            m.remove(v);
+                        }
+                        2 => {
+                            let (o, om) = fresh(rng, span);
+                            s.intersect_with(&o);
+                            m.intersect(&om);
+                        }
+                        _ => {
+                            let (o, om) = fresh(rng, span);
+                            s.difference_with(&o);
+                            m.difference(&om);
+                        }
+                    }
+                }
+                (s, m)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn matches_trimmed_word_vector_model() {
+        let mut rng = Xoshiro256::seed_from_u64(0xB175E7);
+        let pairs = random_pairs(&mut rng, 400);
+        for (s, m) in &pairs {
+            assert_eq!(s.iter().collect::<Vec<_>>(), m.vars());
+            assert_eq!(s.len(), m.vars().len());
+            assert_eq!(s.max_var(), m.vars().last().copied());
+            assert_eq!(s.is_empty(), m.0.is_empty());
+        }
+        for (a, am) in &pairs[..100] {
+            for (b, bm) in &pairs {
+                assert_eq!(a == b, am == bm, "{a:?} vs {b:?}");
+                assert_eq!(a.cmp(b), am.cmp(bm), "{a:?} vs {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn cube_sort_order_matches_model() {
+        let mut rng = Xoshiro256::seed_from_u64(0xC0BE);
+        let pairs = random_pairs(&mut rng, 600);
+        // Cubes from disjoint (pos, neg) pairs; the model orders them as the
+        // tuple of their trimmed word vectors, as `Cube`'s derived `Ord` did.
+        let mut cubes: Vec<(Cube, (Model, Model))> = pairs
+            .chunks(2)
+            .map(|pn| {
+                let (pos, pm) = &pn[0];
+                let (mut neg, mut nm) = pn[1].clone();
+                neg.difference_with(pos);
+                nm.difference(pm);
+                let lits = pos
+                    .iter()
+                    .map(|v| (v, true))
+                    .chain(neg.iter().map(|v| (v, false)));
+                (Cube::from_literals(lits), (pm.clone(), nm))
+            })
+            .collect();
+        let mut by_model = cubes.clone();
+        cubes.sort_by(|a, b| a.0.cmp(&b.0));
+        by_model.sort_by(|a, b| a.1.cmp(&b.1));
+        let order: Vec<&Cube> = cubes.iter().map(|(c, _)| c).collect();
+        let model_order: Vec<&Cube> = by_model.iter().map(|(c, _)| c).collect();
+        assert_eq!(order, model_order);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn inline_word_keeps_cube_at_48_bytes() {
+        assert_eq!(std::mem::size_of::<VarSet>(), 24);
+        assert_eq!(std::mem::size_of::<Cube>(), 48);
     }
 
     #[test]

@@ -129,15 +129,14 @@ impl Cube {
 
     /// Iterates over `(variable, phase)` literals in ascending variable order.
     pub fn literals(&self) -> impl Iterator<Item = (Var, bool)> + '_ {
-        // Merge the two sorted streams.
-        let mut merged: Vec<(Var, bool)> = self
-            .pos
-            .iter()
-            .map(|v| (v, true))
-            .chain(self.neg.iter().map(|v| (v, false)))
-            .collect();
-        merged.sort_unstable();
-        merged.into_iter()
+        // Merge the two ascending streams; no variable is in both.
+        let mut pos = self.pos.iter().peekable();
+        let mut neg = self.neg.iter().peekable();
+        std::iter::from_fn(move || match (pos.peek(), neg.peek()) {
+            (Some(p), Some(n)) if p < n => pos.next().map(|v| (v, true)),
+            (_, Some(_)) => neg.next().map(|v| (v, false)),
+            _ => pos.next().map(|v| (v, true)),
+        })
     }
 
     /// Whether this cube covers `other` (every minterm of `other` is a

@@ -1,6 +1,6 @@
 //! Multi-level combinational Boolean networks.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use crate::cube::Var;
@@ -52,7 +52,14 @@ pub enum NodeKind {
 struct NodeData {
     name: String,
     kind: NodeKind,
+    /// Topological rank: every fanin ranks strictly below the node it
+    /// feeds (see [`Network::set_function`]).
+    rank: u64,
 }
+
+/// Spacing between the ranks of consecutively added nodes, so a cone that
+/// must move below a new user usually fits without renumbering.
+const RANK_GAP: u64 = 1 << 20;
 
 /// A multi-output combinational Boolean network (the paper's network `G`).
 ///
@@ -85,6 +92,8 @@ pub struct Network {
     nodes: Vec<NodeData>,
     names: HashMap<String, NodeId>,
     outputs: Vec<(String, NodeId)>,
+    /// Rank given to the next added node: above every existing rank.
+    next_rank: u64,
 }
 
 impl Network {
@@ -95,6 +104,7 @@ impl Network {
             nodes: Vec::new(),
             names: HashMap::new(),
             outputs: Vec::new(),
+            next_rank: RANK_GAP,
         }
     }
 
@@ -154,7 +164,9 @@ impl Network {
         }
         let id = NodeId(self.nodes.len() as u32);
         self.names.insert(name.clone(), id);
-        self.nodes.push(NodeData { name, kind });
+        let rank = self.next_rank;
+        self.next_rank += RANK_GAP;
+        self.nodes.push(NodeData { name, kind, rank });
         Ok(id)
     }
 
@@ -267,28 +279,71 @@ impl Network {
         if self.is_input(id) {
             return Err(LogicError::InvalidNode(format!("{id} is a primary input")));
         }
-        // Reject self-dependency (direct or through existing nodes).
-        for &f in &fanins {
-            if f == id || self.transitive_fanin(f).contains(&id) {
+        // Only nodes ranked above `id` can depend on it, so a new fanin
+        // ranked below `id` — which includes every old fanin and every
+        // fanin of one — needs no search. From the others, walk the fanin
+        // cone pruned to ranks at or above `id`'s; reaching `id` is a cycle.
+        let rank = self.nodes[id.index()].rank;
+        let mut stack: Vec<NodeId> = fanins
+            .iter()
+            .copied()
+            .filter(|f| self.nodes[f.index()].rank >= rank)
+            .collect();
+        let mut cone: Vec<NodeId> = Vec::new();
+        let mut seen: HashSet<NodeId> = HashSet::new();
+        while let Some(n) = stack.pop() {
+            if n == id {
                 return Err(LogicError::Cycle);
             }
+            if seen.insert(n) {
+                cone.push(n);
+                stack.extend(
+                    self.fanins(n)
+                        .iter()
+                        .copied()
+                        .filter(|g| self.nodes[g.index()].rank >= rank),
+                );
+            }
         }
-        self.nodes[id.0 as usize].kind = NodeKind::Logic { fanins, sop };
+        self.nodes[id.index()].kind = NodeKind::Logic { fanins, sop };
+        if !cone.is_empty() {
+            self.rerank_below(id, cone);
+        }
         Ok(())
     }
 
-    fn transitive_fanin(&self, id: NodeId) -> Vec<NodeId> {
-        let mut seen = vec![false; self.nodes.len()];
-        let mut stack = vec![id];
-        let mut out = Vec::new();
-        while let Some(n) = stack.pop() {
-            if std::mem::replace(&mut seen[n.0 as usize], true) {
-                continue;
+    /// Restores the rank invariant after `id` gained fanins ranked at or
+    /// above it: `cone` is everything those fanins depend on at such ranks.
+    ///
+    /// The cone moves, in its old order, into the gap between its highest
+    /// outside fanin and `id`. Nothing outside the cone that depends on a
+    /// cone node ranks below `id`, and every outside fanin of the cone
+    /// ranks below the gap, so all edges stay rank-ordered. When the gap is
+    /// too narrow, every node is renumbered in topological order.
+    fn rerank_below(&mut self, id: NodeId, mut cone: Vec<NodeId>) {
+        let top = self.nodes[id.index()].rank;
+        let floor = cone
+            .iter()
+            .flat_map(|&n| self.fanins(n))
+            .map(|g| self.nodes[g.index()].rank)
+            .filter(|&r| r < top)
+            .max()
+            .unwrap_or(0);
+        let step = (top - floor) / (cone.len() as u64 + 1);
+        if step == 0 {
+            let order = self
+                .topo_order()
+                .expect("set_function keeps the network acyclic");
+            for (i, n) in order.into_iter().enumerate() {
+                self.nodes[n.index()].rank = (i as u64 + 1) * RANK_GAP;
             }
-            out.push(n);
-            stack.extend(self.fanins(n).iter().copied());
+            self.next_rank = (self.nodes.len() as u64 + 1) * RANK_GAP;
+            return;
         }
-        out
+        cone.sort_by_key(|n| self.nodes[n.index()].rank);
+        for (i, n) in cone.into_iter().enumerate() {
+            self.nodes[n.index()].rank = floor + step * (i as u64 + 1);
+        }
     }
 
     /// All node ids.
@@ -647,6 +702,136 @@ mod tests {
         let (mut net, g, f) = two_level_net();
         let r = net.set_function(g, vec![f], sop(&[&[(0, true)]]));
         assert_eq!(r, Err(LogicError::Cycle));
+    }
+
+    /// Whether every fanin ranks strictly below the node it feeds.
+    fn ranks_valid(net: &Network) -> bool {
+        net.node_ids().all(|id| {
+            net.fanins(id)
+                .iter()
+                .all(|f| net.nodes[f.index()].rank < net.nodes[id.index()].rank)
+        })
+    }
+
+    /// A chain a → n0 → n1 → … → n{len-1}, each node a buffer of the last.
+    fn chain(len: usize) -> (Network, Vec<NodeId>) {
+        let mut net = Network::new("chain");
+        let mut prev = net.add_input("a").unwrap();
+        let mut ids = Vec::new();
+        for i in 0..len {
+            prev = net
+                .add_node(format!("n{i}"), vec![prev], sop(&[&[(0, true)]]))
+                .unwrap();
+            ids.push(prev);
+        }
+        (net, ids)
+    }
+
+    #[test]
+    fn cycle_of_several_hops_rejected() {
+        let (mut net, ids) = chain(5);
+        let a = net.find("a").unwrap();
+        let r = net.set_function(ids[0], vec![a, ids[4]], sop(&[&[(0, true), (1, true)]]));
+        assert_eq!(r, Err(LogicError::Cycle));
+        // The rejected call left the node and the ranks untouched.
+        assert_eq!(net.fanins(ids[0]), &[a]);
+        assert!(ranks_valid(&net));
+    }
+
+    #[test]
+    fn cycle_through_appended_node_rejected() {
+        // `late` is added after `g` and depends on it through `f`; making
+        // `g` read `late` closes a loop through a node ranked above it.
+        let (mut net, g, f) = two_level_net();
+        let c = net.find("c").unwrap();
+        let late = net
+            .add_node("late", vec![f, c], sop(&[&[(0, true), (1, true)]]))
+            .unwrap();
+        let r = net.set_function(g, vec![late], sop(&[&[(0, true)]]));
+        assert_eq!(r, Err(LogicError::Cycle));
+        // Reading an appended node that does not depend on `g` is legal.
+        let a = net.find("a").unwrap();
+        let free = net
+            .add_node("free", vec![a, c], sop(&[&[(0, true)], &[(1, true)]]))
+            .unwrap();
+        net.set_function(g, vec![free], sop(&[&[(0, true)]]))
+            .unwrap();
+        assert!(ranks_valid(&net));
+    }
+
+    #[test]
+    fn repaired_ranks_catch_later_cycle() {
+        // x and y are independent, y ranked above x. x → reads y is legal
+        // but against rank order, so y's cone must move below x; afterwards
+        // y → reads x is a cycle that the stale ranks would have waved
+        // through (x ranked below y).
+        let mut net = Network::new("rerank");
+        let a = net.add_input("a").unwrap();
+        let b = net.add_input("b").unwrap();
+        let x = net.add_node("x", vec![a], sop(&[&[(0, false)]])).unwrap();
+        let y0 = net.add_node("y0", vec![b], sop(&[&[(0, false)]])).unwrap();
+        let y = net
+            .add_node("y", vec![y0, b], sop(&[&[(0, true), (1, true)]]))
+            .unwrap();
+        assert!(net.nodes[y.index()].rank > net.nodes[x.index()].rank);
+        net.set_function(x, vec![a, y], sop(&[&[(0, true), (1, true)]]))
+            .unwrap();
+        assert!(ranks_valid(&net));
+        assert!(net.nodes[y.index()].rank < net.nodes[x.index()].rank);
+        assert!(net.nodes[y0.index()].rank < net.nodes[y.index()].rank);
+        let r = net.set_function(y, vec![x], sop(&[&[(0, true)]]));
+        assert_eq!(r, Err(LogicError::Cycle));
+        let r = net.set_function(y0, vec![x, b], sop(&[&[(0, true), (1, true)]]));
+        assert_eq!(r, Err(LogicError::Cycle));
+    }
+
+    #[test]
+    fn set_function_matches_reachability_oracle() {
+        // Random rewiring, including many edges against rank order and
+        // enough repairs in one gap to force full renumbering: every
+        // verdict must equal a plain fanin-cone search, and the ranks must
+        // stay valid throughout.
+        use crate::rng::Xoshiro256;
+        fn reaches(net: &Network, from: NodeId, to: NodeId) -> bool {
+            let mut seen = vec![false; net.nodes.len()];
+            let mut stack = vec![from];
+            while let Some(n) = stack.pop() {
+                if n == to {
+                    return true;
+                }
+                if !std::mem::replace(&mut seen[n.index()], true) {
+                    stack.extend(net.fanins(n).iter().copied());
+                }
+            }
+            false
+        }
+        let mut rng = Xoshiro256::seed_from_u64(0xCEC1E);
+        let (mut net, mut ids) = chain(8);
+        let a = net.find("a").unwrap();
+        for step in 0..3000 {
+            if step % 50 == 0 {
+                let id = net.add_node(format!("m{step}"), vec![a], sop(&[&[(0, true)]]));
+                ids.push(id.unwrap());
+            }
+            let target = ids[rng.gen_range(0..ids.len())];
+            let mut fanins: Vec<NodeId> = Vec::new();
+            for _ in 0..rng.gen_range(1..4usize) {
+                let f = if rng.gen_range(0..4u32) == 0 {
+                    a
+                } else {
+                    ids[rng.gen_range(0..ids.len())]
+                };
+                if !fanins.contains(&f) {
+                    fanins.push(f);
+                }
+            }
+            let cyclic = fanins.iter().any(|&f| reaches(&net, f, target));
+            let cube: Vec<(u32, bool)> = (0..fanins.len() as u32).map(|v| (v, true)).collect();
+            let r = net.set_function(target, fanins, sop(&[&cube]));
+            assert_eq!(r.is_err(), cyclic, "step {step}");
+            assert!(ranks_valid(&net), "step {step}");
+        }
+        assert!(net.topo_order().is_ok());
     }
 
     #[test]

@@ -6,7 +6,9 @@
 
 use tels::circuits::paper_suite;
 use tels::core::perturb::{draw_disturbance, failure_rate, failure_rate_scalar, PerturbOptions};
-use tels::core::{synthesize, EvalPlan, TelsConfig, ThresholdGate, ThresholdNetwork, TnId};
+use tels::core::{
+    parse_tnet, synthesize, EvalPlan, TelsConfig, ThresholdGate, ThresholdNetwork, TnId,
+};
 use tels::logic::opt::script_algebraic;
 use tels::logic::rng::Xoshiro256;
 
@@ -216,5 +218,39 @@ fn verify_against_handles_boundary_pattern_counts() {
                 .is_none(),
             "spurious counterexample at {patterns} patterns"
         );
+    }
+}
+
+#[test]
+fn extreme_weights_neither_overflow_nor_disagree() {
+    // Gates a `.tnet` file may legally hold whose Σwᵢxᵢ, Σ|wᵢ| + |T| or
+    // |w| leave i64: scalar and packed evaluation must still agree on
+    // every assignment, and area and the report must not panic.
+    let cases = [
+        (
+            ".model big\n.inputs a b\n.outputs g\n\
+             .gate g T=1 a:9223372036854775807 b:9223372036854775807\n.end\n",
+            i64::MAX.unsigned_abs(),
+        ),
+        (
+            ".model small\n.inputs a b\n.outputs g\n\
+             .gate g T=-9223372036854775808 a:-9223372036854775808 b:-9223372036854775808\n.end\n",
+            i64::MIN.unsigned_abs(),
+        ),
+    ];
+    for (text, max_weight) in cases {
+        let tn = parse_tnet(text).expect("valid .tnet");
+        let plan = EvalPlan::new(&tn);
+        let mut scratch = plan.scratch();
+        // Lane m carries assignment a = bit 0 of m, b = bit 1 of m.
+        let word = plan.eval_word(&[0b1010, 0b1100], &mut scratch)[0];
+        for m in 0..4 {
+            let scalar = tn.eval(&[m & 1 != 0, m & 2 != 0]).expect("scalar eval")[0];
+            assert_eq!(word >> m & 1 != 0, scalar, "{}: assignment {m}", tn.model());
+        }
+        assert_eq!(tn.area(), u64::MAX, "{}: area", tn.model());
+        let report = tn.report();
+        assert_eq!(report.max_weight, max_weight, "{}", tn.model());
+        assert!(!report.to_string().is_empty());
     }
 }
