@@ -453,8 +453,8 @@ fn peak_rss_mb() -> f64 {
 /// byte-identical (under `write`) to the in-memory string parser on the
 /// same input, so the number reported is the parser production code
 /// actually runs on files. Factoring dominates end-to-end time at this
-/// scale (eliminate/simplify are superlinear-but-bounded; see DESIGN
-/// §2.14), which is exactly why the stage split is recorded.
+/// scale (see DESIGN §2.14), which is exactly why the stage split is
+/// recorded.
 ///
 /// A second measurement demonstrates insert-time structural hashing: the
 /// ALU array generator duplicates its carry-generate/propagate gates
