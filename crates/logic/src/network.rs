@@ -5,6 +5,7 @@ use std::fmt;
 
 use crate::cube::Var;
 use crate::error::LogicError;
+use crate::opt::PassMemo;
 use crate::sop::Sop;
 
 /// Identifier of a node within a [`Network`].
@@ -55,6 +56,10 @@ struct NodeData {
     /// Topological rank: every fanin ranks strictly below the node it
     /// feeds (see [`Network::set_function`]).
     rank: u64,
+    /// Edit stamp: the network clock when the node was added or its
+    /// function last written. Stamps only grow and no two writes share
+    /// one, so an unchanged stamp means an unchanged node.
+    stamp: u64,
 }
 
 /// Spacing between the ranks of consecutively added nodes, so a cone that
@@ -94,6 +99,12 @@ pub struct Network {
     outputs: Vec<(String, NodeId)>,
     /// Rank given to the next added node: above every existing rank.
     next_rank: u64,
+    /// Edit clock: ticks on every added node and every written function.
+    clock: u64,
+    /// State the factoring passes keep between calls (see
+    /// [`opt`](crate::opt)); allocated by the first pass that needs it,
+    /// so networks that are never factored carry one empty pointer.
+    memo: Option<Box<PassMemo>>,
 }
 
 impl Network {
@@ -105,6 +116,8 @@ impl Network {
             names: HashMap::new(),
             outputs: Vec::new(),
             next_rank: RANK_GAP,
+            clock: 0,
+            memo: None,
         }
     }
 
@@ -166,8 +179,49 @@ impl Network {
         self.names.insert(name.clone(), id);
         let rank = self.next_rank;
         self.next_rank += RANK_GAP;
-        self.nodes.push(NodeData { name, kind, rank });
+        let stamp = self.tick();
+        self.nodes.push(NodeData {
+            name,
+            kind,
+            rank,
+            stamp,
+        });
         Ok(id)
+    }
+
+    /// Advances the edit clock and returns the new time.
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
+    /// The current edit clock: every node's stamp is at most this, and any
+    /// later addition or write gets a larger one.
+    pub(crate) fn clock(&self) -> u64 {
+        self.clock
+    }
+
+    /// The clock when `id` was added or its function last written.
+    pub(crate) fn stamp(&self, id: NodeId) -> u64 {
+        self.nodes[id.index()].stamp
+    }
+
+    /// Moves the pass memo out (allocating an empty one on first use), so
+    /// a pass can hold it while it rewrites the network.
+    pub(crate) fn take_memo(&mut self) -> Box<PassMemo> {
+        self.memo.take().unwrap_or_default()
+    }
+
+    /// Returns the memo taken by [`Self::take_memo`].
+    pub(crate) fn put_memo(&mut self, memo: Box<PassMemo>) {
+        self.memo = Some(memo);
+    }
+
+    /// Forgets everything the passes remembered, as if the network had
+    /// never been factored.
+    #[cfg(test)]
+    pub(crate) fn clear_memo(&mut self) {
+        self.memo = None;
     }
 
     /// Generates a fresh node name with the given prefix.
@@ -268,7 +322,8 @@ impl Network {
     /// # Errors
     ///
     /// Same validation as [`Self::add_node`]; additionally rejects making the
-    /// node (transitively) depend on itself.
+    /// node (transitively) depend on itself. A rejected call changes nothing;
+    /// an accepted one gives the node a new edit stamp.
     pub fn set_function(
         &mut self,
         id: NodeId,
@@ -305,7 +360,10 @@ impl Network {
                 );
             }
         }
-        self.nodes[id.index()].kind = NodeKind::Logic { fanins, sop };
+        let stamp = self.tick();
+        let node = &mut self.nodes[id.index()];
+        node.kind = NodeKind::Logic { fanins, sop };
+        node.stamp = stamp;
         if !cone.is_empty() {
             self.rerank_below(id, cone);
         }
@@ -590,6 +648,8 @@ impl Network {
     /// reachable from the primary outputs (dead-node elimination).
     ///
     /// Primary inputs are always retained so the interface is unchanged.
+    /// The copy is a fresh network: node ids change, so it keeps none of
+    /// the passes' memos.
     pub fn compact(&self) -> Network {
         let mut live = vec![false; self.nodes.len()];
         let mut stack: Vec<NodeId> = self.outputs.iter().map(|&(_, id)| id).collect();
@@ -702,6 +762,41 @@ mod tests {
         let (mut net, g, f) = two_level_net();
         let r = net.set_function(g, vec![f], sop(&[&[(0, true)]]));
         assert_eq!(r, Err(LogicError::Cycle));
+    }
+
+    #[test]
+    fn stamps_follow_writes() {
+        let (mut net, g, f) = two_level_net();
+        // Every added node took its own tick.
+        let stamps: Vec<u64> = net.node_ids().map(|n| net.stamp(n)).collect();
+        assert_eq!(stamps, vec![1, 2, 3, 4, 5]);
+        assert_eq!(net.clock(), 5);
+        let a = net.find("a").unwrap();
+        net.set_function(g, vec![a], sop(&[&[(0, false)]])).unwrap();
+        assert_eq!(net.stamp(g), 6);
+        assert_eq!(net.clock(), 6);
+        // A rejected write (a cycle, a bad fanin) leaves stamps and clock.
+        assert!(net.set_function(g, vec![f], sop(&[&[(0, true)]])).is_err());
+        assert!(net
+            .set_function(g, vec![a, a], sop(&[&[(0, true)]]))
+            .is_err());
+        assert_eq!((net.stamp(g), net.stamp(f), net.clock()), (6, 5, 6));
+        // inline_fanin writes through set_function.
+        net.inline_fanin(f, 0).unwrap();
+        assert_eq!((net.stamp(f), net.clock()), (7, 7));
+    }
+
+    #[test]
+    fn memo_is_allocated_lazily_and_dropped_by_compact() {
+        let (mut net, _, _) = two_level_net();
+        assert!(net.memo.is_none());
+        let memo = net.take_memo();
+        net.put_memo(memo);
+        assert!(net.memo.is_some());
+        assert!(net.clone().memo.is_some());
+        assert!(net.compact().memo.is_none());
+        net.clear_memo();
+        assert!(net.memo.is_none());
     }
 
     /// Whether every fanin ranks strictly below the node it feeds.

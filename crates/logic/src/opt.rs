@@ -8,6 +8,11 @@
 //!
 //! All passes preserve network function; the integration test suite checks
 //! this by equivalence after every script.
+//!
+//! `eliminate` and `simplify` remember results in the network between
+//! calls, checked against the nodes' edit stamps (see [`Network`]): a
+//! result is reused only while everything it read is unchanged, so a pass
+//! writes the same network whether or not it ran before.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -135,13 +140,20 @@ fn set_local_sop(
     space: &[NodeId],
     sop: &Sop,
 ) -> Result<(), LogicError> {
+    let (fanins, sop) = node_function(space, sop);
+    net.set_function(id, fanins, sop)
+}
+
+/// The fanin list (the support, ascending by node id) and cover that
+/// [`set_local_sop`] writes for `sop` over `space`.
+fn node_function(space: &[NodeId], sop: &Sop) -> (Vec<NodeId>, Sop) {
     let support = sop.support();
     let fanins: Vec<NodeId> = support.iter().map(|v| space[v.0 as usize]).collect();
     let mut map = vec![Var(0); space.len()];
     for (i, v) in support.iter().enumerate() {
         map[v.0 as usize] = Var(i as u32);
     }
-    net.set_function(id, fanins, sop.remap(&map))
+    (fanins, sop.remap(&map))
 }
 
 fn users_of(net: &Network) -> Vec<Vec<NodeId>> {
@@ -202,35 +214,114 @@ pub fn sweep(net: &mut Network) -> usize {
 /// Two-level minimization of every node function.
 pub fn simplify(net: &mut Network) {
     let _span = tels_trace::span("logic", "simplify");
+    let mut memo = net.take_memo();
+    memo.simplified.resize(net.node_ids().count(), 0);
+    // Minimization reads only the local cover, and a circuit repeats few
+    // distinct covers: each is minimized once per call.
+    let mut covers: HashMap<Sop, Minimized> = HashMap::new();
     for id in net.node_ids().collect::<Vec<_>>() {
-        if net.is_input(id) {
+        if net.is_input(id) || memo.simplified[id.index()] == net.stamp(id) {
             continue;
         }
-        let minimized = net.sop(id).minimize();
+        if !covers.contains_key(net.sop(id)) {
+            let cover = net.sop(id).minimize();
+            covers.insert(
+                net.sop(id).clone(),
+                Minimized {
+                    cover,
+                    fixpoint: None,
+                },
+            );
+        }
+        let m = covers.get_mut(net.sop(id)).expect("inserted above");
+        let canonical = reads_ascending_fanins(net, id);
+        if canonical && m.fixpoint == Some(true) {
+            memo.simplified[id.index()] = net.stamp(id);
+            continue;
+        }
         // Minimization can drop variables; rewriting over the sorted fanins
         // refreshes the fanin list.
         let space = space_of(net, &[id], &[]);
         let map: Vec<Var> = net.fanins(id).iter().map(|&f| var_in(&space, f)).collect();
-        set_local_sop(net, id, &space, &minimized.remap(&map))
+        let (fanins, sop) = node_function(&space, &m.cover.remap(&map));
+        let unchanged = fanins == net.fanins(id) && sop == *net.sop(id);
+        if canonical {
+            m.fixpoint = Some(unchanged);
+        }
+        if unchanged {
+            memo.simplified[id.index()] = net.stamp(id);
+            continue;
+        }
+        net.set_function(id, fanins, sop)
             .expect("minimized function is valid");
     }
+    net.put_memo(memo);
+}
+
+/// A cover's minimization, as [`simplify`] memoizes it.
+struct Minimized {
+    cover: Sop,
+    /// Whether [`simplify`] leaves a node with this cover unchanged when
+    /// the node's fanins ascend and the cover reads every one of them
+    /// (`None` until such a node is seen). Then the rewrite's variable maps
+    /// are identities, so the outcome depends on the cover alone.
+    fixpoint: Option<bool>,
+}
+
+/// Whether a logic node's fanins strictly ascend and its cover reads them
+/// all.
+fn reads_ascending_fanins(net: &Network, id: NodeId) -> bool {
+    let fanins = net.fanins(id);
+    fanins.windows(2).all(|w| w[0] < w[1]) && net.sop(id).support().len() == fanins.len()
+}
+
+/// What the factoring passes remember about a network from one call to
+/// the next, checked against the [`Network`] edit stamps of the nodes each
+/// remembered result read. Lives in the network (see
+/// [`Network::take_memo`]), so calling the passes one at a time saves as
+/// much as [`script_algebraic`] does.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PassMemo {
+    /// Per node, its last [`eliminate`] trial as a victim.
+    trials: Vec<ElimTrial>,
+    /// Per node, the stamp at which [`simplify`] last left it unchanged
+    /// (0, below every stamp, for never).
+    simplified: Vec<u64>,
+}
+
+/// The threshold-free outcome of one [`eliminate`] trial.
+#[derive(Debug, Clone, Copy, Default)]
+struct ElimTrial {
+    /// The network clock when the trial's use list was read.
+    at: u64,
+    /// How many users the trial substituted into (0 for never tried).
+    uses: usize,
+    /// The `max_elim_literals` the trial ran under.
+    limit: usize,
+    /// The literal growth, or `None` if some user's new cover exceeded
+    /// `limit`.
+    growth: Option<isize>,
 }
 
 /// Inlines nodes whose elimination does not grow the network by more than
 /// `threshold` literals (SIS `eliminate`). Returns eliminated node count.
 pub fn eliminate(net: &mut Network, threshold: isize, opts: &OptOptions) -> usize {
     let _span = tels_trace::span("logic", "eliminate");
+    // A trial depends only on the victim's cover, its use list, the users'
+    // covers and the literal limit, so its growth holds at any threshold
+    // until one of those changes. The use lists are read at the start of
+    // each sweep, at clock `read`. A current user stamped at or before a
+    // trial's `read` already used the victim then and has not changed
+    // since, so it was in the trial's list; when every current user is,
+    // and the counts agree, the lists are equal. A trial that passes the
+    // threshold is re-run, since committing needs its new covers.
+    let mut memo = net.take_memo();
     let mut removed = 0;
-    // A trial depends only on the victim's and its users' fanins and covers.
-    // `edited[n]` is the commit count after node n was last rewritten, and
-    // `rejected[v]` the commit count and use list of v's last failed trial:
-    // a victim none of whose trial inputs changed since is not retried.
-    let mut commits = 0usize;
-    let mut edited = vec![0usize; net.node_ids().count()];
-    let mut rejected: Vec<Option<(usize, Vec<NodeId>)>> = vec![None; edited.len()];
     loop {
         let users = users_of(net);
         let po = drives_output(net);
+        let read = net.clock();
+        memo.trials.resize(users.len(), ElimTrial::default());
         let mut progress = false;
         for victim in net.node_ids().collect::<Vec<_>>() {
             if net.is_input(victim) || po[victim.0 as usize] {
@@ -244,11 +335,15 @@ pub fn eliminate(net: &mut Network, threshold: isize, opts: &OptOptions) -> usiz
             if uses.is_empty() {
                 continue;
             }
-            if let Some((at, last)) = &rejected[victim.index()] {
-                let unchanged = |n: &NodeId| edited[n.index()] <= *at;
-                if *last == uses && unchanged(&victim) && uses.iter().all(unchanged) {
-                    continue;
-                }
+            let last = memo.trials[victim.index()];
+            let unchanged = |n: &NodeId| net.stamp(*n) <= last.at;
+            if last.uses == uses.len()
+                && last.limit == opts.max_elim_literals
+                && unchanged(&victim)
+                && uses.iter().all(unchanged)
+                && last.growth.is_none_or(|g| g > threshold)
+            {
+                continue;
             }
             // Covers are kept SCC-minimal, so renaming preserves the count.
             let victim_lits = net.sop(victim).num_literals();
@@ -268,8 +363,13 @@ pub fn eliminate(net: &mut Network, threshold: isize, opts: &OptOptions) -> usiz
                 delta += new.num_literals() as isize - old.num_literals() as isize;
                 new_sops.push((u, space, new));
             }
+            memo.trials[victim.index()] = ElimTrial {
+                at: read,
+                uses: uses.len(),
+                limit: opts.max_elim_literals,
+                growth: (!abort).then_some(delta),
+            };
             if abort || delta > threshold {
-                rejected[victim.index()] = Some((commits, uses));
                 continue;
             }
             let mut committed = true;
@@ -278,8 +378,6 @@ pub fn eliminate(net: &mut Network, threshold: isize, opts: &OptOptions) -> usiz
                     committed = false;
                     break;
                 }
-                commits += 1;
-                edited[u.index()] = commits;
             }
             if committed {
                 removed += 1;
@@ -287,6 +385,7 @@ pub fn eliminate(net: &mut Network, threshold: isize, opts: &OptOptions) -> usiz
             }
         }
         if !progress {
+            net.put_memo(memo);
             return removed;
         }
     }
@@ -299,7 +398,9 @@ fn canon_key(s: &Sop) -> Vec<Cube> {
     cubes
 }
 
-/// A rarest literal of the divisor, used to pre-filter candidate nodes.
+/// The first literal of the divisor's first cube, used to pre-filter
+/// candidate nodes: a cover with a nonzero quotient contains every literal
+/// of the divisor, this one included.
 fn filter_literal(d: &Sop) -> Option<(Var, bool)> {
     d.cubes().first().and_then(|c| c.literals().next())
 }
@@ -311,31 +412,34 @@ pub fn extract(net: &mut Network, opts: &OptOptions) -> usize {
     let mut created = 0;
     for _round in 0..opts.max_extract_rounds {
         let logic_nodes: Vec<NodeId> = net.node_ids().filter(|&id| !net.is_input(id)).collect();
-        // Literal → nodes whose cover contains it (for candidate filtering).
-        let mut lit_index: HashMap<(Var, bool), Vec<NodeId>> = HashMap::new();
-        let mut globals: HashMap<NodeId, Sop> = HashMap::new();
+        // Literal (node, phase) → nodes whose cover contains it, ascending
+        // (for candidate filtering), read off the local covers.
+        let mut lit_index: HashMap<(NodeId, bool), Vec<NodeId>> = HashMap::new();
         for &id in &logic_nodes {
-            let g = global_sop(net, id);
-            for c in g.cubes() {
-                for lit in c.literals() {
-                    let entry = lit_index.entry(lit).or_default();
+            let fanins = net.fanins(id);
+            for c in net.sop(id).cubes() {
+                for (v, phase) in c.literals() {
+                    let entry = lit_index.entry((fanins[v.0 as usize], phase)).or_default();
                     if entry.last() != Some(&id) {
                         entry.push(id);
                     }
                 }
             }
-            globals.insert(id, g);
         }
+        // Candidates and cuts live in the global space; a node's global
+        // cover is built when its kernels are enumerated or it is divided.
+        let mut globals: HashMap<NodeId, Sop> = HashMap::new();
 
         // Candidate divisors: kernels of each node, plus common cubes of
         // intra-node cube pairs. A BTreeMap keeps candidate evaluation order
         // deterministic across runs.
         let mut candidates: BTreeMap<Vec<Cube>, Sop> = BTreeMap::new();
         for &id in &logic_nodes {
-            let g = &globals[&id];
-            if g.num_cubes() > opts.max_cubes_for_kernels {
+            // Every cover is SCC-minimal, so renaming keeps its cube count.
+            if net.sop(id).num_cubes() > opts.max_cubes_for_kernels {
                 continue;
             }
+            let g = globals.entry(id).or_insert_with(|| global_sop(net, id));
             for k in kernels(g, opts.max_kernels_per_node) {
                 if k.num_cubes() >= 2 {
                     candidates.entry(canon_key(&k)).or_insert(k);
@@ -370,16 +474,16 @@ pub fn extract(net: &mut Network, opts: &OptOptions) -> usize {
         let mut best: Option<(isize, Sop, Vec<Rewrite>)> = None;
         for (_, d) in candidates.into_iter().take(opts.max_candidates_per_round) {
             let d_lits = d.num_literals();
-            let Some(flit) = filter_literal(&d) else {
+            let Some((v, phase)) = filter_literal(&d) else {
                 continue;
             };
-            let Some(nodes) = lit_index.get(&flit) else {
+            let Some(nodes) = lit_index.get(&(NodeId(v.0), phase)) else {
                 continue;
             };
             let mut value: isize = -(d_lits as isize) - 1;
             let mut rewrites: Vec<(NodeId, Sop, Sop)> = Vec::new();
             for &id in nodes {
-                let g = &globals[&id];
+                let g = globals.entry(id).or_insert_with(|| global_sop(net, id));
                 let (q, r) = divide(g, &d);
                 if q.is_zero() {
                     continue;
@@ -635,22 +739,70 @@ pub fn script_algebraic(net: &Network) -> Network {
 pub fn script_algebraic_with(net: &Network, opts: &OptOptions) -> Network {
     let _span = tels_trace::span("logic", "script_algebraic");
     let mut n = net.compact();
-    sweep(&mut n);
-    eliminate(&mut n, -1, opts);
-    simplify(&mut n);
-    eliminate(&mut n, -1, opts);
-    sweep(&mut n);
-    eliminate(&mut n, 5, opts);
-    simplify(&mut n);
-    resubstitute(&mut n);
-    extract(&mut n, opts);
-    resubstitute(&mut n);
-    strash(&mut n);
-    sweep(&mut n);
-    eliminate(&mut n, -1, opts);
-    sweep(&mut n);
-    simplify(&mut n);
+    run_passes(&mut n, &ALGEBRAIC, opts);
     n.compact()
+}
+
+/// One factoring pass, as the scripts sequence them.
+#[derive(Debug, Clone, Copy)]
+enum Pass {
+    Sweep,
+    Eliminate(isize),
+    Simplify,
+    Resubstitute,
+    Extract,
+    Strash,
+}
+
+/// [`script_algebraic_with`]'s passes, between its two compactions.
+const ALGEBRAIC: [Pass; 15] = [
+    Pass::Sweep,
+    Pass::Eliminate(-1),
+    Pass::Simplify,
+    Pass::Eliminate(-1),
+    Pass::Sweep,
+    Pass::Eliminate(5),
+    Pass::Simplify,
+    Pass::Resubstitute,
+    Pass::Extract,
+    Pass::Resubstitute,
+    Pass::Strash,
+    Pass::Sweep,
+    Pass::Eliminate(-1),
+    Pass::Sweep,
+    Pass::Simplify,
+];
+
+/// [`script_boolean_with`]'s passes after the algebraic script.
+const BOOLEAN: [Pass; 5] = [
+    Pass::Eliminate(10),
+    Pass::Simplify,
+    Pass::Eliminate(5),
+    Pass::Simplify,
+    Pass::Sweep,
+];
+
+fn run_passes(net: &mut Network, passes: &[Pass], opts: &OptOptions) {
+    for pass in passes {
+        match *pass {
+            Pass::Sweep => {
+                sweep(net);
+            }
+            Pass::Eliminate(threshold) => {
+                eliminate(net, threshold, opts);
+            }
+            Pass::Simplify => simplify(net),
+            Pass::Resubstitute => {
+                resubstitute(net);
+            }
+            Pass::Extract => {
+                extract(net, opts);
+            }
+            Pass::Strash => {
+                strash(net);
+            }
+        }
+    }
 }
 
 /// The SIS `script.boolean` equivalent: the algebraic script plus an extra
@@ -671,11 +823,7 @@ pub fn script_boolean(net: &Network) -> Network {
 pub fn script_boolean_with(net: &Network, opts: &OptOptions) -> Network {
     let _span = tels_trace::span("logic", "script_boolean");
     let mut n = script_algebraic_with(net, opts);
-    eliminate(&mut n, 10, opts);
-    simplify(&mut n);
-    eliminate(&mut n, 5, opts);
-    simplify(&mut n);
-    sweep(&mut n);
+    run_passes(&mut n, &BOOLEAN, opts);
     n.compact()
 }
 
@@ -977,6 +1125,320 @@ mod tests {
         let after = net.compact();
         assert_eq!(after.num_logic_nodes(), 1);
         assert_equiv(&before, &after);
+    }
+
+    /// `t = a·b` feeding `f = t·c` and `g = t·d` (both outputs), plus an
+    /// unrelated output `h = x`. Eliminating `t` grows the network by
+    /// exactly 0 literals (−2 for `t`, +1 in each user).
+    fn elim_net() -> (Network, [NodeId; 4]) {
+        let mut net = Network::new("memo");
+        let ids: Vec<NodeId> = ["a", "b", "c", "d", "x"]
+            .iter()
+            .map(|n| net.add_input(*n).unwrap())
+            .collect();
+        let (a, b, c, d, x) = (ids[0], ids[1], ids[2], ids[3], ids[4]);
+        let and2 = || sop(&[&[(0, true), (1, true)]]);
+        let t = net.add_node("t", vec![a, b], and2()).unwrap();
+        let f = net.add_node("f", vec![t, c], and2()).unwrap();
+        let g = net.add_node("g", vec![t, d], and2()).unwrap();
+        let h = net.add_node("h", vec![x], sop(&[&[(0, true)]])).unwrap();
+        for (name, id) in [("f", f), ("g", g), ("h", h)] {
+            net.add_output(name, id).unwrap();
+        }
+        (net, [t, f, g, h])
+    }
+
+    /// The memo's last `eliminate` trial of `victim`.
+    fn trial(net: &mut Network, victim: NodeId) -> ElimTrial {
+        let memo = net.take_memo();
+        let trial = memo.trials[victim.index()];
+        net.put_memo(memo);
+        trial
+    }
+
+    /// `eliminate` on a clone, checked to preserve the function.
+    fn eliminated(net: &Network, threshold: isize, limit: usize) -> (Network, usize) {
+        let mut out = net.clone();
+        let opts = OptOptions {
+            max_elim_literals: limit,
+            ..OptOptions::default()
+        };
+        let n = eliminate(&mut out, threshold, &opts);
+        assert_equiv(net, &out);
+        (out, n)
+    }
+
+    #[test]
+    fn eliminate_reuses_a_trial_at_a_later_threshold() {
+        let (mut net, [t, _, _, h]) = elim_net();
+        let limit = OptOptions::default().max_elim_literals;
+        assert_eq!(eliminate(&mut net, -1, &OptOptions::default()), 0);
+        let first = trial(&mut net, t);
+        assert_eq!((first.uses, first.growth), (2, Some(0)));
+        // An unrelated write moves the clock; the trial is reused, not re-run.
+        let x = net.fanins(h)[0];
+        net.set_function(h, vec![x], Sop::literal(Var(0), false))
+            .unwrap();
+        assert_eq!(eliminated(&net, -1, limit).1, 0);
+        assert_eq!(eliminate(&mut net, -1, &OptOptions::default()), 0);
+        assert_eq!(trial(&mut net, t).at, first.at);
+        // The stored growth, not a stored verdict: 0 passes threshold 5.
+        let (after, n) = eliminated(&net, 5, limit);
+        assert_eq!(n, 1);
+        assert_eq!(after.compact().num_logic_nodes(), 3);
+    }
+
+    #[test]
+    fn eliminate_retries_when_users_change() {
+        let limit = OptOptions::default().max_elim_literals;
+        let (mut net, [t, _, g, h]) = elim_net();
+        assert_eq!(eliminate(&mut net, -1, &OptOptions::default()), 0);
+        let (a, b, c) = (
+            net.find("a").unwrap(),
+            net.find("b").unwrap(),
+            net.find("c").unwrap(),
+        );
+
+        // A user lost: g stops reading t, and t's growth drops to −1.
+        let mut lost = net.clone();
+        let d = lost.find("d").unwrap();
+        lost.set_function(g, vec![d], Sop::literal(Var(0), true))
+            .unwrap();
+        assert_eq!(eliminated(&lost, -1, limit).1, 1);
+
+        // A user gained: h = t ∨ a·b·c collapses to a·b, growth −2.
+        let mut gained = net.clone();
+        gained
+            .set_function(
+                h,
+                vec![t, a, b, c],
+                sop(&[&[(0, true)], &[(1, true), (2, true), (3, true)]]),
+            )
+            .unwrap();
+        assert_eq!(eliminated(&gained, -1, limit).1, 1);
+
+        // A user rewritten in place, same use count: g = t ∨ a·b·c.
+        let mut rewritten = net.clone();
+        rewritten
+            .set_function(
+                g,
+                vec![t, a, b, c],
+                sop(&[&[(0, true)], &[(1, true), (2, true), (3, true)]]),
+            )
+            .unwrap();
+        assert_eq!(eliminated(&rewritten, -1, limit).1, 1);
+
+        // The victim rewritten: t = a gives growth −1 (−1, +0, +0).
+        let mut victim = net.clone();
+        victim
+            .set_function(t, vec![a], Sop::literal(Var(0), true))
+            .unwrap();
+        assert_eq!(eliminated(&victim, -1, limit).1, 1);
+    }
+
+    #[test]
+    fn eliminate_memo_counts_from_the_sweeps_use_lists() {
+        // Within one sweep, w (ranked after v but numbered before it) is
+        // eliminated into c, so c reads v from then on, but not in the use
+        // lists the sweep read. v's trial then covers {w, a, b}: growth +1,
+        // rejected. Next x = 0 is eliminated into a, which stops reading v.
+        // The next sweep sees {w, b, c}: the same count, and c unchanged
+        // since v's trial — but not since the use lists were read. The
+        // trial must re-run: with c = v·y ∨ p·q·y the growth is −2.
+        let mut net = Network::new("gain");
+        let ids: Vec<NodeId> = ["p", "q", "y", "y2"]
+            .iter()
+            .map(|n| net.add_input(*n).unwrap())
+            .collect();
+        let (p, q, y, y2) = (ids[0], ids[1], ids[2], ids[3]);
+        let and2 = || sop(&[&[(0, true), (1, true)]]);
+        let w = net.add_node("w", vec![y], sop(&[&[(0, true)]])).unwrap();
+        let v = net.add_node("v", vec![p, q], and2()).unwrap();
+        net.set_function(w, vec![v, y], and2()).unwrap();
+        let x = net.add_node("x", Vec::new(), Sop::zero()).unwrap();
+        let a = net
+            .add_node(
+                "a",
+                vec![v, x, y],
+                sop(&[&[(0, true), (1, true)], &[(2, true)]]),
+            )
+            .unwrap();
+        let b = net.add_node("b", vec![v, y2], and2()).unwrap();
+        let c = net
+            .add_node(
+                "c",
+                vec![w, p, q, y],
+                sop(&[&[(0, true)], &[(1, true), (2, true), (3, true)]]),
+            )
+            .unwrap();
+        for (name, id) in [("a", a), ("b", b), ("c", c)] {
+            net.add_output(name, id).unwrap();
+        }
+        let (after, n) = eliminated(&net, -1, OptOptions::default().max_elim_literals);
+        assert_eq!(n, 3, "w, x and then v are eliminated");
+        assert!(!after.fanins(b).contains(&v));
+    }
+
+    #[test]
+    fn eliminate_retries_under_a_new_literal_limit() {
+        // With a 2-literal limit, substituting t into f (a·b·c) is over it.
+        let (mut net, [t, ..]) = elim_net();
+        let tight = OptOptions {
+            max_elim_literals: 2,
+            ..OptOptions::default()
+        };
+        assert_eq!(eliminate(&mut net, 5, &tight), 0);
+        assert_eq!(trial(&mut net, t).growth, None);
+        assert_eq!(eliminated(&net, 5, 3).1, 1);
+    }
+
+    #[test]
+    fn simplify_skips_fixpoints_and_leaves_stamps_alone() {
+        // f = a ∨ a·b minimizes to a (and drops b); g = a·b is minimal.
+        let mut net = Network::new("s");
+        let a = net.add_input("a").unwrap();
+        let b = net.add_input("b").unwrap();
+        let f = net
+            .add_node(
+                "f",
+                vec![a, b],
+                sop(&[&[(0, true)], &[(0, true), (1, true)]]),
+            )
+            .unwrap();
+        let g = net
+            .add_node("g", vec![b, a], sop(&[&[(0, true), (1, true)]]))
+            .unwrap();
+        net.add_output("f", f).unwrap();
+        net.add_output("g", g).unwrap();
+        let before = net.clone();
+        let stamp_g = net.stamp(g);
+        simplify(&mut net);
+        assert_equiv(&before, &net);
+        // f was rewritten; g's fanins were sorted (a write, as before).
+        assert_eq!(net.fanins(f), &[a]);
+        assert_eq!(net.fanins(g), &[a, b]);
+        assert!(net.stamp(g) > stamp_g);
+        // Both are now fixpoints: a second call writes nothing.
+        let clock = net.clock();
+        simplify(&mut net);
+        assert_eq!(net.clock(), clock);
+        let memo = net.take_memo();
+        assert_eq!(memo.simplified[f.index()], net.stamp(f));
+        assert_eq!(memo.simplified[g.index()], net.stamp(g));
+    }
+
+    /// Rebuilds a `tels-circuits` network as this crate's [`Network`],
+    /// node for node. The dev-dependency links its own build of
+    /// `tels-logic`, whose types differ from this crate's, so the copy
+    /// goes through inherent methods only.
+    macro_rules! rebuild {
+        ($src:expr) => {{
+            let src = &$src;
+            let mut net = Network::new(src.model());
+            for id in src.node_ids() {
+                let name = src.name(id).to_string();
+                if src.is_input(id) {
+                    net.add_input(name).unwrap();
+                    continue;
+                }
+                let fanins = src.fanins(id).iter().map(|f| NodeId(f.index() as u32));
+                let cubes =
+                    src.sop(id).cubes().iter().map(|c| {
+                        Cube::from_literals(c.literals().map(|(v, phase)| (Var(v.0), phase)))
+                    });
+                net.add_node(name, fanins.collect(), Sop::from_cubes(cubes))
+                    .unwrap();
+            }
+            for (name, id) in src.outputs() {
+                net.add_output(name.clone(), NodeId(id.index() as u32))
+                    .unwrap();
+            }
+            net
+        }};
+    }
+
+    fn paper_suite() -> Vec<(String, Network)> {
+        tels_circuits::paper_suite()
+            .into_iter()
+            .map(|b| (b.name.to_string(), rebuild!(b.network)))
+            .collect()
+    }
+
+    /// The random networks `tests/golden_factored.rs` pins: `wide_psi9`'s
+    /// generator settings (20% negation), or with `negation_pct` changed.
+    fn random_networks(tag: &str, negation_pct: u32) -> Vec<(String, Network)> {
+        use tels_circuits::{random_network, RandomNetOptions};
+        let options = RandomNetOptions {
+            inputs: 24,
+            outputs: 12,
+            nodes: 200,
+            max_fanin: 6,
+            max_cubes: 6,
+            negation_pct,
+            ..RandomNetOptions::default()
+        };
+        (0..10u64)
+            .map(|i| {
+                let name = format!("{tag}_{i}");
+                let net = random_network(&name, 0x5EED_0000 + i, &options);
+                (name, rebuild!(net))
+            })
+            .collect()
+    }
+
+    /// Runs `passes` on a copy of `net`, and at each split
+    /// before an `eliminate` or `simplify` call with memo state to read,
+    /// finishes the script on a clone that keeps the memo and on one whose
+    /// memo is cleared. Returns the full run's bytes; panics where a pair
+    /// of finished copies differs.
+    fn finish_from_every_split(name: &str, net: &Network, passes: &[Pass]) -> String {
+        let opts = OptOptions::default();
+        let finish = |mut n: Network, split: usize| {
+            run_passes(&mut n, &passes[split..], &opts);
+            crate::blif::write(&n.compact())
+        };
+        let reads_memo = |pass: &Pass| matches!(pass, Pass::Eliminate(_) | Pass::Simplify);
+        let mut n = net.clone();
+        for split in 0..passes.len() {
+            if reads_memo(&passes[split]) && passes[..split].iter().any(reads_memo) {
+                let mut cleared = n.clone();
+                cleared.clear_memo();
+                assert_eq!(
+                    finish(n.clone(), split),
+                    finish(cleared, split),
+                    "{name}: stale memo changed the bytes (split at {split})"
+                );
+            }
+            run_passes(&mut n, &passes[split..=split], &opts);
+        }
+        crate::blif::write(&n.compact())
+    }
+
+    /// Whatever state the passes left behind partway through a script,
+    /// finishing with it gives the bytes a fresh start gives.
+    fn assert_stale_memos_harmless(nets: Vec<(String, Network)>) {
+        for (name, net) in nets {
+            let algebraic = script_algebraic(&net);
+            let bytes = finish_from_every_split(&name, &net.compact(), &ALGEBRAIC);
+            assert_eq!(bytes, crate::blif::write(&algebraic), "{name}");
+            let bytes = finish_from_every_split(&name, &algebraic, &BOOLEAN);
+            assert_eq!(bytes, crate::blif::write(&script_boolean(&net)), "{name}");
+        }
+    }
+
+    #[test]
+    fn stale_memos_harmless_on_the_paper_suite() {
+        assert_stale_memos_harmless(paper_suite());
+    }
+
+    #[test]
+    fn stale_memos_harmless_on_wide_random_networks() {
+        assert_stale_memos_harmless(random_networks("wide", 20));
+    }
+
+    #[test]
+    fn stale_memos_harmless_on_negated_random_networks() {
+        assert_stale_memos_harmless(random_networks("neg50", 50));
     }
 
     #[test]

@@ -323,16 +323,18 @@ impl Sop {
             match c.literal(v) {
                 None => result.cubes.push(c.clone()),
                 Some(phase) => {
-                    let rest = Sop {
-                        cubes: vec![c.without_var(v)],
-                    };
+                    let rest = c.without_var(v);
                     let factor = if phase {
-                        g.clone()
+                        g
                     } else {
-                        g_not.get_or_insert_with(|| g.complement()).clone()
+                        g_not.get_or_insert_with(|| g.complement())
                     };
-                    let prod = rest.and(&factor);
-                    result.cubes.extend(prod.cubes);
+                    // The final SCC below removes whatever an SCC of each
+                    // product would, and its stable sort leaves equal-size
+                    // cubes in the same order either way.
+                    result
+                        .cubes
+                        .extend(factor.cubes.iter().filter_map(|f| rest.and(f)));
                 }
             }
         }

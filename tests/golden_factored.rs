@@ -9,10 +9,15 @@
 //! and the two 10k-node circuits of the big-circuit benchmark (read back
 //! from their BLIF text, as the benchmark's jobs are). Any change
 //! to a factoring pass, its visiting order or its cube ordering that moves
-//! a single byte fails here.
+//! a single byte fails here. The suite and random networks are also
+//! factored by calling the passes one at a time, which must give the
+//! script's bytes: the passes' memos live in the network, not the script.
 
 use tels::circuits::{alu_array, paper_suite, parity_ladder, random_network, RandomNetOptions};
-use tels::logic::opt::{script_algebraic, script_boolean};
+use tels::logic::opt::{
+    eliminate, extract, resubstitute, script_algebraic, script_boolean, simplify, strash, sweep,
+    OptOptions,
+};
 use tels::logic::{blif, Network};
 
 /// 64-bit FNV-1a over `bytes`.
@@ -121,6 +126,48 @@ fn suite_and_random_factored_bytes_match_golden_digests() {
         actual.push(digests(&name, &net));
     }
     check(&actual, GOLDEN_SMALL);
+}
+
+/// `script_algebraic`'s passes called one at a time through the public
+/// API, in its documented order — as a traced benchmark run calls them,
+/// each in its own span. The passes keep their memos in the network, so
+/// this must give the script's bytes.
+fn algebraic_by_passes(net: &Network) -> Network {
+    let opts = OptOptions::default();
+    let mut n = net.compact();
+    sweep(&mut n);
+    eliminate(&mut n, -1, &opts);
+    simplify(&mut n);
+    eliminate(&mut n, -1, &opts);
+    sweep(&mut n);
+    eliminate(&mut n, 5, &opts);
+    simplify(&mut n);
+    resubstitute(&mut n);
+    extract(&mut n, &opts);
+    resubstitute(&mut n);
+    strash(&mut n);
+    sweep(&mut n);
+    eliminate(&mut n, -1, &opts);
+    sweep(&mut n);
+    simplify(&mut n);
+    n.compact()
+}
+
+#[test]
+fn passes_one_at_a_time_match_the_script() {
+    let mut nets: Vec<(String, Network)> = paper_suite()
+        .into_iter()
+        .map(|b| (b.name.to_string(), b.network))
+        .collect();
+    nets.extend(random_networks());
+    for ((name, net), want) in nets.iter().zip(GOLDEN_SMALL) {
+        assert_eq!(name, want.0);
+        let got = fnv1a(blif::write(&algebraic_by_passes(net)).as_bytes());
+        assert_eq!(
+            got, want.1,
+            "{name}: pass-by-pass bytes differ from script_algebraic's"
+        );
+    }
 }
 
 const GOLDEN_BIG: &[(&str, u64, u64)] = &[
