@@ -14,6 +14,12 @@
 //! * **persisted-warm**: the caches saved to disk, reloaded into a fresh
 //!   session, and the first pass over the suite timed — what a daemon
 //!   restart with `--cache-file` delivers.
+//! * **frame codec**: one synth request frame with a 64 KiB and a 1 MiB
+//!   BLIF payload, encoded as a client does (`synth_request_json` +
+//!   `write_json_frame`) and decoded as the daemon does
+//!   (`read_json_frame` + `parse_request`), in MB/s. The codec is linear,
+//!   so the per-byte cost at 1 MiB must stay within 3x of the cost at
+//!   64 KiB; a reader that rescans the document per character is 16x.
 //!
 //! The workload is the *synthesis service* one: clients submit
 //! pre-factored networks (`factor: false`, the one-shot side gets the
@@ -34,8 +40,9 @@
 //!
 //! The run doubles as a determinism gate: for every suite circuit the
 //! served `.tnet` bytes must equal the one-shot reference, cold and
-//! persisted-warm. Acceptance gate: warm serve throughput at least 2x the
-//! one-shot process rate (when the real binary is available).
+//! persisted-warm. Acceptance gates: warm serve throughput at least 2x the
+//! one-shot process rate (when the real binary is available), and the
+//! frame codec's per-byte cost bound above.
 //!
 //! Run with `cargo run --release -p tels-bench --bin serve_pipeline`; pass
 //! `--quick` for a single-sample smoke run that skips the JSON write.
@@ -47,7 +54,9 @@ use tels_circuits::paper_suite;
 use tels_core::TelsConfig;
 use tels_logic::blif;
 use tels_logic::opt::script_algebraic;
-use tels_serve::protocol::JobRequest;
+use tels_serve::protocol::{
+    parse_request, read_json_frame, synth_request_json, write_json_frame, JobRequest, Request,
+};
 use tels_serve::{ServeOptions, ServeSession};
 use tels_trace::json::Json;
 
@@ -111,6 +120,72 @@ fn serve_suite_tnets(session: &ServeSession, blifs: &[String]) -> Vec<String> {
                 .to_tnet()
         })
         .collect()
+}
+
+/// Payload sizes of the frame-codec leg.
+const CODEC_SIZES: [usize; 2] = [64 << 10, 1 << 20];
+
+/// Bytes each frame-codec sample encodes and decodes (whole frames).
+const CODEC_SAMPLE_BYTES: usize = 4 << 20;
+
+/// Timed samples per frame size; the fastest counts.
+const CODEC_SAMPLES: usize = 5;
+
+/// One frame-codec measurement.
+struct CodecRow {
+    frame_bytes: usize,
+    encode_ns_per_byte: f64,
+    decode_ns_per_byte: f64,
+}
+
+/// Times the client's encode and the daemon's decode of one synth frame
+/// whose BLIF payload is `payload` bytes of suite text (newlines and all,
+/// so the string escapes are exercised). Checks that the decoded job
+/// carries the payload unchanged.
+fn frame_codec(blifs: &[String], payload: usize) -> CodecRow {
+    let mut text = String::with_capacity(payload + 4096);
+    while text.len() < payload {
+        text.push_str(&blifs[text.len() % blifs.len()]);
+    }
+    text.truncate(payload); // BLIF text is ASCII.
+    let req = job(&text);
+    let mut frame = Vec::new();
+    write_json_frame(&mut frame, &synth_request_json(&req)).expect("encode");
+    let reps = CODEC_SAMPLE_BYTES.div_ceil(frame.len());
+    let fastest = |f: &mut dyn FnMut()| {
+        (0..CODEC_SAMPLES)
+            .map(|_| {
+                let start = Instant::now();
+                for _ in 0..reps {
+                    f();
+                }
+                start.elapsed().as_secs_f64() * 1e9 / (reps * frame.len()) as f64
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let mut out = Vec::with_capacity(frame.len());
+    let encode_ns_per_byte = fastest(&mut || {
+        out.clear();
+        write_json_frame(&mut out, &synth_request_json(&req)).expect("encode");
+    });
+    assert_eq!(out, frame, "frame encoding is not deterministic");
+    let mut decoded = None;
+    let decode_ns_per_byte = fastest(&mut || {
+        let doc = read_json_frame(&mut frame.as_slice())
+            .expect("frame")
+            .expect("one frame")
+            .expect("valid JSON");
+        decoded = Some(parse_request(doc).expect("valid request"));
+    });
+    match decoded {
+        Some(Request::Synth(job)) => assert!(job.blif == text, "decoded BLIF differs"),
+        other => panic!("decoded {other:?}, not a synth request"),
+    }
+    CodecRow {
+        frame_bytes: frame.len(),
+        encode_ns_per_byte,
+        decode_ns_per_byte,
+    }
 }
 
 /// Locates the release `tels` binary next to this bench binary, if built.
@@ -268,6 +343,26 @@ fn main() {
          {persisted_rate:.1}/s (bytes identical)"
     );
 
+    // --- Frame codec: per-byte cost at 64 KiB and 1 MiB. -----------------
+    let codec: Vec<CodecRow> = CODEC_SIZES
+        .iter()
+        .map(|&n| frame_codec(&blifs, n))
+        .collect();
+    for row in &codec {
+        println!(
+            "frame codec {:>8} B: encode {:>7.1} MB/s, decode {:>7.1} MB/s",
+            row.frame_bytes,
+            1e3 / row.encode_ns_per_byte,
+            1e3 / row.decode_ns_per_byte
+        );
+    }
+    let encode_ratio = codec[1].encode_ns_per_byte / codec[0].encode_ns_per_byte;
+    let decode_ratio = codec[1].decode_ns_per_byte / codec[0].decode_ns_per_byte;
+    println!(
+        "frame codec per-byte cost, 1 MiB vs 64 KiB: encode {encode_ratio:.2}x, \
+         decode {decode_ratio:.2}x"
+    );
+
     // --- Gates and output. ----------------------------------------------
     let speedup = best_warm_rate / one_shot_rate;
     println!("warm serve {best_warm_rate:.1}/s vs one-shot {one_shot_rate:.1}/s = {speedup:.1}x");
@@ -282,7 +377,24 @@ fn main() {
         );
     }
 
+    for (side, ratio) in [("encode", encode_ratio), ("decode", decode_ratio)] {
+        assert!(
+            ratio <= 3.0,
+            "frame {side} costs {ratio:.2}x as much per byte at 1 MiB as at 64 KiB (> 3x)"
+        );
+    }
+
     if !quick {
+        let codec_rows = codec
+            .iter()
+            .map(|row| {
+                Json::obj([
+                    ("frame_bytes", Json::Num(row.frame_bytes as f64)),
+                    ("encode_mb_per_s", Json::Num(1e3 / row.encode_ns_per_byte)),
+                    ("decode_mb_per_s", Json::Num(1e3 / row.decode_ns_per_byte)),
+                ])
+            })
+            .collect();
         let doc = Json::obj([
             ("benchmark", Json::str("serve_pipeline")),
             (
@@ -331,6 +443,14 @@ fn main() {
                 ]),
             ),
             ("warm_speedup_vs_one_shot", Json::Num(speedup)),
+            ("frame_codec", Json::Arr(codec_rows)),
+            (
+                "frame_codec_cost_ratio_1mib_vs_64kib",
+                Json::obj([
+                    ("encode", Json::Num(encode_ratio)),
+                    ("decode", Json::Num(decode_ratio)),
+                ]),
+            ),
             (
                 "byte_identity",
                 Json::obj([

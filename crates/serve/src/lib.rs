@@ -246,11 +246,8 @@ impl ServeSession {
         let net = blif::parse_reader(req.blif.as_bytes()).map_err(|e| format!("blif: {e}"))?;
         // Mirror one-shot `tels synth`: factor by default, synthesize the
         // prepared network, verify (when asked) against the *original*.
-        let prepared = if req.factor {
-            script_algebraic(&net)
-        } else {
-            net.clone()
-        };
+        let factored = req.factor.then(|| script_algebraic(&net));
+        let prepared = factored.as_ref().unwrap_or(&net);
         let config = &req.config;
         let cache = self.cache(config.cache_key());
         // Setup (parse, factoring, cache fetch) is the job's "queue wait":
@@ -267,7 +264,7 @@ impl ServeSession {
         };
         finish((|| {
             let (tn, stats) =
-                synthesize_with_cache(&prepared, config, &cache).map_err(|e| e.to_string())?;
+                synthesize_with_cache(prepared, config, &cache).map_err(|e| e.to_string())?;
             if req.verify {
                 match tn
                     .verify_against(&net, 12, 1024, 1)
@@ -282,8 +279,9 @@ impl ServeSession {
     }
 
     /// Handles one parsed request frame, returning the reply and whether
-    /// this request asked the server to shut down.
-    pub fn handle(&self, doc: &Json) -> (Json, bool) {
+    /// this request asked the server to shut down. Takes the document by
+    /// value: a synth job's BLIF text moves into the job uncopied.
+    pub fn handle(&self, doc: Json) -> (Json, bool) {
         // Echo a numeric `id` in error replies even when the request is
         // otherwise malformed, so pipelined clients can correlate.
         let id = doc.get("id").and_then(Json::as_u64);
@@ -691,7 +689,7 @@ mod tests {
         })
         .expect("job");
 
-        let (reply, shutdown) = s.handle(&protocol::metrics_request_json(false, false));
+        let (reply, shutdown) = s.handle(protocol::metrics_request_json(false, false));
         assert!(!shutdown);
         assert_eq!(reply.get("ok"), Some(&Json::Bool(true)));
         assert_eq!(reply.get("enabled"), Some(&Json::Bool(true)));
@@ -703,7 +701,7 @@ mod tests {
             .expect("jobs_ok counter");
         assert!(jobs_ok >= 1, "jobs_ok = {jobs_ok}");
 
-        let (reply, _) = s.handle(&protocol::metrics_request_json(true, true));
+        let (reply, _) = s.handle(protocol::metrics_request_json(true, true));
         let text = reply
             .get("prometheus")
             .and_then(Json::as_str)

@@ -51,20 +51,19 @@ impl From<io::Error> for FrameError {
 }
 
 /// Reads one frame. `Ok(None)` is a clean end of stream (EOF exactly at a
-/// frame boundary); EOF inside a frame is an error.
+/// frame boundary); EOF inside a frame, length prefix included, is an
+/// error.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, FrameError> {
     let mut len = [0u8; 4];
-    match r.read_exact(&mut len) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-            // Distinguish "no more frames" from "frame cut short": probe
-            // whether any length bytes arrived. `read_exact` leaves the
-            // buffer unspecified on error, so re-read conservatively —
-            // a clean close is the common case and reads zero bytes.
-            return Ok(None);
+    loop {
+        match r.read(&mut len[..1]) {
+            Ok(0) => return Ok(None),
+            Ok(_) => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
         }
-        Err(e) => return Err(e.into()),
     }
+    r.read_exact(&mut len[1..])?;
     let len = u32::from_be_bytes(len);
     if len > MAX_FRAME {
         return Err(FrameError::TooLarge(len));
@@ -77,19 +76,31 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, FrameError> {
 
 /// Writes one frame and flushes.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(payload.len())
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&[0; 4]);
+    frame.extend_from_slice(payload);
+    send_frame(w, frame)
+}
+
+/// Serializes a JSON value into one frame: the compact text goes straight
+/// into the frame buffer behind a length placeholder.
+pub fn write_json_frame(w: &mut impl Write, value: &Json) -> io::Result<()> {
+    let mut text = String::from("\0\0\0\0");
+    value.write_compact(&mut text);
+    send_frame(w, text.into_bytes())
+}
+
+/// Patches the payload length into `frame[..4]`, then sends the whole
+/// frame with one `write_all` and flushes.
+fn send_frame(w: &mut impl Write, mut frame: Vec<u8>) -> io::Result<()> {
+    let len = u32::try_from(frame.len() - 4)
         .ok()
         .filter(|&n| n <= MAX_FRAME)
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    frame[..4].copy_from_slice(&len.to_be_bytes());
+    w.write_all(&frame)?;
     tels_metrics::instruments::SERVE_BYTES_OUT.add(4 + u64::from(len));
     w.flush()
-}
-
-/// Serializes a JSON value into one frame.
-pub fn write_json_frame(w: &mut impl Write, value: &Json) -> io::Result<()> {
-    write_frame(w, value.to_string().as_bytes())
 }
 
 /// Reads one frame and parses it as JSON. The outer `Option`/`FrameError`
@@ -245,8 +256,9 @@ fn parse_config(doc: &Json) -> Result<TelsConfig, String> {
 }
 
 /// Parses a request frame. Errors are recoverable: the server replies with
-/// the message and keeps the connection.
-pub fn parse_request(doc: &Json) -> Result<Request, String> {
+/// the message and keeps the connection. Takes the document by value so a
+/// synth request's BLIF text moves into its [`JobRequest`] uncopied.
+pub fn parse_request(mut doc: Json) -> Result<Request, String> {
     let op = doc
         .get("op")
         .and_then(Json::as_str)
@@ -262,29 +274,38 @@ pub fn parse_request(doc: &Json) -> Result<Request, String> {
             };
             Ok(Request::Metrics {
                 prometheus,
-                recorder: field_bool(doc, "recorder")?.unwrap_or(false),
+                recorder: field_bool(&doc, "recorder")?.unwrap_or(false),
             })
         }
         "shutdown" => Ok(Request::Shutdown),
         "synth" => {
-            let blif = doc
-                .get("blif")
-                .and_then(Json::as_str)
-                .ok_or("synth request requires a `blif` string")?
-                .to_string();
+            let blif =
+                take_str(&mut doc, "blif").ok_or("synth request requires a `blif` string")?;
             let config = match doc.get("config") {
                 None | Some(Json::Null) => TelsConfig::default(),
                 Some(cfg) => parse_config(cfg)?,
             };
             Ok(Request::Synth(Box::new(JobRequest {
-                id: field_u64(doc, "id")?,
+                id: field_u64(&doc, "id")?,
                 blif,
-                factor: field_bool(doc, "factor")?.unwrap_or(true),
-                verify: field_bool(doc, "verify")?.unwrap_or(false),
+                factor: field_bool(&doc, "factor")?.unwrap_or(true),
+                verify: field_bool(&doc, "verify")?.unwrap_or(false),
                 config,
             })))
         }
         other => Err(format!("unknown op `{other}`")),
+    }
+}
+
+/// Moves the string member `key` out of an object document, leaving an
+/// empty string in its place (`None` when absent or not a string).
+fn take_str(doc: &mut Json, key: &str) -> Option<String> {
+    let Json::Obj(pairs) = doc else {
+        return None;
+    };
+    match pairs.iter_mut().find(|(k, _)| k == key) {
+        Some((_, Json::Str(s))) => Some(std::mem::take(s)),
+        _ => None,
     }
 }
 
@@ -403,6 +424,39 @@ mod tests {
     }
 
     #[test]
+    fn truncated_length_prefix_is_io_error() {
+        for cut in 1..4 {
+            let buf = 7u32.to_be_bytes();
+            match read_frame(&mut &buf[..cut]) {
+                Err(FrameError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
+                other => panic!("{cut} prefix bytes: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn json_frame_is_one_write() {
+        /// Counts `write` calls.
+        struct Writes(Vec<Vec<u8>>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let doc = Json::obj([("op", Json::str("ping")), ("blif", Json::str("a\"b\n"))]);
+        let mut w = Writes(Vec::new());
+        write_json_frame(&mut w, &doc).unwrap();
+        assert_eq!(w.0.len(), 1);
+        let text = doc.to_string();
+        assert_eq!(w.0[0][..4], (text.len() as u32).to_be_bytes());
+        assert_eq!(w.0[0][4..], *text.as_bytes());
+    }
+
+    #[test]
     fn truncated_frame_is_io_error() {
         let mut buf = 100u32.to_be_bytes().to_vec();
         buf.extend_from_slice(b"short");
@@ -435,7 +489,7 @@ mod tests {
             },
         };
         let doc = synth_request_json(&req);
-        match parse_request(&doc).unwrap() {
+        match parse_request(doc).unwrap() {
             Request::Synth(parsed) => {
                 assert_eq!(parsed.id, Some(42));
                 assert_eq!(parsed.blif, req.blif);
@@ -454,7 +508,7 @@ mod tests {
                 "config": {"psi": 4, "retired_flag": false, "retired_count": 0}}"#,
         )
         .unwrap();
-        match parse_request(&doc).unwrap() {
+        match parse_request(doc).unwrap() {
             Request::Synth(parsed) => assert_eq!(
                 parsed.config,
                 TelsConfig {
@@ -477,7 +531,7 @@ mod tests {
             r#"{"op": "synth", "blif": ".model m\n.end\n", "config": {"strategy": "magic"}}"#,
         ] {
             let doc = tels_trace::json::parse(bad).unwrap();
-            assert!(parse_request(&doc).is_err(), "{bad} should be rejected");
+            assert!(parse_request(doc).is_err(), "{bad} should be rejected");
         }
     }
 }

@@ -66,7 +66,7 @@ fn serve_frames(
             Ok(None) => return Ok(ConnectionEnd::Eof),
             Ok(Some(Ok(doc))) => {
                 metrics::SERVE_FRAMES.inc(conn);
-                let (reply, shutdown) = session.handle(&doc);
+                let (reply, shutdown) = session.handle(doc);
                 write_json_frame(w, &reply)?;
                 if shutdown {
                     return Ok(ConnectionEnd::Shutdown);
@@ -248,5 +248,52 @@ mod tests {
         assert_eq!(ack.get("shutting_down"), Some(&Json::Bool(true)));
         // The trailing ping was never processed.
         assert!(read_json_frame(&mut replies).unwrap().is_none());
+    }
+
+    #[test]
+    fn deeply_nested_frame_is_a_recoverable_error() {
+        // Unbounded recursion on 100 000 `[` would overflow a connection
+        // thread's 2 MiB stack, which aborts the whole daemon process.
+        let mut input = Vec::new();
+        write_frame(&mut input, "[".repeat(100_000).as_bytes()).unwrap();
+        write_frame(&mut input, br#"{"op": "ping"}"#).unwrap();
+        let connection = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let session = ServeSession::new(ServeOptions::default()).unwrap();
+                let mut output = Vec::new();
+                let end = serve_connection(&session, &mut input.as_slice(), &mut output);
+                (end.unwrap(), output)
+            })
+            .unwrap();
+        let (end, output) = connection.join().expect("connection thread survived");
+        assert_eq!(end, ConnectionEnd::Eof);
+        let mut replies = output.as_slice();
+        let err = read_reply(&mut replies);
+        assert_eq!(err.get("ok"), Some(&Json::Bool(false)));
+        let message = err.get("error").and_then(Json::as_str).unwrap_or_default();
+        assert!(message.starts_with("malformed frame"), "{message}");
+        let pong = read_reply(&mut replies);
+        assert_eq!(pong.get("pong"), Some(&Json::Bool(true)));
+    }
+
+    #[test]
+    fn truncated_length_prefix_aborts() {
+        for cut in 1..4 {
+            let session = ServeSession::new(ServeOptions::default()).unwrap();
+            let mut input = Vec::new();
+            write_frame(&mut input, br#"{"op": "ping"}"#).unwrap();
+            input.extend_from_slice(&[0; 3][..cut]);
+            let mut output = Vec::new();
+            let end = serve_connection(&session, &mut input.as_slice(), &mut output).unwrap();
+            assert_eq!(end, ConnectionEnd::Aborted, "{cut} prefix bytes");
+            let mut replies = output.as_slice();
+            assert_eq!(
+                read_reply(&mut replies).get("pong"),
+                Some(&Json::Bool(true))
+            );
+            let stats = session.stats_json();
+            assert_eq!(stats.get("bad_frames").and_then(Json::as_u64), Some(1));
+        }
     }
 }

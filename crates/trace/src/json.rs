@@ -83,6 +83,12 @@ impl Json {
         }
     }
 
+    /// Appends the compact (single-line) serialization to `out` — the
+    /// bytes `Display` produces, without an intermediate `String`.
+    pub fn write_compact(&self, out: &mut String) {
+        self.write(out, None);
+    }
+
     /// Serializes with two-space indentation (trailing newline omitted).
     pub fn pretty(&self) -> String {
         let mut out = String::new();
@@ -157,22 +163,36 @@ fn write_number(out: &mut String, n: f64) {
     }
 }
 
+/// Whether `b` cannot appear raw inside a JSON string literal. Every such
+/// byte is ASCII, so a run of other bytes taken from a `&str` ends on a
+/// character boundary.
+fn needs_escape(b: u8) -> bool {
+    matches!(b, b'"' | b'\\' | 0..=0x1f)
+}
+
+/// Writes `s` as a JSON string literal, pushing unescaped runs whole.
 fn write_string(out: &mut String, s: &str) {
     use fmt::Write as _;
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !needs_escape(b) {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            b'\r' => out.push_str("\\r"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -180,21 +200,31 @@ impl fmt::Display for Json {
     /// Compact (single-line) serialization.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut out = String::new();
-        self.write(&mut out, None);
+        self.write_compact(&mut out);
         f.write_str(&out)
     }
 }
 
-/// Parses a JSON document (the exporters' round-trip oracle).
+/// Deepest array/object nesting [`parse`] accepts. No document this
+/// workspace writes nests deeper than about 6; the cap keeps a hostile
+/// document (say, a serve frame of 100 000 `[`) from overflowing the
+/// parsing thread's stack.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses a JSON document (the exporters' round-trip oracle and the serve
+/// frame reader). Runs in time linear in the document's length.
 ///
 /// # Errors
 ///
 /// Returns a message with a byte offset on malformed input, including
-/// trailing garbage after the top-level value.
+/// trailing garbage after the top-level value and nesting deeper than
+/// [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -206,8 +236,11 @@ pub fn parse(text: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -249,8 +282,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let value = if self.peek() == Some(b'[') {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
@@ -331,15 +378,23 @@ impl Parser<'_> {
                         b't' => out.push('\t'),
                         b'u' => {
                             let cp = self.hex4()?;
-                            // Surrogate pairs: combine when both halves are
-                            // present; otherwise fall back to U+FFFD.
+                            // Surrogate pairs: combine a high half with a
+                            // following low half; a lone half is U+FFFD, and
+                            // an escape after it that is not a low half is
+                            // read on its own.
                             let c = if (0xD800..0xDC00).contains(&cp) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
+                                let after_high = self.pos;
+                                let lo = if self.bytes[self.pos..].starts_with(b"\\u") {
                                     self.pos += 2;
-                                    let lo = self.hex4()?;
+                                    self.hex4()?
+                                } else {
+                                    0
+                                };
+                                if (0xDC00..0xE000).contains(&lo) {
                                     let combined = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
                                     char::from_u32(combined).unwrap_or('\u{FFFD}')
                                 } else {
+                                    self.pos = after_high;
                                     '\u{FFFD}'
                                 }
                             } else {
@@ -352,17 +407,15 @@ impl Parser<'_> {
                         }
                     }
                 }
+                Some(b) if b < 0x20 => {
+                    return Err(format!("raw control character at byte {}", self.pos));
+                }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().expect("non-empty");
-                    if (c as u32) < 0x20 {
-                        return Err(format!("raw control character at byte {}", self.pos));
+                    let start = self.pos;
+                    while self.peek().is_some_and(|b| !needs_escape(b)) {
+                        self.pos += 1;
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -373,8 +426,14 @@ impl Parser<'_> {
         if end > self.bytes.len() {
             return Err("truncated \\u escape".to_string());
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end]).map_err(|e| e.to_string())?;
-        let cp = u32::from_str_radix(hex, 16).map_err(|_| "invalid \\u escape".to_string())?;
+        // Four hex digits exactly: `from_str_radix` alone would also take
+        // a leading `+`.
+        let cp = self
+            .text
+            .get(self.pos..end)
+            .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+            .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+            .ok_or_else(|| format!("invalid \\u escape at byte {}", self.pos))?;
         self.pos = end;
         Ok(cp)
     }
@@ -484,6 +543,8 @@ mod tests {
             "tru",
             "1 2",
             "\"\\x\"",
+            "\"\\u+041\"",
+            "\"\\u00\"",
             "\"unterminated",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
@@ -496,5 +557,184 @@ mod tests {
         let text = v.to_string();
         assert_eq!(text, "\"a\\u0001b\"");
         assert_eq!(parse(&text).unwrap(), v);
+    }
+
+    /// The char-at-a-time string writer this module used before it wrote
+    /// unescaped runs whole: the byte-identity oracle for `write_string`.
+    fn write_string_by_char(out: &mut String, s: &str) {
+        use fmt::Write as _;
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\t' => out.push_str("\\t"),
+                '\r' => out.push_str("\\r"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    /// SplitMix64: a seeded generator for the property tests below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// Pieces whose boundaries are where an escaping or run-scanning codec
+    /// goes wrong: quotes, backslashes, control characters, and 2- and
+    /// 4-byte UTF-8 characters next to one another and to plain runs.
+    const PIECES: &[&str] = &[
+        "a",
+        "plain run",
+        "\"",
+        "\\",
+        "\n",
+        "\t",
+        "\r",
+        "\u{1}",
+        "\u{1f}",
+        "\u{7f}",
+        "é",
+        "𝄞",
+        "/",
+        " ",
+        "\"é\\",
+        "𝄞\u{8}",
+    ];
+
+    fn random_string(rng: &mut Rng) -> String {
+        (0..rng.below(12))
+            .map(|_| PIECES[rng.below(PIECES.len())])
+            .collect()
+    }
+
+    #[test]
+    fn string_runs_match_the_char_by_char_writer() {
+        let mut rng = Rng(0x1357);
+        for _ in 0..2000 {
+            let s = random_string(&mut rng);
+            let (mut runs, mut by_char) = (String::new(), String::new());
+            write_string(&mut runs, &s);
+            write_string_by_char(&mut by_char, &s);
+            assert_eq!(runs, by_char, "{s:?}");
+        }
+    }
+
+    #[test]
+    fn seeded_round_trip_across_run_boundaries() {
+        let mut rng = Rng(0x2468);
+        for _ in 0..500 {
+            let items = (0..rng.below(5))
+                .map(|_| Json::Str(random_string(&mut rng)))
+                .collect();
+            let v = Json::Obj(vec![
+                (random_string(&mut rng), Json::Arr(items)),
+                (random_string(&mut rng), Json::Str(random_string(&mut rng))),
+            ]);
+            let mut compact = String::new();
+            v.write_compact(&mut compact);
+            assert_eq!(compact, v.to_string());
+            for text in [compact, v.pretty()] {
+                assert_eq!(parse(&text).unwrap(), v, "{text}");
+            }
+        }
+        // Escapes only a reader sees, spliced between raw runs.
+        let escapes: &[(&str, &str)] = &[
+            ("\\/", "/"),
+            ("\\b", "\u{8}"),
+            ("\\f", "\u{c}"),
+            ("\\u00e9", "é"),
+            ("\\u0022", "\""),
+            ("\\ud834\\udd1e", "𝄞"),
+            ("é", "é"),
+            ("𝄞x", "𝄞x"),
+            ("ab", "ab"),
+        ];
+        for _ in 0..500 {
+            let (mut text, mut want) = (String::from("\""), String::new());
+            for _ in 0..rng.below(10) {
+                let (escaped, decoded) = escapes[rng.below(escapes.len())];
+                text.push_str(escaped);
+                want.push_str(decoded);
+            }
+            text.push('"');
+            assert_eq!(parse(&text).unwrap(), Json::Str(want), "{text}");
+        }
+    }
+
+    #[test]
+    fn lone_surrogates_become_replacement_characters() {
+        for (text, want) in [
+            (r#""\ud834""#, "\u{FFFD}"),
+            (r#""\ud834x""#, "\u{FFFD}x"),
+            (r#""\ud834\u0041""#, "\u{FFFD}A"),
+            (r#""\ud834\ud834\udd1e""#, "\u{FFFD}𝄞"),
+            (r#""\udd1e""#, "\u{FFFD}"),
+        ] {
+            assert_eq!(parse(text).unwrap(), Json::Str(want.to_string()), "{text}");
+        }
+    }
+
+    /// Parses `text` on a helper thread and fails if that takes longer
+    /// than `limit`, so a quadratic reader fails the test instead of
+    /// hanging it.
+    fn parse_within(text: String, limit: std::time::Duration) -> Json {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(parse(&text));
+        });
+        rx.recv_timeout(limit)
+            .expect("parse is not linear in the document length")
+            .expect("valid document")
+    }
+
+    #[test]
+    fn parse_is_linear_in_document_length() {
+        const MIB4: usize = 4 << 20;
+        // Linear, each case takes well under a second even in a debug
+        // build; a reader that rescans the rest of the document per
+        // character needs hours.
+        let limit = std::time::Duration::from_secs(60);
+        let long = "ab\\n𝄞".repeat(MIB4 / 8);
+        let v = parse_within(format!("\"{long}\""), limit);
+        assert_eq!(v.as_str().map(str::len), Some(long.len() / 8 * 7));
+        let item = "\"short string\",";
+        let n = MIB4 / item.len();
+        let text = format!("[{}\"\"]", item.repeat(n));
+        let v = parse_within(text, limit);
+        assert_eq!(v.as_array().map(<[Json]>::len), Some(n + 1));
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects).is_err());
+        // Far past the cap, unclosed: an error, not a stack overflow.
+        assert!(parse(&"[".repeat(100_000)).is_err());
     }
 }

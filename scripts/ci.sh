@@ -53,8 +53,11 @@ cargo run --release -p tels-bench --bin synth_pipeline --quiet -- --quick
 echo "==> serve_pipeline smoke (daemon throughput + determinism gates)"
 # Single-round run of the serve benchmark: asserts served `.tnet` bytes
 # match the one-shot binary for every suite circuit (cold and
-# persisted-warm) and warm serve throughput at least 2x the
-# per-invocation rate. Skips the BENCH_serve.json rewrite.
+# persisted-warm), warm serve throughput at least 2x the
+# per-invocation rate, and a linear frame codec: encoding and decoding a
+# 1 MiB synth frame may cost at most 3x per byte what a 64 KiB one does
+# (a reader that rescans the document per character is 16x). Skips the
+# BENCH_serve.json rewrite.
 cargo run --release -p tels-bench --bin serve_pipeline --quiet -- --quick
 
 echo "==> traced synthesis smoke (trace/stats round-trip)"
