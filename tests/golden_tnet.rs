@@ -5,11 +5,14 @@
 //! and tier-0.5 oracles switch off and the ILP answers every query. Two
 //! wide random networks are pinned at ψ = 6..=9 with Theorem 1 off, so
 //! that non-threshold queries reach tier 0.5 and the ILP instead of being
-//! refuted up front. The FNV-1a digest of each `.tnet` text must equal the
-//! committed value, so any refactor of the synthesis or threshold-check
-//! paths that changes a single emitted byte fails here.
+//! refuted up front. The two 10k-node circuits of the big-circuit
+//! benchmark are pinned at the default configuration, read back from BLIF
+//! text as the benchmark's jobs are. The FNV-1a digest of each `.tnet`
+//! text must equal the committed value, so any refactor of the synthesis
+//! or threshold-check paths that changes a single emitted byte fails here.
 
-use tels::circuits::{paper_suite, random_network, RandomNetOptions};
+use tels::circuits::{alu_array, paper_suite, parity_ladder, random_network, RandomNetOptions};
+use tels::logic::blif;
 use tels::logic::opt::script_algebraic;
 use tels::{synthesize, TelsConfig};
 
@@ -188,5 +191,40 @@ fn random_tnet_bytes_without_theorem1_match_golden_digests() {
         actual.as_slice(),
         GOLDEN_NO_THEOREM1,
         "random-network .tnet bytes changed; current digests:\n{listing}"
+    );
+}
+
+/// `(circuit, digest)` for the two 10k-node circuits of the big-circuit
+/// benchmark, synthesized at the default configuration.
+const GOLDEN_BIG: &[(&str, u64)] = &[
+    ("parity_ladder_160x64", 0x568c117d1cbb0b3d),
+    ("alu_array_1200", 0x8db655b5098e49ac),
+];
+
+#[test]
+fn big_circuit_tnet_bytes_match_golden_digests() {
+    // BLIF text → streaming parse → factoring → synthesis, as a one-shot
+    // `.blif` job runs them. Node ids reach past 10 000 here, so covers
+    // span many bitset words and fanin lists are not in ascending order.
+    let actual: Vec<(&str, u64)> = [
+        ("parity_ladder_160x64", parity_ladder(160, 64)),
+        ("alu_array_1200", alu_array(1200)),
+    ]
+    .iter()
+    .map(|(name, net)| {
+        let text = blif::write(net);
+        let parsed = blif::parse_reader(text.as_bytes()).expect("writer output parses");
+        let tn = synthesize(&script_algebraic(&parsed), &TelsConfig::default()).expect(name);
+        (*name, fnv1a(tn.to_tnet().as_bytes()))
+    })
+    .collect();
+    let listing: String = actual
+        .iter()
+        .map(|(name, h)| format!("    ({name:?}, 0x{h:016x}),\n"))
+        .collect();
+    assert_eq!(
+        actual.as_slice(),
+        GOLDEN_BIG,
+        "big-circuit .tnet bytes changed; current digests:\n{listing}"
     );
 }
