@@ -5,10 +5,20 @@
 //! [`crate::cache`]): answers are decided in canonical space, so the
 //! emitted network depends only on the input and the configuration, never
 //! on what an earlier job or query left in the cache.
+//!
+//! Every expression the driver handles is a cover over a *space*: an
+//! ascending list of node ids, where `Var(i)` denotes `space[i]`. A node
+//! starts over its sorted fanins, collapsing widens the space by the
+//! substituted node's fanins and trims it to the new support, and split
+//! parts and cofactors keep their parent's space. Renaming node ids into
+//! a space is monotone, and everything the driver and the checker read
+//! depends on variables only through their relative order, so the emitted
+//! bytes equal those of a driver over global node-id variables — while
+//! cube bitsets stay one word wide instead of growing with the node count.
 
 use std::collections::HashMap;
 
-use tels_logic::opt::global_sop;
+use tels_logic::opt::{local_sop, node_function, space_of, var_in};
 use tels_logic::{Cube, Network, NodeId, SignatureScratch, Sop, Var};
 
 use crate::cache::RealizationCache;
@@ -153,29 +163,18 @@ fn path_for(via: CheckVia) -> GatePath {
 const INLINE_DEPTH: usize = 1_000;
 
 /// Runs `f` on a scoped thread whose stack size grows with the source
-/// network's logic depth; shallow networks (the common case) run `f`
+/// network's logic `depth`; shallow networks (the common case) run `f`
 /// inline on the caller's stack.
-fn run_with_depth_stack<T: Send>(
-    net: &Network,
-    f: impl FnOnce() -> T + Send,
-) -> Result<T, SynthError> {
-    // `levels()` is an O(n) pass of its own — skip it when the node count
-    // cannot reach a problematic depth. Cyclic networks surface here as
-    // the same error `Synth::run` would return.
-    let depth = if net.num_logic_nodes() >= INLINE_DEPTH {
-        net.depth()?
-    } else {
-        0
-    };
+fn run_with_depth_stack<T: Send>(depth: usize, f: impl FnOnce() -> T + Send) -> T {
     if depth < INLINE_DEPTH {
-        return Ok(f());
+        return f();
     }
     // ~8 KiB of head-room per recursion level (frames carry Sop and name
     // temporaries through several mutually recursive calls) on a fixed
     // floor; address space is reserved, not committed, so over-asking for
     // very deep chains is cheap.
     let stack_bytes = 16 * 1024 * 1024 + depth.saturating_mul(8 * 1024);
-    Ok(std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         std::thread::Builder::new()
             .name("tels-synth-deep".into())
             .stack_size(stack_bytes)
@@ -183,7 +182,7 @@ fn run_with_depth_stack<T: Send>(
             .expect("spawn synthesis driver thread")
             .join()
             .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-    }))
+    })
 }
 
 /// Synthesizes an algebraically-factored Boolean network into a functionally
@@ -245,8 +244,17 @@ pub fn synthesize_with_cache(
 ) -> Result<(ThresholdNetwork, SynthStats), SynthError> {
     config.assert_valid();
     let mut span = tels_trace::span("core", "synthesize");
-    let mut s = Synth::new(net, config, cache)?;
-    run_with_depth_stack(net, || s.run())??;
+    // The one topological pass of the run: it rejects cyclic networks and
+    // gives both the delay tie-break levels and the stack depth.
+    let net_levels = net.levels()?;
+    let depth = net
+        .outputs()
+        .iter()
+        .map(|(_, id)| net_levels[id.index()])
+        .max()
+        .unwrap_or(0);
+    let mut s = Synth::new(net, config, cache, net_levels)?;
+    run_with_depth_stack(depth, || s.run())?;
     span.arg("gates", s.tn.num_gates() as u64);
     span.arg("ilp_calls", s.stats.ilp_calls as u64);
     Ok((s.tn, s.stats))
@@ -263,9 +271,9 @@ struct Synth<'a> {
     /// Canonical threshold-check cache.
     cache: &'a RealizationCache,
     tn: ThresholdNetwork,
-    /// Boundary nodes (PIs and fanout nodes) and synthesized roots, mapped
-    /// to their threshold-network signal.
-    signal_map: HashMap<NodeId, TnId>,
+    /// The threshold-network signal of each boundary node (PIs and fanout
+    /// nodes) and synthesized root, indexed by node id.
+    signal_map: Vec<Option<TnId>>,
     /// Original-network nodes that collapse must not look through:
     /// primary inputs and fanout nodes (|fanout| ≥ 2).
     boundary: Vec<bool>,
@@ -274,9 +282,9 @@ struct Synth<'a> {
     stats: SynthStats,
     /// Shared single-literal gates: (leaf signal, phase) → gate.
     literal_cache: HashMap<(TnId, bool), TnId>,
-    /// Name of the original-network node currently being synthesized
-    /// (provenance context for emitted gates; tracing only).
-    current_node: Option<String>,
+    /// Original-network node currently being synthesized (provenance
+    /// context for emitted gates, named only when tracing is enabled).
+    current_node: Option<NodeId>,
     /// Canonicalization buffers, reused across every cached query of the
     /// run instead of allocating fresh vectors per node.
     scratch: SignatureScratch,
@@ -287,19 +295,19 @@ impl<'a> Synth<'a> {
         net: &'a Network,
         config: &'a TelsConfig,
         cache: &'a RealizationCache,
+        net_levels: Vec<usize>,
     ) -> Result<Synth<'a>, SynthError> {
         let mut tn = ThresholdNetwork::new(net.model().to_string());
-        let mut signal_map = HashMap::new();
+        let mut signal_map = vec![None; net.node_ids().count()];
         for pi in net.inputs() {
             let id = tn.add_input(net.name(pi).to_string())?;
-            signal_map.insert(pi, id);
+            signal_map[pi.index()] = Some(id);
         }
         let fanouts = net.fanout_counts();
         let boundary: Vec<bool> = net
             .node_ids()
             .map(|id| net.is_input(id) || fanouts[id.index()] >= 2)
             .collect();
-        let net_levels = net.levels()?;
         Ok(Synth {
             net,
             config,
@@ -316,12 +324,8 @@ impl<'a> Synth<'a> {
     }
 
     fn run(&mut self) -> Result<(), SynthError> {
-        // Verify acyclicity up front; synthesis itself walks on demand.
-        self.net.topo_order()?;
         for (name, id) in self.net.outputs() {
             let signal = self.signal_for_node(*id)?;
-            // Root gates inherit the driving node's name where possible.
-            let _ = name;
             self.tn.add_output(name.clone(), signal)?;
         }
         Ok(())
@@ -331,20 +335,22 @@ impl<'a> Synth<'a> {
     /// synthesizing it on demand (primary inputs are pre-mapped; fanout
     /// nodes are synthesized once and shared, §V-A).
     fn signal_for_node(&mut self, id: NodeId) -> Result<TnId, SynthError> {
-        if let Some(&s) = self.signal_map.get(&id) {
+        if let Some(s) = self.signal_map[id.index()] {
             return Ok(s);
         }
-        let expr = global_sop(self.net, id);
-        let name = self.net.name(id).to_string();
+        let net = self.net;
+        let name = net.name(id);
         let mut span = tels_trace::span("core", "synth_node");
         if tels_trace::enabled() {
-            span.arg("node", name.as_str());
+            span.arg("node", name);
         }
-        let prev = self.current_node.replace(name.clone());
-        let signal = self.synth_expr(&expr, Some(&name))?;
+        let space = space_of(net, &[id], &[]);
+        let expr = local_sop(net, id, &space);
+        let prev = self.current_node.replace(id);
+        let signal = self.synth_expr(expr, space, Some(name))?;
         self.current_node = prev;
         drop(span);
-        self.signal_map.insert(id, signal);
+        self.signal_map[id.index()] = Some(signal);
         Ok(signal)
     }
 
@@ -355,45 +361,53 @@ impl<'a> Synth<'a> {
     /// the Fig. 3 flow feeds split nodes back through collapsing, so a leaf
     /// blocked by ψ at the parent can be absorbed once a split shrinks the
     /// support.
-    fn collapse_expr(&mut self, mut expr: Sop) -> Sop {
+    ///
+    /// Each substitution runs over the sorted union of `space` and the
+    /// substituted node's fanins; an accepted one trims the space to the
+    /// new support.
+    fn collapse_expr(&mut self, mut expr: Sop, mut space: Vec<NodeId>) -> (Sop, Vec<NodeId>) {
         let limit = self.config.psi.max(expr.support().len());
-        let mut blocked: Vec<Var> = Vec::new();
+        let mut blocked: Vec<NodeId> = Vec::new();
         loop {
-            let candidate_var = expr.support().iter().find(|&v| {
-                let node = NodeId::from_index(v.0 as usize);
-                !self.boundary[node.index()] && !blocked.contains(&v)
-            });
-            let Some(v) = candidate_var else { break };
-            let inner = global_sop(self.net, NodeId::from_index(v.0 as usize));
-            let substituted = expr.substitute(v, &inner);
+            let candidate = expr
+                .support()
+                .iter()
+                .map(|v| space[v.0 as usize])
+                .find(|&node| !self.boundary[node.index()] && !blocked.contains(&node));
+            let Some(node) = candidate else { break };
+            let union = space_of(self.net, &[node], &space);
+            let map: Vec<Var> = space.iter().map(|&n| var_in(&union, n)).collect();
+            let inner = local_sop(self.net, node, &union);
+            let substituted = expr.remap(&map).substitute(var_in(&union, node), &inner);
             if substituted.support().len() <= limit && substituted.num_cubes() <= COLLAPSE_CUBE_CAP
             {
-                expr = substituted;
+                (space, expr) = node_function(&union, &substituted);
                 self.stats.collapses += 1;
             } else {
-                blocked.push(v);
+                blocked.push(node);
             }
         }
-        expr
+        (expr, space)
     }
 
-    /// The threshold-network signal for a leaf variable of an expression,
-    /// synthesizing the underlying node on demand.
-    fn leaf_signal(&mut self, v: Var) -> Result<TnId, SynthError> {
-        self.signal_for_node(NodeId::from_index(v.0 as usize))
+    /// The threshold-network signal for variable `v` of an expression over
+    /// `space`, synthesizing the underlying node on demand.
+    fn leaf_signal(&mut self, space: &[NodeId], v: Var) -> Result<TnId, SynthError> {
+        self.signal_for_node(space[v.0 as usize])
     }
 
-    /// Emits a gate for a realization over *global-variable* weights.
+    /// Emits a gate for a realization whose variables index `space`.
     fn emit_gate(
         &mut self,
         r: &Realization,
+        space: &[NodeId],
         name_hint: Option<&str>,
         path: GatePath,
     ) -> Result<TnId, SynthError> {
         let inputs: Vec<TnId> = r
             .weights
             .iter()
-            .map(|&(v, _)| self.leaf_signal(v))
+            .map(|&(v, _)| self.leaf_signal(space, v))
             .collect::<Result<_, _>>()?;
         let weights: Vec<i64> = r.weights.iter().map(|&(_, w)| w).collect();
         self.emit_raw_gate(inputs, weights, r.threshold, name_hint, path)
@@ -418,7 +432,7 @@ impl<'a> Synth<'a> {
             tels_trace::provenance(
                 &name,
                 path.as_str(),
-                self.current_node.as_deref(),
+                self.current_node.map(|id| self.net.name(id)),
                 self.config.psi,
             );
         }
@@ -566,7 +580,12 @@ impl<'a> Synth<'a> {
     /// expansion on the most binate (else most frequent) variable, with
     /// special cases when a cofactor is constant (the paper's future-work
     /// strategy; see [`SynthStrategy::Shannon`](crate::SynthStrategy)).
-    fn shannon_expr(&mut self, expr: &Sop, name_hint: Option<&str>) -> Result<TnId, SynthError> {
+    fn shannon_expr(
+        &mut self,
+        expr: &Sop,
+        space: &[NodeId],
+        name_hint: Option<&str>,
+    ) -> Result<TnId, SynthError> {
         let support = expr.support();
         let v = expr
             .binate_vars()
@@ -578,56 +597,62 @@ impl<'a> Synth<'a> {
         let f0 = expr.cofactor(v, false);
         if f1.equivalent(&f0) {
             // The variable is functionally redundant in this cover.
-            return self.synth_expr(&f1, name_hint);
+            return self.synth_expr(f1, space.to_vec(), name_hint);
         }
-        let x = self.leaf_signal(v)?;
+        let x = self.leaf_signal(space, v)?;
         let lit = |phase: bool| Sop::literal(Var(0), phase);
         if f1.is_one() {
             // f = x ∨ f0.
-            let c0 = self.synth_expr(&f0, None)?;
+            let c0 = self.synth_expr(f0, space.to_vec(), None)?;
             let proto = lit(true).or(&Sop::literal(Var(1), true));
             return self.emit_proto_gate(&proto, vec![x, c0], name_hint, GatePath::Shannon);
         }
         if f0.is_one() {
             // f = x̄ ∨ f1.
-            let c1 = self.synth_expr(&f1, None)?;
+            let c1 = self.synth_expr(f1, space.to_vec(), None)?;
             let proto = lit(false).or(&Sop::literal(Var(1), true));
             return self.emit_proto_gate(&proto, vec![x, c1], name_hint, GatePath::Shannon);
         }
         if f0.is_zero() {
             // f = x·f1.
-            let c1 = self.synth_expr(&f1, None)?;
+            let c1 = self.synth_expr(f1, space.to_vec(), None)?;
             return self.and_terms(vec![(x, true), (c1, true)], name_hint, GatePath::Shannon);
         }
         if f1.is_zero() {
             // f = x̄·f0.
-            let c0 = self.synth_expr(&f0, None)?;
+            let c0 = self.synth_expr(f0, space.to_vec(), None)?;
             return self.and_terms(vec![(x, false), (c0, true)], name_hint, GatePath::Shannon);
         }
         // General 2:1 mux recombination.
-        let c1 = self.synth_expr(&f1, None)?;
-        let c0 = self.synth_expr(&f0, None)?;
+        let c1 = self.synth_expr(f1, space.to_vec(), None)?;
+        let c0 = self.synth_expr(f0, space.to_vec(), None)?;
         let and1 = self.and_terms(vec![(x, true), (c1, true)], None, GatePath::Shannon)?;
         let and0 = self.and_terms(vec![(x, false), (c0, true)], None, GatePath::Shannon)?;
         self.or_gate(vec![and1, and0], name_hint, GatePath::Shannon)
     }
 
-    /// Recursively synthesizes an expression over global variables, mapping
-    /// leaves to threshold-network signals on demand.
-    fn synth_expr(&mut self, expr: &Sop, name_hint: Option<&str>) -> Result<TnId, SynthError> {
+    /// Recursively synthesizes an expression over `space`, mapping leaves
+    /// to threshold-network signals on demand.
+    fn synth_expr(
+        &mut self,
+        expr: Sop,
+        space: Vec<NodeId>,
+        name_hint: Option<&str>,
+    ) -> Result<TnId, SynthError> {
         // Every expression — original node or split product — goes through
         // collapsing first (the Fig. 3 feedback edge).
-        let expr = &self.collapse_expr(expr.clone());
+        let (expr, space) = self.collapse_expr(expr, space);
+        let (expr, space) = (&expr, space.as_slice());
         // Constants.
         if expr.is_zero() || expr.is_one() {
             let r = Realization::constant(expr.is_one(), self.config);
-            return self.emit_gate(&r, name_hint, GatePath::Constant);
+            return self.emit_gate(&r, space, name_hint, GatePath::Constant);
         }
         // Single literal: reuse the leaf (or a shared inverter). A root
         // needing a stable name still gets a buffer gate.
         if expr.num_cubes() == 1 && expr.cubes()[0].literal_count() == 1 {
             let (v, phase) = expr.cubes()[0].literals().next().expect("one literal");
-            let sig = self.leaf_signal(v)?;
+            let sig = self.leaf_signal(space, v)?;
             if phase && name_hint.is_none() {
                 return Ok(sig);
             }
@@ -655,10 +680,10 @@ impl<'a> Synth<'a> {
             if expr.is_unate() && expr.support().len() <= self.config.psi {
                 let (r, via) = self.query_threshold(expr)?;
                 if let Some(r) = r {
-                    return self.emit_gate(&r, name_hint, path_for(via));
+                    return self.emit_gate(&r, space, name_hint, path_for(via));
                 }
             }
-            return self.shannon_expr(expr, name_hint);
+            return self.shannon_expr(expr, space, name_hint);
         }
 
         // Binate node: split per Fig. 8, OR the parts together.
@@ -666,8 +691,8 @@ impl<'a> Synth<'a> {
             self.stats.binate_splits += 1;
             let parts = split_binate(expr, self.config.psi)?;
             let children: Vec<TnId> = parts
-                .iter()
-                .map(|p| self.synth_expr(p, None))
+                .into_iter()
+                .map(|p| self.synth_expr(p, space.to_vec(), None))
                 .collect::<Result<_, _>>()?;
             return self.or_gate(children, name_hint, GatePath::BinateSplit);
         }
@@ -679,7 +704,7 @@ impl<'a> Synth<'a> {
         if expr.support().len() <= self.config.psi {
             let (r, via) = self.query_threshold(expr)?;
             if let Some(r) = r {
-                return self.emit_gate(&r, name_hint, path_for(via));
+                return self.emit_gate(&r, space, name_hint, path_for(via));
             }
             refuted_by_t1 = via == CheckVia::Theorem1;
         }
@@ -693,7 +718,7 @@ impl<'a> Synth<'a> {
         if expr.num_cubes() == 1 {
             let mut terms: Vec<(TnId, bool)> = Vec::new();
             for (v, phase) in expr.cubes()[0].literals() {
-                terms.push((self.leaf_signal(v)?, phase));
+                terms.push((self.leaf_signal(space, v)?, phase));
             }
             return self.and_terms(terms, name_hint, GatePath::AndChunk);
         }
@@ -702,10 +727,10 @@ impl<'a> Synth<'a> {
         self.stats.unate_splits += 1;
         match split_unate_with(expr, self.config.split_heuristic)? {
             UnateSplit::AndCube(cube, rest) => {
-                let child = self.synth_expr(&rest, None)?;
+                let child = self.synth_expr(rest, space.to_vec(), None)?;
                 let mut terms: Vec<(TnId, bool)> = Vec::new();
                 for (v, phase) in cube.literals() {
-                    terms.push((self.leaf_signal(v)?, phase));
+                    terms.push((self.leaf_signal(space, v)?, phase));
                 }
                 terms.push((child, true));
                 self.and_terms(terms, name_hint, split_path)
@@ -719,7 +744,7 @@ impl<'a> Synth<'a> {
                 let leaf_depth = |s: &Sop| -> usize {
                     s.support()
                         .iter()
-                        .map(|v| self.net_levels[v.0 as usize])
+                        .map(|v| self.net_levels[space[v.0 as usize].index()])
                         .max()
                         .unwrap_or(0)
                 };
@@ -740,11 +765,11 @@ impl<'a> Synth<'a> {
                         if self.config.weight_cap.is_some_and(|cap| w_extra > cap) {
                             continue;
                         }
-                        let child = self.synth_expr(rec_half, None)?;
+                        let child = self.synth_expr(rec_half.clone(), space.to_vec(), None)?;
                         let mut inputs: Vec<TnId> = r
                             .weights
                             .iter()
-                            .map(|&(v, _)| self.leaf_signal(v))
+                            .map(|&(v, _)| self.leaf_signal(space, v))
                             .collect::<Result<_, _>>()?;
                         let mut weights: Vec<i64> = r.weights.iter().map(|&(_, w)| w).collect();
                         inputs.push(child);
@@ -764,8 +789,8 @@ impl<'a> Synth<'a> {
                 let k = self.config.psi.min(expr.num_cubes());
                 let parts = split_cubes_k(expr, k);
                 let children: Vec<TnId> = parts
-                    .iter()
-                    .map(|p| self.synth_expr(p, None))
+                    .into_iter()
+                    .map(|p| self.synth_expr(p, space.to_vec(), None))
                     .collect::<Result<_, _>>()?;
                 self.or_gate(children, name_hint, split_path)
             }
@@ -954,6 +979,88 @@ mod tests {
         let (tn, _) = synth_and_verify(src, &TelsConfig::default());
         let inverter_gates = tn.gates().filter(|(_, g)| g.weights == vec![-1]).count();
         assert!(inverter_gates <= 1, "inverters should be shared");
+    }
+
+    /// `net` rebuilt with `pad` dead logic nodes (reading only primary
+    /// inputs) between the inputs and the live logic, and with every live
+    /// node's fanin list `reversed` (its cover's columns permuted to keep
+    /// the function). Live node ids shift by `pad`, names do not change.
+    fn renumbered(net: &Network, pad: usize, reversed: bool) -> Network {
+        let mut out = Network::new(net.model());
+        let mut ids = HashMap::new();
+        for pi in net.inputs() {
+            ids.insert(pi, out.add_input(net.name(pi)).unwrap());
+        }
+        let pis = net.inputs();
+        for i in 0..pad {
+            let fanins = vec![ids[&pis[i % pis.len()]], ids[&pis[(i + 1) % pis.len()]]];
+            let and2 = Sop::from_cubes([Cube::from_literals([(Var(0), true), (Var(1), false)])]);
+            out.add_node(format!("dead{i}"), fanins, and2).unwrap();
+        }
+        // Placeholders first, so that the live nodes keep their relative
+        // order whatever order their functions reference each other in.
+        let logic: Vec<NodeId> = net.node_ids().filter(|&id| !net.is_input(id)).collect();
+        for &id in &logic {
+            ids.insert(id, out.add_node(net.name(id), vec![], Sop::zero()).unwrap());
+        }
+        for &id in &logic {
+            let mut fanins: Vec<NodeId> = net.fanins(id).iter().map(|f| ids[f]).collect();
+            let mut sop = net.sop(id).clone();
+            if reversed {
+                fanins.reverse();
+                let n = fanins.len() as u32;
+                let map: Vec<Var> = (0..n).map(|i| Var(n - 1 - i)).collect();
+                sop = sop.remap(&map);
+            }
+            out.set_function(ids[&id], fanins, sop).unwrap();
+        }
+        for (name, id) in net.outputs() {
+            out.add_output(name.clone(), ids[id]).unwrap();
+        }
+        out
+    }
+
+    #[test]
+    fn output_depends_only_on_relative_node_order() {
+        // 130 dead nodes push every live node id past bit 128, so global
+        // node-id bitsets would span three words where the unpadded
+        // network's fit in one; reversed fanin lists make every node's
+        // cover start out of ascending order.
+        let sources = [
+            ".model r\n.inputs a b c d e f g h\n.outputs y z\n.names a b c d t\n11-- 1\n--11 1\n\
+             .names t e f y\n1-0 1\n-10 1\n.names t g h z\n111 1\n.end\n",
+            ".model fig2\n.inputs x1 x2 x3 x4 x5 x6 x7\n.outputs f\n.names x1 x2 x3 x4 n3\n\
+             111- 1\n0--1 1\n.names n3 x5 n1\n11 1\n.names x6 x7 n2\n11 1\n\
+             .names n1 n2 f\n1- 1\n-1 1\n.end\n",
+            ".model m\n.inputs a b c d e\n.outputs f g\n.names a b c s\n110 1\n001 1\n\
+             .names s d e f\n11- 1\n1-1 1\n--1 1\n.names s a e g\n01- 1\n-11 1\n.end\n",
+        ];
+        for src in sources {
+            let net = blif::parse(src).unwrap();
+            for psi in 3..=6 {
+                for strategy in [
+                    crate::config::SynthStrategy::default(),
+                    crate::config::SynthStrategy::Shannon,
+                ] {
+                    let config = TelsConfig {
+                        psi,
+                        strategy,
+                        ..TelsConfig::default()
+                    };
+                    let want = synthesize(&net, &config).unwrap().to_tnet();
+                    for (pad, reversed) in [(130, false), (0, true), (130, true)] {
+                        let moved = renumbered(&net, pad, reversed);
+                        let got = synthesize(&moved, &config).unwrap().to_tnet();
+                        assert_eq!(
+                            got,
+                            want,
+                            "{} at ψ={psi} {strategy:?}, pad {pad}, reversed {reversed}",
+                            net.model()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,18 +13,10 @@ use crate::sop::Sop;
 pub struct NodeId(pub(crate) u32);
 
 impl NodeId {
-    /// The dense index of this node (also its global-space
-    /// [`Var`](crate::Var) index, see [`opt::global_sop`](crate::opt::global_sop)).
+    /// The dense index of this node: nodes are numbered in the order they
+    /// were added, so ids compare in that order.
     pub fn index(self) -> usize {
         self.0 as usize
-    }
-
-    /// Builds a node id from a dense index, the inverse of [`Self::index`].
-    ///
-    /// Meaningful only for indices obtained from the same network (e.g.
-    /// global-space SOP variables).
-    pub fn from_index(index: usize) -> NodeId {
-        NodeId(index as u32)
     }
 }
 

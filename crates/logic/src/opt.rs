@@ -51,7 +51,7 @@ impl Default for OptOptions {
 
 /// Reads a node's SOP remapped into the *global* variable space, where
 /// `Var(i)` denotes the node with `NodeId(i)`.
-pub fn global_sop(net: &Network, id: NodeId) -> Sop {
+fn global_sop(net: &Network, id: NodeId) -> Sop {
     match net.kind(id) {
         NodeKind::Input => Sop::literal(Var(id.0), true),
         NodeKind::Logic { fanins, sop } => {
@@ -76,18 +76,23 @@ fn set_global_sop(net: &mut Network, id: NodeId, sop: &Sop) -> Result<(), LogicE
 
 // Fanin-local variable spaces.
 //
-// `eliminate`, `simplify`, `resubstitute` and `strash` compute each rewrite
-// over a *space*: the ascending list of the node ids involved, where
-// `Var(i)` denotes `space[i]`. Renaming a global-space cover into a space
-// is monotone in the variable index, and every cube operation these passes
-// use (substitution, complement, division, minimization, containment)
+// `eliminate`, `simplify`, `resubstitute` and `strash` — and the synthesis
+// driver in `tels-core` — compute each rewrite over a *space*: the
+// ascending list of the node ids involved, where `Var(i)` denotes
+// `space[i]`. Renaming a global-space cover into a space is monotone in
+// the variable index, and every cube operation these passes use
+// (substitution, complement, division, minimization, containment)
 // depends on variables only through their relative order. So each rewrite
 // produces exactly the cover the global space would, remapped — while its
 // cubes stay within the first inline word of a `VarSet` instead of carrying
-// bitsets sized by the largest node id.
+// bitsets sized by the largest node id. (`VarSet`'s derived `Ord` is the
+// exception: it is not preserved across 64-bit word boundaries, so no
+// output may depend on an order taken by it; sorting only to build an
+// equality key, as `strash` does, is fine.)
 
-/// The ascending union of `nodes`' fanin lists and `extra`.
-fn space_of(net: &Network, nodes: &[NodeId], extra: &[NodeId]) -> Vec<NodeId> {
+/// The ascending union of `nodes`' fanin lists and `extra`: a variable
+/// space in which `Var(i)` denotes `space[i]`.
+pub fn space_of(net: &Network, nodes: &[NodeId], extra: &[NodeId]) -> Vec<NodeId> {
     let mut space: Vec<NodeId> = nodes
         .iter()
         .flat_map(|&n| net.fanins(n))
@@ -100,7 +105,11 @@ fn space_of(net: &Network, nodes: &[NodeId], extra: &[NodeId]) -> Vec<NodeId> {
 }
 
 /// The variable denoting `id` in `space`.
-fn var_in(space: &[NodeId], id: NodeId) -> Var {
+///
+/// # Panics
+///
+/// Panics if `id` is not in `space`.
+pub fn var_in(space: &[NodeId], id: NodeId) -> Var {
     Var(space.binary_search(&id).expect("node lies in the space") as u32)
 }
 
@@ -119,7 +128,11 @@ fn support_nodes(net: &Network, id: NodeId) -> Vec<NodeId> {
 
 /// A logic node's SOP remapped into `space`, which must contain every node
 /// the cover reads (fanins outside the support may be absent).
-fn local_sop(net: &Network, id: NodeId, space: &[NodeId]) -> Sop {
+///
+/// # Panics
+///
+/// Panics if `id` is a primary input.
+pub fn local_sop(net: &Network, id: NodeId, space: &[NodeId]) -> Sop {
     let map: Vec<Var> = net
         .fanins(id)
         .iter()
@@ -144,9 +157,10 @@ fn set_local_sop(
     net.set_function(id, fanins, sop)
 }
 
-/// The fanin list (the support, ascending by node id) and cover that
-/// [`set_local_sop`] writes for `sop` over `space`.
-fn node_function(space: &[NodeId], sop: &Sop) -> (Vec<NodeId>, Sop) {
+/// `sop` over `space` restated over its support alone: the support nodes
+/// in ascending order (the space the result lives in, and the fanin list
+/// a node with this function gets) and the cover over them.
+pub fn node_function(space: &[NodeId], sop: &Sop) -> (Vec<NodeId>, Sop) {
     let support = sop.support();
     let fanins: Vec<NodeId> = support.iter().map(|v| space[v.0 as usize]).collect();
     let mut map = vec![Var(0); space.len()];

@@ -44,10 +44,10 @@ echo "==> synth_pipeline smoke (consistency gates)"
 # parser, stage timings gated loosely against the committed baseline to
 # catch accidentally-quadratic regressions) plus the structural-hashing
 # shrink assertion on the duplicated-logic ALU array. The ≥100k-node leg
-# (parity_ladder(500,200); parse and factoring may grow no faster than
-# n log n, with 1.5x headroom for caches, against the 10k leg; synthesis
-# is recorded, not gated) runs only in full runs, which regenerate
-# BENCH_synthesis.json — not here.
+# (parity_ladder(500,200); parse, factoring and synthesis may each grow
+# no faster than n log n, with 1.5x headroom for caches, against the 10k
+# leg) runs only in full runs, which regenerate BENCH_synthesis.json —
+# not here.
 cargo run --release -p tels-bench --bin synth_pipeline --quiet -- --quick
 
 echo "==> serve_pipeline smoke (daemon throughput + determinism gates)"
