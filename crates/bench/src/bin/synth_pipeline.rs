@@ -40,14 +40,14 @@
 //! circuit through the whole big-circuit frontend: streaming BLIF parse
 //! (checked byte-identical to the string parser), algebraic factoring,
 //! synthesis, and packed verification, recording per-stage wall
-//! clock and the process peak RSS. It also measures how much insert-time
-//! structural hashing (`tels_logic::arena::StrashNet`) shrinks the
+//! clock and the process peak RSS. It also measures how much structural
+//! hashing (`opt::strash` followed by `Network::compact`) shrinks the
 //! duplicated-logic ALU generator, and asserts the ≥2-gates-per-bit
 //! reduction. Quick mode regression-gates the stage timings against the
 //! committed baseline so large-n slowdowns become visible in CI. Full runs
 //! add a ≥100k-node leg (`scaling_100k`) that records the same stages and
-//! asserts that parse and factoring grow no faster than n log n against
-//! the 10k leg.
+//! asserts that parse, factoring and synthesis grow no faster than
+//! n log n against the 10k leg, timing the two sizes pair by pair.
 //!
 //! Run with `cargo run --release -p tels-bench --bin synth_pipeline`;
 //! pass `--quick` for a single-sample smoke run that skips the JSON write
@@ -62,8 +62,7 @@ use tels_circuits::{
 };
 use tels_core::perturb::{failure_rate, failure_rate_scalar, PerturbOptions};
 use tels_core::{map_one_to_one, synthesize_with_stats, SynthStats, TelsConfig};
-use tels_logic::arena::StrashNet;
-use tels_logic::opt::script_algebraic;
+use tels_logic::opt::{self, script_algebraic};
 use tels_logic::{blif, Network};
 use tels_trace::json::Json;
 
@@ -221,7 +220,7 @@ fn measure_metrics_overhead(suite: &[(String, Network, TelsConfig)]) -> (f64, f6
 /// Returns the JSON section and the measured suite speedup. Quick mode
 /// runs the same workload — the whole leg is well under a second, and the
 /// committed-baseline gate only makes sense on identical parameters.
-fn measure_perturb() -> (Json, f64) {
+fn perturb_run() -> (Json, f64) {
     let trials = 16;
     let vectors = 512;
     let circuits: Vec<(&str, Network)> = vec![
@@ -313,6 +312,30 @@ fn measure_perturb() -> (Json, f64) {
     ]);
     (section, speedup)
 }
+
+/// Runs [`perturb_run`] `runs` times and returns the section of the run
+/// with the median suite speedup, extended with the run count and the
+/// smallest and largest speedup. Full runs commit this median of
+/// [`PERTURB_RUNS`], so the quick-mode gate, which runs the leg once,
+/// compares against a median rather than one sample.
+fn measure_perturb(runs: usize) -> (Json, f64) {
+    let mut legs: Vec<(Json, f64)> = (0..runs).map(|_| perturb_run()).collect();
+    legs.sort_by(|a, b| a.1.total_cmp(&b.1));
+    let (min, max) = (legs[0].1, legs[runs - 1].1);
+    let (Json::Obj(mut section), speedup) = legs.swap_remove(runs / 2) else {
+        unreachable!("the perturb section is an object")
+    };
+    println!("perturb median of {runs}: {speedup:.1}x (range {min:.1}-{max:.1}x)");
+    section.extend([
+        ("runs".to_string(), Json::Num(runs as f64)),
+        ("speedup_min".to_string(), Json::Num(min)),
+        ("speedup_max".to_string(), Json::Num(max)),
+    ]);
+    (Json::Obj(section), speedup)
+}
+
+/// Runs of the Monte Carlo leg in a full run.
+const PERTURB_RUNS: usize = 5;
 
 /// The tier-0.5 large-circuit leg: generated circuits synthesized at
 /// ψ = 7, where collapse produces support-6/7 threshold queries that sit
@@ -459,10 +482,10 @@ fn peak_rss_mb() -> f64 {
 /// scale (see DESIGN §2.14), which is exactly why the stage split is
 /// recorded.
 ///
-/// A second measurement demonstrates insert-time structural hashing: the
-/// ALU array generator duplicates its carry-generate/propagate gates
-/// against the bitwise and/xor gates, and `StrashNet::from_network` must
-/// strip at least those 2 gates per bit.
+/// A second measurement demonstrates structural hashing: the ALU array
+/// generator duplicates its carry-generate/propagate gates against the
+/// bitwise and/xor gates, and `opt::strash` followed by `Network::compact`
+/// must strip at least those 2 gates per bit.
 ///
 /// Returns `(section, parse_ms, pipeline_ms)` where `pipeline_ms` is
 /// factoring + synthesis (the quick-mode regression gates ride on these).
@@ -512,14 +535,20 @@ fn measure_scaling() -> (Json, f64, f64) {
 
     // Structural hashing on the duplicated-logic ALU array (~10.8k nodes):
     // per bit, g_i duplicates and_i and p_i duplicates xor_i, so the
-    // arena must come out at least 2 gates per bit smaller.
+    // strashed network must come out at least 2 gates per bit smaller.
     let width = 1200usize;
     let alu = alu_array(width);
     let alu_nodes = alu.num_logic_nodes();
+    let mut strashed = alu.clone();
     let start = Instant::now();
-    let arena = StrashNet::from_network(&alu).expect("generator networks are acyclic");
+    let dedup_hits = opt::strash(&mut strashed);
+    let strashed = strashed.compact();
     let strash_ms = start.elapsed().as_secs_f64() * 1e3;
-    let alu_gates = arena.num_gates();
+    let alu_gates = strashed.num_logic_nodes();
+    assert!(
+        dedup_hits >= 2 * width,
+        "strash merged only {dedup_hits} nodes"
+    );
     assert!(
         alu_gates + 2 * width <= alu_nodes,
         "structural hashing removed only {} of the expected >= {} duplicate gates",
@@ -539,8 +568,7 @@ fn measure_scaling() -> (Json, f64, f64) {
     );
     println!(
         "scaling: strash alu_array_{width}: {alu_nodes} -> {alu_gates} gates \
-         ({strash_pct:.1}% removed, {} dedup hits, {strash_ms:.1} ms)",
-        arena.dedup_hits()
+         ({strash_pct:.1}% removed, {dedup_hits} dedup hits, {strash_ms:.1} ms)"
     );
 
     let section = Json::obj([
@@ -561,7 +589,7 @@ fn measure_scaling() -> (Json, f64, f64) {
                 ("nodes", Json::Num(alu_nodes as f64)),
                 ("gates", Json::Num(alu_gates as f64)),
                 ("reduction_pct", Json::Num(strash_pct)),
-                ("dedup_hits", Json::Num(arena.dedup_hits() as f64)),
+                ("dedup_hits", Json::Num(dedup_hits as f64)),
                 ("strash_ms", Json::Num(strash_ms)),
             ]),
         ),
@@ -577,23 +605,58 @@ fn n_log_n(n: usize) -> f64 {
 /// Headroom on the n log n growth bound for the memory hierarchy: the 10k
 /// leg's working set (hash tables, covers) sits in cache and the 100k
 /// leg's does not, which costs a constant factor per node access. Measured
-/// on a 2-vCPU VM: factoring grows 10-14x and synthesis 9-15x where
-/// n log n gives 12.2x; parse grows 11-22x, its 10k time swinging most
-/// between runs. A quadratic stage grows ~95x and still fails by far.
+/// as median paired ratios over five full runs on a 2-vCPU VM: parse grows
+/// 12.2-13.5x, factoring 9.6-13.2x and synthesis 8.9-13.9x where n log n
+/// gives 12.2x. A quadratic stage grows ~95x and still fails by far.
 const MEMORY_HEADROOM: f64 = 1.5;
 
-/// The smallest wall clock over `reps` runs of `f` (ms), and the last
-/// run's result.
-fn min_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
-    let mut last = None;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let out = f();
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-        last = Some(out);
+/// Wall clock (ms) of one call of `f`, and its result.
+fn time_ms<T>(f: impl FnOnce() -> T) -> (f64, T) {
+    let start = Instant::now();
+    let out = f();
+    (start.elapsed().as_secs_f64() * 1e3, out)
+}
+
+/// One stage timed at both sizes of the growth gate: each size's smallest
+/// wall clock (ms), the median per-pair ratio large / small, and each
+/// size's last result.
+struct Paired<S, L> {
+    small_ms: f64,
+    large_ms: f64,
+    growth: f64,
+    small: S,
+    large: L,
+}
+
+/// Times `small` and `large` alternately, `pairs` times each. The two runs
+/// of a pair sit next to each other, so a drift in machine speed moves
+/// both sides of that pair's ratio, and the median ratio measures growth
+/// rather than the drift.
+fn paired<S, L>(
+    pairs: usize,
+    mut small: impl FnMut() -> S,
+    mut large: impl FnMut() -> L,
+) -> Paired<S, L> {
+    let mut ratios = Vec::with_capacity(pairs);
+    let (mut small_ms, mut large_ms) = (f64::INFINITY, f64::INFINITY);
+    let (mut small_out, mut large_out) = (None, None);
+    for _ in 0..pairs {
+        let (s_ms, s) = time_ms(&mut small);
+        let (l_ms, l) = time_ms(&mut large);
+        ratios.push(l_ms / s_ms);
+        small_ms = small_ms.min(s_ms);
+        large_ms = large_ms.min(l_ms);
+        small_out = Some(s);
+        large_out = Some(l);
     }
-    (best, last.expect("at least one run"))
+    ratios.sort_by(f64::total_cmp);
+    Paired {
+        small_ms,
+        large_ms,
+        growth: ratios[pairs / 2],
+        small: small_out.expect("at least one pair"),
+        large: large_out.expect("at least one pair"),
+    }
 }
 
 /// The ≥100k-node scaling leg (full runs only): `parity_ladder(500, 200)`
@@ -602,9 +665,12 @@ fn min_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
 /// wall clock and the process peak RSS afterwards.
 ///
 /// Parse, factoring and synthesis must each grow no faster than n log n
-/// (times [`MEMORY_HEADROOM`]) against `parity_ladder(160, 64)`. Both
-/// sizes are re-timed here (parse min-of-5, factoring and synthesis
-/// min-of-3), so one descheduled timeslice cannot fail the gate.
+/// (times [`MEMORY_HEADROOM`]) against `parity_ladder(160, 64)`. Each
+/// stage runs at both sizes in alternating pairs ([`paired`]; 5 pairs for
+/// parse, 3 for factoring and synthesis) and the gate reads the median
+/// per-pair ratio, so neither one descheduled timeslice nor a drift in
+/// machine speed between the two sizes can fail it. The stage times
+/// reported are each size's minimum.
 fn measure_scaling_100k() -> Json {
     let small_source = parity_ladder(160, 64);
     let small_nodes = small_source.num_logic_nodes();
@@ -617,24 +683,29 @@ fn measure_scaling_100k() -> Json {
     );
     let text = blif::write(&source);
 
-    let (small_parse_ms, small_parsed) = min_ms(5, || {
-        blif::parse_reader(small_text.as_bytes()).expect("parse scaling circuit")
-    });
-    let (parse_ms, parsed) = min_ms(5, || {
-        blif::parse_reader(text.as_bytes()).expect("parse large scaling circuit")
-    });
-    let (small_factor_ms, small_prepared) = min_ms(3, || script_algebraic(&small_parsed));
-    let (factor_ms, prepared) = min_ms(3, || script_algebraic(&parsed));
-    let (small_synth_ms, _) = min_ms(3, || {
-        synthesize_with_stats(&small_prepared, &TelsConfig::default())
-            .expect("synthesize scaling circuit")
-    });
-    let (synth_ms, synthesized) = min_ms(3, || {
-        synthesize_with_stats(&prepared, &TelsConfig::default())
-            .expect("synthesize large scaling circuit")
-    });
-    let (tn, stats) = synthesized;
-    let (verify_ms, cex) = min_ms(1, || {
+    let parse = paired(
+        5,
+        || blif::parse_reader(small_text.as_bytes()).expect("parse scaling circuit"),
+        || blif::parse_reader(text.as_bytes()).expect("parse large scaling circuit"),
+    );
+    let factor = paired(
+        3,
+        || script_algebraic(&parse.small),
+        || script_algebraic(&parse.large),
+    );
+    let synth = paired(
+        3,
+        || {
+            synthesize_with_stats(&factor.small, &TelsConfig::default())
+                .expect("synthesize scaling circuit")
+        },
+        || {
+            synthesize_with_stats(&factor.large, &TelsConfig::default())
+                .expect("synthesize large scaling circuit")
+        },
+    );
+    let (tn, stats) = &synth.large;
+    let (verify_ms, cex) = time_ms(|| {
         tn.verify_against(&source, 12, 512, 0xB16)
             .expect("simulate large scaling circuit")
     });
@@ -646,9 +717,10 @@ fn measure_scaling_100k() -> Json {
 
     let n_log_n_growth = n_log_n(nodes) / n_log_n(small_nodes);
     let allowed = n_log_n_growth * MEMORY_HEADROOM;
-    let parse_growth = parse_ms / small_parse_ms;
-    let factor_growth = factor_ms / small_factor_ms;
-    let synth_growth = synth_ms / small_synth_ms;
+    let (small_parse_ms, parse_ms, parse_growth) = (parse.small_ms, parse.large_ms, parse.growth);
+    let (small_factor_ms, factor_ms, factor_growth) =
+        (factor.small_ms, factor.large_ms, factor.growth);
+    let (small_synth_ms, synth_ms, synth_growth) = (synth.small_ms, synth.large_ms, synth.growth);
     println!(
         "scaling: parity_ladder_500x200 ({nodes} nodes, {} BLIF bytes) — parse {parse_ms:.1} ms \
          ({parse_growth:.1}x the 10k leg), factor {factor_ms:.1} ms ({factor_growth:.1}x), \
@@ -857,7 +929,7 @@ fn main() {
          ({metrics_overhead_pct:+.1}%)"
     );
 
-    let (perturb_section, perturb_speedup) = measure_perturb();
+    let (perturb_section, perturb_speedup) = measure_perturb(if quick { 1 } else { PERTURB_RUNS });
 
     let (tier05_section, t05_off, t05_on, t05_off_ms, t05_on_ms) = measure_tier05_large(samples);
     let large_reduction_pct = if t05_off > 0 {
@@ -969,7 +1041,7 @@ fn main() {
                                  gate ({:.1}x); remeasuring once",
                                 committed * 0.9
                             );
-                            let (_, retry) = measure_perturb();
+                            let (_, retry) = measure_perturb(1);
                             best = best.max(retry);
                         }
                         assert!(

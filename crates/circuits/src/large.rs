@@ -254,7 +254,7 @@ fn alu_mux() -> Sop {
 /// generate/propagate pair for the ripple carry — so `a⊕b` and `a·b` are
 /// each synthesized twice per bit (9 gates/bit, 2 of them structurally
 /// redundant). That makes this the reference workload for measuring how much
-/// structural hashing ([`tels_logic::arena::StrashNet`]) shrinks a network
+/// structural hashing ([`tels_logic::opt::strash`]) shrinks a network
 /// whose generator naively duplicates logic.
 ///
 /// # Panics
@@ -315,7 +315,7 @@ pub fn alu_array(width: usize) -> Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tels_logic::arena::StrashNet;
+    use tels_logic::opt;
 
     fn bits(v: u64, n: usize) -> Vec<bool> {
         (0..n).map(|i| v >> i & 1 != 0).collect()
@@ -448,15 +448,16 @@ mod tests {
         // g/p duplicate and/xor per bit: strash must strip ≥ 2 gates a bit.
         let width = 8;
         let net = alu_array(width);
-        let arena = StrashNet::from_network(&net).unwrap();
+        let mut back = net.clone();
+        let merged = opt::strash(&mut back);
+        let back = back.compact();
         assert!(
-            arena.num_gates() + 2 * width <= net.num_logic_nodes(),
-            "{} gates vs {} nodes",
-            arena.num_gates(),
+            back.num_logic_nodes() + 2 * width <= net.num_logic_nodes(),
+            "{} nodes after strash vs {} before",
+            back.num_logic_nodes(),
             net.num_logic_nodes()
         );
-        assert!(arena.dedup_hits() >= 2 * width);
-        let back = arena.to_network().unwrap();
+        assert!(merged >= 2 * width);
         let mut assign = vec![false; net.num_inputs()];
         for trial in 0..1u64 << (2 * width + 3).min(14) {
             for (i, slot) in assign.iter_mut().enumerate() {

@@ -735,25 +735,6 @@ fn render_top(socket: &str, snap: &Json, prev: Option<&Json>, enabled: bool) {
         fmt_ns(hist("tels_serve_job_run_ns", "p50")),
         fmt_ns(hist("tels_serve_job_run_ns", "p99")),
     );
-    let busy = v("tels_sched_busy_ns_total");
-    let idle = v("tels_sched_idle_ns_total");
-    let util = if busy + idle > 0.0 {
-        1e2 * busy / (busy + idle)
-    } else {
-        0.0
-    };
-    println!(
-        "sched   tasks {:.0} ({})   steals {:.0}   steal-fails {:.0}",
-        v("tels_sched_tasks_total"),
-        rate("tels_sched_tasks_total"),
-        v("tels_sched_steals_total"),
-        v("tels_sched_steal_fails_total"),
-    );
-    println!(
-        "        busy {}   idle {}   utilization {util:.1}%",
-        fmt_ns(busy),
-        fmt_ns(idle)
-    );
     let hits = v("tels_cache_hits_total");
     let misses = v("tels_cache_misses_total");
     let hit_rate = if hits + misses > 0.0 {

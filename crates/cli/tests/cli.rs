@@ -615,7 +615,7 @@ fn serve_metrics_scrape_and_top_over_socket() {
     );
     assert!(text.contains("tels_serve_jobs_ok_total 1"), "{text}");
     assert!(
-        text.contains("tels_sched_tasks_total{worker=\"all\"}"),
+        text.contains("tels_serve_frames_total{conn=\"all\"}"),
         "{text}"
     );
 

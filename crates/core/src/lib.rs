@@ -60,7 +60,6 @@ pub mod eval;
 mod map11;
 pub mod perturb;
 mod qca;
-pub mod sched;
 mod split;
 mod synth;
 mod theorems;

@@ -11,22 +11,20 @@
 //! Boolean reference is simulated **once** per configuration with the
 //! packed [`sim::simulate`], then every disturbed instance streams through
 //! the packed disturbed evaluator 64 vectors at a time, early-exiting on
-//! the first mismatching word. Trials are distributed across the
-//! work-stealing [`Scheduler`](crate::sched::Scheduler) with per-trial
-//! derived RNG seeds, so the failure verdict of trial *t* depends only on
-//! `(options.seed, t)` — results are bit-identical at any thread count.
+//! the first mismatching word. Scoped worker threads claim trial indices
+//! from one atomic counter, and each trial derives its own RNG seed, so
+//! the failure verdict of trial *t* depends only on `(options.seed, t)` —
+//! results are bit-identical at any thread count.
 //! [`failure_rate_scalar`] keeps the pre-engine per-row scalar evaluation
 //! alive under the same seeding scheme as an A/B reference.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use tels_logic::rng::{SplitMix64, Xoshiro256};
 use tels_logic::{sim, Network};
 
 use crate::error::SynthError;
 use crate::eval::{interface_perms, pattern_set, EvalPlan, EvalScratch};
-use crate::sched::{DepGraph, Scheduler};
 use crate::tnet::ThresholdNetwork;
 
 /// Disturbed weights for every node, indexed by [`TnId::index`]. Inputs
@@ -284,9 +282,10 @@ impl PerturbContext {
 /// The fraction of disturbed instances (over `options.trials`) that compute
 /// a wrong value on at least one simulated vector.
 ///
-/// Runs on the packed engine; with `options.threads > 1` the trials are
-/// distributed over the work-stealing scheduler. Per-trial derived seeds
-/// make the result identical at every thread count.
+/// Runs on the packed engine; with `options.threads > 1` scoped workers
+/// claim trial indices from a shared counter, each with its own
+/// disturbance and scratch. Per-trial derived seeds make the result
+/// identical at every thread count.
 ///
 /// # Errors
 ///
@@ -304,27 +303,29 @@ pub fn failure_rate(
     let threads = options.threads.max(1).min(options.trials);
     span.arg("trials", options.trials as u64);
     span.arg("threads", threads as u64);
-    let failures = if threads <= 1 {
+    // One worker: claims trial indices from `next` until they run out and
+    // counts its own failures. Serial runs call it inline. `Relaxed` is
+    // enough: the counter only hands out indices, and the counts reach
+    // this thread through `join`.
+    let next = AtomicUsize::new(0);
+    let worker = || {
         let mut scratch = ctx.scratch();
         let mut dist = Disturbance::new();
-        (0..options.trials)
+        std::iter::from_fn(|| Some(next.fetch_add(1, Ordering::Relaxed)))
+            .take_while(|&t| t < options.trials)
             .filter(|&t| ctx.trial_fails(tn, t as u64, &mut dist, &mut scratch))
             .count()
+    };
+    let failures = if threads <= 1 {
+        worker()
     } else {
-        let failed: Vec<AtomicBool> = (0..options.trials)
-            .map(|_| AtomicBool::new(false))
-            .collect();
-        let states: Vec<Mutex<(Disturbance, EvalScratch)>> = (0..threads)
-            .map(|_| Mutex::new((Disturbance::new(), ctx.scratch())))
-            .collect();
-        Scheduler::new(DepGraph::new(options.trials)).run(threads, |worker, task| {
-            let mut state = states[worker].lock().expect("perturb worker state");
-            let (dist, scratch) = &mut *state;
-            if ctx.trial_fails(tn, task as u64, dist, scratch) {
-                failed[task as usize].store(true, Ordering::Relaxed);
-            }
-        });
-        failed.iter().filter(|f| f.load(Ordering::Relaxed)).count()
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("perturb worker panicked"))
+                .sum()
+        })
     };
     span.arg("failures", failures as u64);
     Ok(failures as f64 / options.trials as f64)
@@ -478,6 +479,37 @@ mod tests {
                 "{threads} threads"
             );
         }
+    }
+
+    #[test]
+    fn fewer_trials_than_threads_match_serial() {
+        // Trial counts below and not divisible by the thread count: every
+        // index is claimed exactly once, and idle workers count nothing.
+        let net = blif::parse(SRC).unwrap();
+        let tn = synthesize(&net, &TelsConfig::default()).unwrap();
+        for trials in [3, 5] {
+            let base = PerturbOptions {
+                variation: 0.9,
+                trials,
+                seed: 13,
+                ..PerturbOptions::default()
+            };
+            let serial = failure_rate(&tn, &net, &base).unwrap();
+            for threads in [2, 7] {
+                let opts = PerturbOptions { threads, ..base };
+                assert_eq!(
+                    failure_rate(&tn, &net, &opts).unwrap().to_bits(),
+                    serial.to_bits(),
+                    "{trials} trials, {threads} threads"
+                );
+            }
+        }
+        let none = PerturbOptions {
+            trials: 0,
+            threads: 4,
+            ..PerturbOptions::default()
+        };
+        assert_eq!(failure_rate(&tn, &net, &none).unwrap(), 0.0);
     }
 
     #[test]

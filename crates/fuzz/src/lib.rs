@@ -10,7 +10,7 @@
 //! - [`oracle`] runs each case through every configuration pair that must
 //!   agree (and through `map_one_to_one` and the source network), turning
 //!   panics into ordinary failures;
-//! - [`shrink`] greedily minimizes any failing case to a locally minimal
+//! - [`shrink`](mod@shrink) greedily minimizes any failing case to a locally minimal
 //!   reproducer, which [`fuzz`] writes into a corpus directory as plain
 //!   BLIF so `cargo test` can replay it forever after.
 //!

@@ -148,7 +148,8 @@ fn base_config(opts: &OracleOptions) -> TelsConfig {
 
 /// Converts a threshold network back into a Boolean [`Network`] by
 /// expanding each gate into its ON-minterm SOP, so threshold results can
-/// go through [`check_equivalence`] like any other network.
+/// go through [`check_equivalence`](tels_logic::sim::check_equivalence)
+/// like any other network.
 ///
 /// # Errors
 ///

@@ -351,7 +351,7 @@ impl Parser {
 ///
 /// Signal names are interned once and cover rows become cubes immediately, so
 /// peak memory tracks the network size rather than the input size. Produces
-/// networks byte-identical (under [`write`]) to [`parse`] on the same bytes.
+/// networks byte-identical (under [`write`](fn@write)) to [`parse`] on the same bytes.
 ///
 /// # Errors
 ///

@@ -12,6 +12,11 @@ cargo fmt --all --check
 echo "==> cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (warnings, such as broken doc links, are errors)"
+# `--lib` because the facade library `tels` and the CLI binary `tels` would
+# both write target/doc/tels.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib
+
 echo "==> cargo build"
 cargo build --workspace --all-targets
 
@@ -34,7 +39,8 @@ echo "==> synth_pipeline smoke (consistency gates)"
 # equal ILP solves) and costs at most 2% wall clock when enabled, that
 # the word-parallel Monte Carlo engine produces bit-identical failure
 # rates to the scalar path at no less than 90% of the committed
-# BENCH_synthesis.json perturb speedup (>10% regression fails the gate),
+# BENCH_synthesis.json perturb speedup (the median of five full-run
+# measurements; >10% regression fails the gate),
 # and that the tier-0.5 pseudo-Boolean procedure changes no netlist byte
 # on the large-circuit ψ=7 leg while cutting its remaining ILP solves by
 # at least half at equal-or-better wall clock (also vs the committed

@@ -10,9 +10,8 @@ use std::io::BufReader;
 
 use tels::circuits::{alu_array, array_multiplier, lfsr_cone, majority_grid, parity_ladder};
 use tels::fuzz::{gen_case, GenOptions};
-use tels::logic::arena::StrashNet;
 use tels::logic::sim::{check_equivalence, EquivOptions};
-use tels::logic::{blif, Network};
+use tels::logic::{blif, opt, Network};
 
 /// Asserts the three-way byte identity: string parse, coarse stream parse,
 /// and a deliberately tiny-buffered stream parse all rebuild one network.
@@ -77,9 +76,10 @@ fn arena_round_trip_preserves_function_on_generated_networks() {
     let opts = GenOptions::default();
     for seed in 0..100 {
         let net = gen_case(seed, &opts);
-        let arena = StrashNet::from_network(&net).expect("acyclic");
-        assert!(arena.num_gates() <= net.num_logic_nodes());
-        let back = arena.to_network().expect("convertible");
+        let mut back = net.clone();
+        opt::strash(&mut back);
+        let back = back.compact();
+        assert!(back.num_logic_nodes() <= net.num_logic_nodes());
         let r = check_equivalence(&net, &back, &EquivOptions::default()).unwrap();
         assert!(
             r.is_equivalent(),

@@ -104,7 +104,7 @@ fn perturb_failure_rate_is_deterministic() {
     assert_eq!(serial.to_bits(), again.to_bits(), "repeat runs differ");
     // The Monte-Carlo loop itself is thread-count invariant: per-trial
     // derived seeds make the packed engine's verdicts independent of how
-    // trials are distributed over the work-stealing scheduler.
+    // trials are distributed over the worker threads.
     for threads in [2usize, 4, 8] {
         let threaded = failure_rate(&tn, &net, &PerturbOptions { threads, ..popts }).unwrap();
         assert_eq!(
