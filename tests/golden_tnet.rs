@@ -5,7 +5,10 @@
 //! and tier-0.5 oracles switch off and the ILP answers every query. Two
 //! wide random networks are pinned at ψ = 6..=9 with Theorem 1 off, so
 //! that non-threshold queries reach tier 0.5 and the ILP instead of being
-//! refuted up front. The two 10k-node circuits of the big-circuit
+//! refuted up front. Eight of the `wide_psi9` benchmark's random networks
+//! are pinned at ψ = 9 with the default configuration (Theorem 1 on),
+//! among them queries where tier 0.5 runs out of leaf budget or exhausts
+//! its search space. The two 10k-node circuits of the big-circuit
 //! benchmark are pinned at the default configuration, read back from BLIF
 //! text as the benchmark's jobs are. The FNV-1a digest of each `.tnet`
 //! text must equal the committed value, so any refactor of the synthesis
@@ -191,6 +194,61 @@ fn random_tnet_bytes_without_theorem1_match_golden_digests() {
         actual.as_slice(),
         GOLDEN_NO_THEOREM1,
         "random-network .tnet bytes changed; current digests:\n{listing}"
+    );
+}
+
+/// `(seed, digest)` for `wide_psi9`'s random networks at ψ = 9 under the
+/// default configuration (Theorem 1 on). Seeds 0 and 3 each make one
+/// tier-0.5 query that spends the whole leaf budget; seeds 5, 14, 21 and
+/// 24 each make one that exhausts the search space with no feasible
+/// weight vector; seeds 1 and 2 take only unique-optimum answers.
+const GOLDEN_WIDE_PSI9: &[(u64, u64)] = &[
+    (0, 0x68fea0fc7d3aee4c),
+    (1, 0xd402d83f2f36c984),
+    (2, 0x542ed440773551a5),
+    (3, 0xd55d7a75b31c9039),
+    (5, 0xcd5bdef1017bba9f),
+    (14, 0x2994fda7755a8daf),
+    (21, 0xedcb4d8e3bc1fc55),
+    (24, 0x08449475a35b32d4),
+];
+
+#[test]
+fn wide_psi9_tnet_bytes_match_golden_digests() {
+    // The benchmark's job path: factor, write BLIF, parse it back,
+    // synthesize at ψ = 9.
+    let options = RandomNetOptions {
+        inputs: 24,
+        outputs: 12,
+        nodes: 200,
+        max_fanin: 6,
+        max_cubes: 6,
+        negation_pct: 20,
+        ..Default::default()
+    };
+    let config = TelsConfig {
+        psi: 9,
+        ..TelsConfig::default()
+    };
+    let actual: Vec<(u64, u64)> = [0u64, 1, 2, 3, 5, 14, 21, 24]
+        .iter()
+        .map(|&i| {
+            let name = format!("wide_{i}");
+            let net = random_network(&name, 0x5EED_0000 + i, &options);
+            let text = blif::write(&script_algebraic(&net));
+            let parsed = blif::parse_reader(text.as_bytes()).expect("writer output parses");
+            let tn = synthesize(&parsed, &config).expect("random network");
+            (i, fnv1a(tn.to_tnet().as_bytes()))
+        })
+        .collect();
+    let listing: String = actual
+        .iter()
+        .map(|(i, h)| format!("    ({i}, 0x{h:016x}),\n"))
+        .collect();
+    assert_eq!(
+        actual.as_slice(),
+        GOLDEN_WIDE_PSI9,
+        "wide ψ = 9 .tnet bytes changed; current digests:\n{listing}"
     );
 }
 
