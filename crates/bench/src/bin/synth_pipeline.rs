@@ -30,7 +30,8 @@
 //! queries above the tier-0 oracle's 5-variable reach — with the tier-0.5
 //! pseudo-Boolean procedure on and off. It asserts byte-identical `.tnet`
 //! output either way, gates tier 0.5 at cutting the suite's remaining ILP
-//! solves by at least half at equal-or-better wall clock, and writes the
+//! solves by at least half at equal-or-better wall clock, reports the time
+//! spent in tier 0.5 per circuit (`tier05_ms`), and writes the
 //! `ilp_solve_reduction_large` object (`{before, after, pct}`); quick mode
 //! additionally regression-gates the reduction against the committed
 //! baseline when the key is present in either its bare-fraction or object
@@ -40,7 +41,8 @@
 //! circuit through the whole big-circuit frontend: streaming BLIF parse
 //! (checked byte-identical to the string parser), algebraic factoring,
 //! synthesis, and packed verification, recording per-stage wall
-//! clock and the process peak RSS. It also measures how much structural
+//! clock (parse, factoring and synthesis as the minimum of three runs)
+//! and the process peak RSS. It also measures how much structural
 //! hashing (`opt::strash` followed by `Network::compact`) shrinks the
 //! duplicated-logic ALU generator, and asserts the ≥2-gates-per-bit
 //! reduction. Quick mode regression-gates the stage timings against the
@@ -348,7 +350,8 @@ const PERTURB_RUNS: usize = 5;
 /// Suite-level gates live in `main`: ≥ 50% of the remaining ILP solves
 /// cut, at equal-or-better wall clock. Timing is min-of-N per leg
 /// (N = 3 full, 2 quick) so one descheduled timeslice cannot fail the
-/// wall-clock comparison.
+/// wall-clock comparison. Each row also reports `tier05_ms`, the time the
+/// tier-on run spent in tier 0.5 (`SolverBreakdown::tier05_ns`).
 ///
 /// Returns `(section, solves_off, solves_on, off_ms, on_ms)`.
 fn measure_tier05_large(samples: usize) -> (Json, usize, usize, f64, f64) {
@@ -393,9 +396,10 @@ fn measure_tier05_large(samples: usize) -> (Json, usize, usize, f64, f64) {
     let mut solves_on = 0usize;
     let mut off_ms = 0.0;
     let mut on_ms = 0.0;
+    let mut tier05_ms = 0.0;
     println!(
-        "\n{:<20} {:>10} {:>10} {:>10} {:>9} {:>8}",
-        "tier05 circuit", "off ms", "on ms", "solves off", "solves on", "tier05"
+        "\n{:<20} {:>10} {:>10} {:>10} {:>10} {:>9} {:>8}",
+        "tier05 circuit", "off ms", "on ms", "tier05 ms", "solves off", "solves on", "tier05"
     );
     for (name, net) in &circuits {
         let off = measure(net, &off_config, samples);
@@ -408,11 +412,13 @@ fn measure_tier05_large(samples: usize) -> (Json, usize, usize, f64, f64) {
             on.stats.ilp_solves <= off.stats.ilp_solves,
             "{name}: tier 0.5 increased the ILP solve count"
         );
+        let row_tier05_ms = on.stats.solver.tier05_ns as f64 / 1e6;
         println!(
-            "{:<20} {:>10.2} {:>10.2} {:>10} {:>9} {:>8}",
+            "{:<20} {:>10.2} {:>10.2} {:>10.3} {:>10} {:>9} {:>8}",
             name,
             off.millis,
             on.millis,
+            row_tier05_ms,
             off.stats.ilp_solves,
             on.stats.ilp_solves,
             on.stats.solver.tier05_hits + on.stats.solver.tier05_rejects,
@@ -421,10 +427,12 @@ fn measure_tier05_large(samples: usize) -> (Json, usize, usize, f64, f64) {
         solves_on += on.stats.ilp_solves;
         off_ms += off.millis;
         on_ms += on.millis;
+        tier05_ms += row_tier05_ms;
         rows.push(Json::obj([
             ("circuit", Json::str(*name)),
             ("off_ms", Json::Num(off.millis)),
             ("on_ms", Json::Num(on.millis)),
+            ("tier05_ms", Json::Num(row_tier05_ms)),
             ("gates", Json::Num(on.gates as f64)),
             ("ilp_solves_off", Json::Num(off.stats.ilp_solves as f64)),
             ("ilp_solves_on", Json::Num(on.stats.ilp_solves as f64)),
@@ -442,12 +450,14 @@ fn measure_tier05_large(samples: usize) -> (Json, usize, usize, f64, f64) {
     };
     println!(
         "tier 0.5 large suite: ILP solves {solves_off} (off) -> {solves_on} (on), a \
-         {pct:.1}% reduction; wall clock {off_ms:.1} ms -> {on_ms:.1} ms"
+         {pct:.1}% reduction; wall clock {off_ms:.1} ms -> {on_ms:.1} ms \
+         ({tier05_ms:.2} ms in tier 0.5)"
     );
     let section = Json::obj([
         ("psi", Json::Num(7.0)),
         ("total_off_ms", Json::Num(off_ms)),
         ("total_on_ms", Json::Num(on_ms)),
+        ("total_tier05_ms", Json::Num(tier05_ms)),
         ("ilp_solves_off", Json::Num(solves_off as f64)),
         ("ilp_solves_on", Json::Num(solves_on as f64)),
         ("circuits", Json::Arr(rows)),
@@ -478,9 +488,11 @@ fn peak_rss_mb() -> f64 {
 /// The parse stage is the streaming reader (`blif::parse_reader`), checked
 /// byte-identical (under `write`) to the in-memory string parser on the
 /// same input, so the number reported is the parser production code
-/// actually runs on files. Factoring dominates end-to-end time at this
-/// scale (see DESIGN §2.14), which is exactly why the stage split is
-/// recorded.
+/// actually runs on files. Parse, factoring and synthesis each report the
+/// minimum of [`SCALING_SAMPLES`] runs, so a cold first run (page faults,
+/// allocator growth) does not stand in for the code's speed. Factoring
+/// dominates end-to-end time at this scale (see DESIGN §2.14), which is
+/// exactly why the stage split is recorded.
 ///
 /// A second measurement demonstrates structural hashing: the ALU array
 /// generator duplicates its carry-generate/propagate gates against the
@@ -495,17 +507,9 @@ fn measure_scaling() -> (Json, f64, f64) {
     assert!(nodes >= 10_000, "scaling circuit shrank to {nodes} nodes");
     let text = blif::write(&source);
 
-    // Streaming parse, min-of-3 (parsing is the cheapest stage and the
-    // most timer-noise-prone).
-    let mut parse_ms = f64::INFINITY;
-    let mut parsed = None;
-    for _ in 0..3 {
-        let start = Instant::now();
-        let net = blif::parse_reader(text.as_bytes()).expect("parse scaling circuit");
-        parse_ms = parse_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        parsed = Some(net);
-    }
-    let parsed = parsed.expect("parsed at least once");
+    let (parse_ms, parsed) = min_time_ms(SCALING_SAMPLES, || {
+        blif::parse_reader(text.as_bytes()).expect("parse scaling circuit")
+    });
     // The writer materializes buffer nodes for outputs that alias internal
     // signals, so the reparse may carry a few more nodes — never fewer.
     assert!(parsed.num_logic_nodes() >= nodes);
@@ -515,14 +519,11 @@ fn measure_scaling() -> (Json, f64, f64) {
         "streaming and string parsers disagree on the scaling circuit"
     );
 
-    let start = Instant::now();
-    let prepared = script_algebraic(&parsed);
-    let factor_ms = start.elapsed().as_secs_f64() * 1e3;
-
-    let start = Instant::now();
-    let (tn, stats) = synthesize_with_stats(&prepared, &TelsConfig::default())
-        .expect("synthesize scaling circuit");
-    let synth_ms = start.elapsed().as_secs_f64() * 1e3;
+    let (factor_ms, prepared) = min_time_ms(SCALING_SAMPLES, || script_algebraic(&parsed));
+    let (synth_ms, (tn, stats)) = min_time_ms(SCALING_SAMPLES, || {
+        synthesize_with_stats(&prepared, &TelsConfig::default())
+            .expect("synthesize scaling circuit")
+    });
 
     let start = Instant::now();
     assert!(
@@ -615,6 +616,22 @@ fn time_ms<T>(f: impl FnOnce() -> T) -> (f64, T) {
     let start = Instant::now();
     let out = f();
     (start.elapsed().as_secs_f64() * 1e3, out)
+}
+
+/// Runs per stage of the 10k scaling leg; the minimum is reported.
+const SCALING_SAMPLES: usize = 3;
+
+/// The smallest wall clock (ms) of `samples` calls of `f`, and the last
+/// call's result.
+fn min_time_ms<T>(samples: usize, mut f: impl FnMut() -> T) -> (f64, T) {
+    let mut best = f64::INFINITY;
+    let mut out = None;
+    for _ in 0..samples {
+        let (ms, o) = time_ms(&mut f);
+        best = best.min(ms);
+        out = Some(o);
+    }
+    (best, out.expect("at least one sample"))
 }
 
 /// One stage timed at both sizes of the growth gate: each size's smallest

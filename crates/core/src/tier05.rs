@@ -14,13 +14,18 @@
 //!   needs weight ≥ 1 (weight 0 would force `δ_on + δ_off ≤ 0`), and
 //!   SCC-minimal positive covers have all-relevant support, so the search
 //!   enumerates descending class-weight vectors `w₁ ≥ … ≥ w_c ≥ 1`
-//!   (`decide` still verifies relevance on the table and declines if the
-//!   invariant ever failed to hold);
-//! * for a fixed weight vector the feasibility test is a subset-sum walk
-//!   over the full table (`sums[m] = sums[m & (m-1)] + w[lowbit(m)]`, at
-//!   most 512 rows): feasible iff `min_ON − δ_on ≥ max_OFF + δ_off`, and
-//!   the minimal threshold is then `T = max_OFF + δ_off`, so the merged
-//!   objective `Σ nᵢwᵢ + T` is determined by `w` alone;
+//!   (`decide` still verifies monotonicity and relevance on the table and
+//!   declines if either invariant ever failed to hold);
+//! * for a fixed weight vector the feasibility test is the paper's ILP
+//!   row set (one row per ON cube of `f`, one per OFF cube of `f̄`): the
+//!   ON set of a positive-unate function is an up-set and every weight
+//!   is ≥ 1, so `min_ON` over all ON rows is attained at a minimal ON row
+//!   and `max_OFF` at a maximal OFF row. `decide` collects those extreme
+//!   rows once per query, each reduced to its count of set variables per
+//!   Chow class with duplicates dropped, and a leaf takes one dot product
+//!   per extreme point: feasible iff `min_ON − δ_on ≥ max_OFF + δ_off`,
+//!   and the minimal threshold is then `T = max_OFF + δ_off`, so the
+//!   merged objective `Σ nᵢwᵢ + T` is determined by `w` alone;
 //! * branch-and-bound completeness comes from the incumbent: once a
 //!   feasible vector is known, any partial vector whose objective lower
 //!   bound (remaining weights at 1, `T ≥ δ_off`) exceeds the incumbent is
@@ -39,10 +44,9 @@
 //! pairs `a, b ∈ ON` and `c, d ∈ OFF` with `a + b = c + d` (coordinate
 //! sums) are impossible for any threshold function with `δ_off ≥ 1`
 //! (summing the four constraints gives `2T ≤ 2T − δ_on − δ_off`). The
-//! check hashes pairwise coordinate sums — 2 bits per variable, so a
-//! support-9 sum packs into 18 bits.
-
-use std::collections::HashSet;
+//! check marks pairwise coordinate sums in a bitmap — 2 bits per
+//! variable, so a support-9 sum packs into 18 bits and the bitmap takes
+//! 32 KiB.
 
 use tels_logic::TruthTable;
 
@@ -62,8 +66,8 @@ const DELTA_OFF: i64 = 1;
 /// synthesis queries at supports 6–9 have small optimal weights; anything
 /// needing more falls through to the ILP.
 const INIT_CAP: i64 = 16;
-/// Maximum leaf feasibility evaluations (each a ≤512-row subset-sum walk)
-/// before the search gives up and declines.
+/// Maximum leaf feasibility evaluations (each one dot product per extreme
+/// point) before the search gives up and declines.
 const LEAF_BUDGET: u32 = 20_000;
 
 /// Outcome of the tier-0.5 decision procedure.
@@ -77,33 +81,16 @@ pub(crate) enum Verdict {
     Inconclusive,
 }
 
+/// A row of the table reduced to its number of set variables per Chow
+/// class (classes in order, unused entries 0), so its weighted sum under
+/// class weights `w` is the dot product with `w`.
+type ClassCounts = [i64; MAX_VARS];
+
 /// Runs the decision procedure on a positive-unate table with its Chow
 /// classes. The table must not be constant.
 pub(crate) fn decide(tt: &TruthTable, chow: &ChowAnalysis) -> Verdict {
     let k = tt.num_vars() as usize;
     debug_assert!((MIN_VARS..=MAX_VARS).contains(&k));
-    let rows = 1usize << k;
-
-    // The w ≥ 1 restriction below is only complete when every support
-    // variable is functionally relevant. SCC-minimal positive covers
-    // guarantee that, but verify on the table and decline rather than
-    // trust the caller: an irrelevant variable legitimately takes weight
-    // 0 in the ILP's optimum.
-    for i in 0..k {
-        let stride = 1usize << i;
-        let mut relevant = false;
-        'outer: for base in (0..rows).step_by(stride << 1) {
-            for low in base..base + stride {
-                if tt.bit(low) != tt.bit(low | stride) {
-                    relevant = true;
-                    break 'outer;
-                }
-            }
-        }
-        if !relevant {
-            return Verdict::Inconclusive;
-        }
-    }
 
     let classes = &chow.classes;
     debug_assert_eq!(chow.num_vars(), k);
@@ -116,12 +103,20 @@ pub(crate) fn decide(tt: &TruthTable, chow: &ChowAnalysis) -> Verdict {
         sizes[ci] = class.len() as i64;
     }
 
+    // The search below is only complete for a positive-unate table whose
+    // support variables are all functionally relevant. SCC-minimal
+    // positive covers guarantee both, but `extreme_points` verifies them
+    // on the table, and the tier declines rather than trust the caller:
+    // an irrelevant variable legitimately takes weight 0 in the ILP's
+    // optimum, and the extreme rows stand for the whole table only when
+    // the ON set is an up-set.
+    let Some((on, off)) = extreme_points(tt, &class_of) else {
+        return Verdict::Inconclusive;
+    };
     let mut search = Search {
-        tt,
-        rows,
-        class_of,
         sizes,
-        sums: vec![0i64; rows],
+        on,
+        off,
         leaves_left: LEAF_BUDGET,
         best: None,
         tied: false,
@@ -134,7 +129,7 @@ pub(crate) fn decide(tt: &TruthTable, chow: &ChowAnalysis) -> Verdict {
     }
     match search.best {
         Some((_, weights, t)) if !search.tied => {
-            let per_var: Vec<i64> = (0..k).map(|i| weights[search.class_of[i]]).collect();
+            let per_var: Vec<i64> = class_of.iter().map(|&c| weights[c]).collect();
             Verdict::Threshold(per_var, t)
         }
         Some(_) => Verdict::Inconclusive,
@@ -151,15 +146,106 @@ pub(crate) fn decide(tt: &TruthTable, chow: &ChowAnalysis) -> Verdict {
     }
 }
 
-struct Search<'a> {
-    tt: &'a TruthTable,
-    rows: usize,
-    /// Chow class index per variable position.
-    class_of: Vec<usize>,
+/// A set of rows of a table over 6–9 variables: row `m` is bit `m % 64`
+/// of word `m / 64`.
+type Rows = [u64; 1 << (MAX_VARS - 6)];
+
+/// Per variable `i < 6`, the rows of one word whose bit `i` is clear.
+const CLEAR_IN_WORD: [u64; 6] = [
+    0x5555_5555_5555_5555,
+    0x3333_3333_3333_3333,
+    0x0f0f_0f0f_0f0f_0f0f,
+    0x00ff_00ff_00ff_00ff,
+    0x0000_ffff_0000_ffff,
+    0x0000_0000_ffff_ffff,
+];
+
+/// Word `j` of the rows whose variable `i` is set.
+fn set_rows(i: usize, j: usize) -> u64 {
+    if i < 6 {
+        !CLEAR_IN_WORD[i]
+    } else if j >> (i - 6) & 1 == 1 {
+        !0
+    } else {
+        0
+    }
+}
+
+/// Word `j` of `f` with variable `i` flipped: bit `m` holds `f(m ^ 1 << i)`.
+fn flipped(f: &Rows, i: usize, j: usize) -> u64 {
+    if i < 6 {
+        let (clear, s) = (CLEAR_IN_WORD[i], 1 << i);
+        (f[j] >> s) & clear | (f[j] & clear) << s
+    } else {
+        f[j ^ 1 << (i - 6)]
+    }
+}
+
+/// The minimal ON rows and the maximal OFF rows of a positive-unate
+/// table, as distinct [`ClassCounts`] under the class map `class_of`;
+/// `None` when the table is not positive unate or does not depend on
+/// some variable.
+///
+/// A row is a minimal ON row when clearing any one of its set variables
+/// turns it OFF, and a maximal OFF row when setting any one of its clear
+/// variables turns it ON. Under weights ≥ 1 every ON row sums to at least
+/// some minimal ON row below it, and every OFF row to at most some
+/// maximal OFF row above it. All rows are tested at once, a word of 64
+/// at a time, against the table with one variable flipped.
+fn extreme_points(
+    tt: &TruthTable,
+    class_of: &[usize],
+) -> Option<(Vec<ClassCounts>, Vec<ClassCounts>)> {
+    let k = class_of.len();
+    let words = tt.words().len();
+    let mut f = Rows::default();
+    f[..words].copy_from_slice(tt.words());
+    let mut min_on = f;
+    let mut max_off = f.map(|w| !w);
+    for i in 0..k {
+        let mut relevant = false;
+        for j in 0..words {
+            let (x, g) = (set_rows(i, j), flipped(&f, i, j));
+            // A clear variable whose setting turns an ON row OFF.
+            if f[j] & !x & !g != 0 {
+                return None;
+            }
+            relevant |= f[j] != g;
+            min_on[j] &= !x | !g;
+            max_off[j] &= x | g;
+        }
+        if !relevant {
+            return None;
+        }
+    }
+    let points = |rows: &Rows| {
+        let mut out: Vec<ClassCounts> = Vec::new();
+        for (j, &word) in rows[..words].iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                let m = j * 64 + rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                let mut counts = [0i64; MAX_VARS];
+                for (i, &c) in class_of.iter().enumerate() {
+                    counts[c] += (m >> i & 1) as i64;
+                }
+                out.push(counts);
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
+    };
+    Some((points(&min_on), points(&max_off)))
+}
+
+struct Search {
     /// Variables per class, as i64 for objective arithmetic.
     sizes: Vec<i64>,
-    /// Subset-sum scratch, reused across leaves.
-    sums: Vec<i64>,
+    /// Minimal ON rows of the table ([`extreme_points`]).
+    on: Vec<ClassCounts>,
+    /// Maximal OFF rows of the table ([`extreme_points`]).
+    off: Vec<ClassCounts>,
     leaves_left: u32,
     /// `(objective, class weights, threshold)` of the incumbent.
     best: Option<(i64, Vec<i64>, i64)>,
@@ -168,7 +254,7 @@ struct Search<'a> {
     budget_exhausted: bool,
 }
 
-impl Search<'_> {
+impl Search {
     fn run(&mut self) {
         let mut w = vec![0i64; self.sizes.len()];
         // Minimum objective contribution of classes d..: one per variable.
@@ -220,8 +306,9 @@ impl Search<'_> {
         }
     }
 
-    /// Feasibility test for a complete weight vector: one subset-sum walk
-    /// over the table, then min over ON rows vs max over OFF rows.
+    /// Feasibility test for a complete weight vector: min over the
+    /// minimal ON rows vs max over the maximal OFF rows, which equal the
+    /// min over all ON rows and the max over all OFF rows.
     fn leaf(&mut self, w: &[i64], weight_sum: i64) {
         if self.leaves_left == 0 {
             self.budget_exhausted = true;
@@ -229,25 +316,7 @@ impl Search<'_> {
         }
         self.leaves_left -= 1;
 
-        self.sums[0] = 0;
-        let mut min_on = i64::MAX;
-        let mut max_off = i64::MIN;
-        if self.tt.bit(0) {
-            min_on = 0;
-        } else {
-            max_off = 0;
-        }
-        for mterm in 1..self.rows {
-            let low = mterm.trailing_zeros() as usize;
-            let s = self.sums[mterm & (mterm - 1)] + w[self.class_of[low]];
-            self.sums[mterm] = s;
-            if self.tt.bit(mterm) {
-                min_on = min_on.min(s);
-            } else {
-                max_off = max_off.max(s);
-            }
-        }
-        debug_assert!(min_on != i64::MAX && max_off != i64::MIN, "constant table");
+        let (min_on, max_off) = extremes(&self.on, &self.off, w);
         if min_on - DELTA_ON < max_off + DELTA_OFF {
             return;
         }
@@ -264,10 +333,19 @@ impl Search<'_> {
     }
 }
 
+/// `(min_ON, max_OFF)`: the smallest weighted sum over `on` and the
+/// largest over `off` under class weights `w`.
+fn extremes(on: &[ClassCounts], off: &[ClassCounts], w: &[i64]) -> (i64, i64) {
+    let dot = |p: &ClassCounts| p.iter().zip(w).map(|(&n, &wi)| n * wi).sum::<i64>();
+    let min_on = on.iter().map(dot).min().expect("constant table");
+    let max_off = off.iter().map(dot).max().expect("constant table");
+    (min_on, max_off)
+}
+
 /// Sound non-thresholdness proof: finds ON minterms `a, b` and OFF
 /// minterms `c, d` with equal coordinate sums `a + b = c + d`. Each
 /// per-variable sum is 0..=2, packed 2 bits per variable (≤ 18 bits for
-/// support 9), so pair sums hash into a `HashSet<u32>`.
+/// support 9), so the ON pair sums fit a bitmap of `4^k` bits.
 fn two_asummability_violated(tt: &TruthTable) -> bool {
     let k = tt.num_vars() as usize;
     debug_assert!(k <= MAX_VARS);
@@ -286,15 +364,17 @@ fn two_asummability_violated(tt: &TruthTable) -> bool {
             off.push(spread);
         }
     }
-    let mut on_sums: HashSet<u32> = HashSet::with_capacity(on.len() * (on.len() + 1) / 2);
+    let mut on_sums = vec![0u64; (1usize << (2 * k)).div_ceil(64)];
     for (i, &a) in on.iter().enumerate() {
         for &b in &on[i..] {
-            on_sums.insert(a + b);
+            let s = (a + b) as usize;
+            on_sums[s / 64] |= 1 << (s % 64);
         }
     }
     for (i, &c) in off.iter().enumerate() {
         for &d in &off[i..] {
-            if on_sums.contains(&(c + d)) {
+            let s = (c + d) as usize;
+            if on_sums[s / 64] >> (s % 64) & 1 == 1 {
                 return true;
             }
         }
@@ -306,7 +386,7 @@ fn two_asummability_violated(tt: &TruthTable) -> bool {
 mod tests {
     use super::*;
     use crate::chow::{self, Structure};
-    use tels_logic::TruthTable;
+    use tels_logic::{Polarity, TruthTable};
 
     fn table_of_bits(k: usize, f: impl Fn(usize) -> bool) -> TruthTable {
         let mut tt = TruthTable::constant(k as u32, false);
@@ -400,18 +480,151 @@ mod tests {
         assert!(!two_asummability_violated(&tt));
     }
 
+    /// Xorshift64 stream for the seeded table families.
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    /// Reference `(min_ON, max_OFF)`: a subset-sum walk over every row
+    /// (`sums[m] = sums[m & (m-1)] + w[class of lowbit(m)]`).
+    fn walk_extremes(tt: &TruthTable, class_of: &[usize], w: &[i64]) -> (i64, i64) {
+        let rows = 1usize << tt.num_vars();
+        let mut sums = vec![0i64; rows];
+        let (mut min_on, mut max_off) = (i64::MAX, i64::MIN);
+        for m in 0..rows {
+            if m > 0 {
+                sums[m] = sums[m & (m - 1)] + w[class_of[m.trailing_zeros() as usize]];
+            }
+            if tt.bit(m) {
+                min_on = min_on.min(sums[m]);
+            } else {
+                max_off = max_off.max(sums[m]);
+            }
+        }
+        (min_on, max_off)
+    }
+
+    /// A random 2-monotonic positive table: the smallest ON set that
+    /// contains `generators` random rows and is closed under setting a
+    /// variable and under moving a set variable `j` to a clear `i < j`.
+    /// Both moves raise `Σ (k − i)` over the set variables, so one pass in
+    /// that order sees every row's predecessors first.
+    fn regular_table(k: usize, generators: usize, next: &mut impl FnMut() -> u64) -> TruthTable {
+        let rows = 1usize << k;
+        let mut on = vec![false; rows];
+        for _ in 0..generators {
+            on[next() as usize % rows] = true;
+        }
+        let potential = |m: usize| {
+            (0..k)
+                .filter(|&i| m >> i & 1 == 1)
+                .map(|i| k - i)
+                .sum::<usize>()
+        };
+        let mut order: Vec<usize> = (0..rows).collect();
+        order.sort_by_key(|&m| potential(m));
+        for m in order {
+            let set = |i: usize| m >> i & 1 == 1;
+            on[m] = on[m]
+                || (0..k).any(|i| set(i) && on[m ^ 1 << i])
+                || (0..k).any(|i| (i + 1..k).any(|j| set(i) && !set(j) && on[m ^ 1 << i ^ 1 << j]));
+        }
+        table_of_bits(k, |m| on[m])
+    }
+
+    #[test]
+    fn extreme_points_match_the_full_table_walk() {
+        let mut next = xorshift(0x0e57_7e3e_5eed_0001);
+        let mut tables = 0;
+        let mut non_threshold = 0;
+        for k in MIN_VARS..=MAX_VARS {
+            for round in 0..32 {
+                let tt = if round % 2 == 0 {
+                    let w0: Vec<i64> = (0..k).map(|_| (next() % 8) as i64 + 1).collect();
+                    let t0 = (next() % w0.iter().sum::<i64>() as u64) as i64 + 1;
+                    table_of_bits(k, |m| {
+                        (0..k)
+                            .filter(|&i| m >> i & 1 == 1)
+                            .map(|i| w0[i])
+                            .sum::<i64>()
+                            >= t0
+                    })
+                } else {
+                    regular_table(k, 2 + next() as usize % 6, &mut next)
+                };
+                let ones = tt.count_ones();
+                if ones == 0 || ones == 1 << k {
+                    continue;
+                }
+                let chow = analyze(&tt);
+                let mut class_of = vec![0usize; k];
+                for (c, class) in chow.classes.iter().enumerate() {
+                    for &pos in class {
+                        class_of[pos] = c;
+                    }
+                }
+                // Tables with an irrelevant variable are declined, and
+                // so is the table with one row flipped unless it stays
+                // positive unate in every variable.
+                let mut flipped_row = tt.clone();
+                let m = next() as usize % (1 << k);
+                flipped_row.set_bit(m, !tt.bit(m));
+                for t in [&tt, &flipped_row] {
+                    let positive = (0..k as u32).all(|i| t.polarity(i) == Some(Polarity::Positive));
+                    assert_eq!(extreme_points(t, &class_of).is_some(), positive);
+                }
+                let Some((on, off)) = extreme_points(&tt, &class_of) else {
+                    continue;
+                };
+                tables += 1;
+                non_threshold += usize::from(two_asummability_violated(&tt));
+                for _ in 0..64 {
+                    let mut w: Vec<i64> = chow
+                        .classes
+                        .iter()
+                        .map(|_| (next() % 20) as i64 + 1)
+                        .collect();
+                    w.sort_unstable_by(|a, b| b.cmp(a));
+                    assert_eq!(
+                        extremes(&on, &off, &w),
+                        walk_extremes(&tt, &class_of, &w),
+                        "k = {k}, class weights {w:?}"
+                    );
+                }
+            }
+        }
+        assert!(
+            tables >= 80,
+            "only {tables} tables with every variable relevant"
+        );
+        assert!(non_threshold > 0, "the family has no non-threshold table");
+    }
+
+    #[test]
+    fn non_monotone_tables_decline() {
+        // Symmetric, hence 2-monotonic with one Chow class, and every
+        // variable is relevant, but neither table is positive unate. The
+        // search would find no feasible vector, and parity would then be
+        // refuted by the asummability proof; the tier declines first.
+        for tt in [
+            table_of_bits(7, |m| m.count_ones() <= 3),
+            table_of_bits(7, |m| m.count_ones() % 2 == 1),
+        ] {
+            assert!(matches!(decide(&tt, &analyze(&tt)), Verdict::Inconclusive));
+        }
+    }
+
     #[test]
     fn decide_answers_match_brute_force_search() {
         // Seeded family of weighted thresholds at support 6: whenever the
         // tier answers Threshold, the realization must be valid and its
         // objective must match an independent exhaustive minimum.
-        let mut state = 0x1234_5678_9abc_def0u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        let mut next = xorshift(0x1234_5678_9abc_def0);
         for _ in 0..20 {
             let w0: Vec<i64> = (0..6).map(|_| (next() % 4) as i64 + 1).collect();
             let total: i64 = w0.iter().sum();

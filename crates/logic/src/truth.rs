@@ -92,6 +92,12 @@ impl TruthTable {
         }
     }
 
+    /// The table as words: row `m` is bit `m % 64` of word `m / 64`, and
+    /// the bits past row `2ⁿ − 1` are 0.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Number of ON-set minterms.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
