@@ -1,6 +1,10 @@
-//! Ablation: synthesis with and without the Theorem-1 non-threshold
-//! pre-filter (§IV). The filter skips ILP calls for provably non-threshold
-//! nodes; the result quality must be identical either way.
+//! Ablation: what the Theorem-1 refutation (§IV) saves. The checker runs
+//! it as the 2-monotonicity test on every cache miss; each refutation is
+//! a query the paper's flow would otherwise hand to the ILP. The circuits
+//! run at ψ = 9, so collapsed nodes reach past tier 0's 5 variables, and
+//! tier 0.5 is switched off so that no later tier answers those queries
+//! either; each circuit's count of refutations (ILPs not built) is
+//! printed next to the ILP solves that did run.
 
 use tels_bench::harness::Criterion;
 use tels_bench::{criterion_group, criterion_main};
@@ -11,38 +15,27 @@ use tels_logic::opt::script_algebraic;
 fn bench_theorem1(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_theorem1");
     group.sample_size(10);
+    let config = TelsConfig {
+        psi: 9,
+        use_tier05: false,
+        ..TelsConfig::default()
+    };
     for b in paper_suite() {
         if !matches!(b.name, "comp_like" | "cmb_like" | "term1_like") {
             continue;
         }
         let algebraic = script_algebraic(&b.network);
-        for (label, use_theorem1) in [("with", true), ("without", false)] {
-            let config = TelsConfig {
-                use_theorem1,
-                ..TelsConfig::default()
-            };
-            group.bench_function(format!("{}/{label}", b.name), |bench| {
-                bench.iter(|| synthesize_with_stats(&algebraic, &config).expect("synthesize"));
-            });
-        }
-        // Quality must be identical; only ILP call counts may differ.
-        let on = synthesize_with_stats(&algebraic, &TelsConfig::default()).expect("on");
-        let off = synthesize_with_stats(
-            &algebraic,
-            &TelsConfig {
-                use_theorem1: false,
-                ..TelsConfig::default()
-            },
-        )
-        .expect("off");
-        assert_eq!(on.0.num_gates(), off.0.num_gates());
+        group.bench_function(b.name, |bench| {
+            bench.iter(|| synthesize_with_stats(&algebraic, &config).expect("synthesize"));
+        });
+        let (tn, stats) = synthesize_with_stats(&algebraic, &config).expect("synthesize");
         println!(
-            "{}: gates {} | ILP calls with filter {}, without {} ({} refutations)",
+            "{}: gates {} | {} threshold queries, {} Theorem-1 refutations (ILPs not built), {} ILP solves",
             b.name,
-            on.0.num_gates(),
-            on.1.ilp_calls,
-            off.1.ilp_calls,
-            on.1.theorem1_refutations
+            tn.num_gates(),
+            stats.ilp_calls,
+            stats.theorem1_refutations,
+            stats.ilp_solves
         );
     }
     group.finish();

@@ -790,7 +790,7 @@ fn main() {
     tels_core::prewarm_tier0();
 
     // (name, network, ψ): the default ψ = 3 plus a few ψ = 5 entries,
-    // where wider unate covers reach the structure pre-filter.
+    // where wider unate covers reach the Theorem-1 refutation.
     let circuits: Vec<(String, Network, usize)> = vec![
         ("c17".to_string(), c17(), 3),
         ("alu_slice".to_string(), alu_slice(), 3),
@@ -841,7 +841,7 @@ fn main() {
     let mut support_hist = [0u64; tels_core::SolverBreakdown::SUPPORT_BUCKETS];
     println!(
         "{:<18} {:>10} {:>8} {:>8} {:>8} {:>9} {:>8}",
-        "circuit", "ms", "solves", "tier0", "hits", "prefilter", "fallbk"
+        "circuit", "ms", "solves", "tier0", "hits", "theorem1", "fallbk"
     );
     let mut traced_suite: Vec<(String, Network, TelsConfig)> = Vec::new();
     for (name, net, psi) in &circuits {
@@ -883,7 +883,7 @@ fn main() {
             m.stats.ilp_solves,
             m.stats.solver.tier0_lookups,
             m.stats.cache_hits,
-            m.stats.prefilter_rejections,
+            m.stats.theorem1_refutations,
             m.stats.solver.rational_fallbacks + no_tier0.stats.solver.rational_fallbacks,
         );
         total_ms += m.millis;

@@ -50,8 +50,8 @@ fn main() -> ExitCode {
 const USAGE: &str = "\
 usage: tels <command> [args]
   synth  <in.blif> [-o out.tnet] [--psi N] [--delta-on N] [--delta-off N]
-         [--weight-cap N] [--no-factor] [--no-theorem1]
-         [--no-tier0] [--no-tier05] [--best]
+         [--weight-cap N] [--no-factor] [--no-tier0] [--no-tier05]
+         [--best]
          [--trace out.json] [--profile] [--stats-json]
   map11  <in.blif> [-o out.tnet] [--psi N] [--delta-on N] [--delta-off N]
   sim    <file.blif|file.tnet> <bits...>
@@ -156,7 +156,6 @@ fn parse_synth_args(args: &[String]) -> Result<SynthArgs, String> {
             "--delta-off" => out.config.delta_off = num("--delta-off")?,
             "--weight-cap" => out.config.weight_cap = Some(num("--weight-cap")?),
             "--no-factor" => out.factor = false,
-            "--no-theorem1" => out.config.use_theorem1 = false,
             "--no-tier0" => out.config.use_tier0 = false,
             "--no-tier05" => out.config.use_tier05 = false,
             "--best" => out.best = true,
@@ -234,7 +233,7 @@ fn cmd_synth(args: &[String]) -> Result<(), String> {
                 synthesize_with_stats(&prepared, &a.config).map_err(|e| e.to_string())?;
             if !a.stats_json {
                 eprintln!(
-                    "tels: {} gates, {} levels, area {} | {} ILP calls, {} theorem-1 prunes, {} theorem-2 combines",
+                    "tels: {} gates, {} levels, area {} | {} ILP calls, {} theorem-1 refutations, {} theorem-2 combines",
                     tn.num_gates(),
                     tn.depth(),
                     tn.area(),
@@ -243,14 +242,13 @@ fn cmd_synth(args: &[String]) -> Result<(), String> {
                     stats.theorem2_combines
                 );
                 eprintln!(
-                    "tels: {} ILP solves, {} tier-0 lookups, {} tier-0.5 answers ({} hits, {} rejects), {} cache hits, {} pre-filter rejections ({} solves avoided)",
+                    "tels: {} ILP solves, {} tier-0 lookups, {} tier-0.5 answers ({} hits, {} rejects), {} cache hits ({} solves avoided)",
                     stats.ilp_solves,
                     stats.solver.tier0_lookups,
                     stats.solver.tier05_hits + stats.solver.tier05_rejects,
                     stats.solver.tier05_hits,
                     stats.solver.tier05_rejects,
                     stats.cache_hits,
-                    stats.prefilter_rejections,
                     stats.ilp_avoided()
                 );
                 let sv = &stats.solver;
@@ -748,13 +746,12 @@ fn render_top(socket: &str, snap: &Json, prev: Option<&Json>, enabled: bool) {
         v("tels_cache_inserts_total"),
     );
     println!(
-        "check   trivial {:.0}   tier0 {:.0}   tier05 {:.0}   cache {:.0}   theorem1 {:.0}   prefilter {:.0}   ilp {:.0}   canon {}",
+        "check   trivial {:.0}   tier0 {:.0}   tier05 {:.0}   cache {:.0}   theorem1 {:.0}   ilp {:.0}   canon {}",
         v("tels_check_trivial_total"),
         v("tels_check_tier0_total"),
         v("tels_check_tier05_total"),
         v("tels_check_cache_hits_total"),
         v("tels_check_theorem1_total"),
-        v("tels_check_prefilter_total"),
         v("tels_check_ilp_solves_total"),
         fmt_ns(v("tels_check_canon_ns_total")),
     );
@@ -797,15 +794,53 @@ fn cmd_trace_check(args: &[String]) -> Result<(), String> {
             }
         }
         let run = stats.get("stats").expect("checked above");
-        for key in ["ilp_calls", "ilp_solves", "cache_hits", "solver"] {
-            if run.get(key).is_none() {
-                return Err(format!("{stats_path}: missing key `stats.{key}`"));
-            }
+        let solver = run
+            .get("solver")
+            .ok_or_else(|| format!("{stats_path}: missing key `stats.solver`"))?;
+        if solver.get("support_hist").is_none() {
+            return Err(format!(
+                "{stats_path}: missing key `stats.solver.support_hist`"
+            ));
         }
-        let solver = run.get("solver").expect("checked above");
-        for key in ["tier0_lookups", "support_hist"] {
-            if solver.get(key).is_none() {
-                return Err(format!("{stats_path}: missing key `stats.solver.{key}`"));
+        // Every count the repository benchmark (`perfbench`) reads, so a
+        // renamed counter fails here instead of reading 0 there.
+        let counts: [(&Json, &str, &[&str]); 2] = [
+            (
+                run,
+                "stats",
+                &[
+                    "ilp_calls",
+                    "ilp_solves",
+                    "cache_hits",
+                    "theorem1_refutations",
+                    "prefilter_rejections",
+                    "theorem2_combines",
+                    "collapses",
+                    "unate_splits",
+                    "binate_splits",
+                ],
+            ),
+            (
+                solver,
+                "stats.solver",
+                &[
+                    "tier0_lookups",
+                    "tier0_ns",
+                    "tier05_hits",
+                    "tier05_rejects",
+                    "tier05_ns",
+                    "structure_ns",
+                    "int_solve_ns",
+                    "rational_solve_ns",
+                    "rational_fallbacks",
+                ],
+            ),
+        ];
+        for (object, path, keys) in counts {
+            for key in keys {
+                if object.get(key).and_then(Json::as_f64).is_none() {
+                    return Err(format!("{stats_path}: missing count `{path}.{key}`"));
+                }
             }
         }
         let gates = stats

@@ -274,6 +274,23 @@ fn synth_trace_profile_and_trace_check() {
     ]);
     assert!(check.status.success(), "{}", stderr(&check));
     assert!(stdout(&check).contains("trace-check: ok"));
+
+    // Renaming a counter the repository benchmark reads fails the check.
+    for (key, path) in [
+        ("theorem1_refutations", "stats.theorem1_refutations"),
+        ("tier05_ns", "stats.solver.tier05_ns"),
+    ] {
+        let renamed = dir.join("renamed_stats.json");
+        let text = stdout(&o).replace(&format!("\"{key}\""), &format!("\"{key}_old\""));
+        fs::write(&renamed, text).unwrap();
+        let check = tels(&[
+            "trace-check",
+            trace.to_str().unwrap(),
+            renamed.to_str().unwrap(),
+        ]);
+        assert!(!check.status.success(), "renamed `{key}` passed");
+        assert!(stderr(&check).contains(path), "{}", stderr(&check));
+    }
 }
 
 #[test]

@@ -7,36 +7,43 @@
 //! threshold function (over the cube constraints, which are exact for unate
 //! covers).
 //!
-//! A one-pass *structure analysis* ([`crate::chow`]) runs before the ILP:
-//! functions that violate 2-monotonicity (pairwise cofactor comparability
-//! — a property of every threshold function) are rejected in time
-//! proportional to the truth table, and for the functions that pass, the
-//! Chow parameters computed on the same table shrink the ILP — equal-Chow
-//! variables merge into one weight column and the Chow ordering adds
-//! weight-chain constraints that prune the branch-and-bound. Duplicate
-//! inequalities are dropped when the problem is built.
+//! [`check_threshold_cached`] runs one fixed, ordered list of deciders,
+//! each of which decides the query, refutes it, or passes it on:
 //!
-//! The ILP itself is tiered ([`tels_ilp`]): every LP relaxation first runs
-//! on a fraction-free `i128` integer simplex and falls back to the
+//! 1. trivial — constants and syntactically binate covers;
+//! 2. tier 0 ([`crate::tier0`]) — supports up to 5, answered before the
+//!    cache and never memoized;
+//! 3. the [`RealizationCache`], keyed by the canonical positive-unate
+//!    form, so repeated queries for the same function — under any
+//!    variable renaming or phase assignment — are answered by an exact
+//!    remap instead of a solve;
+//! 4. on a miss, one truth table of the canonical cover (supports 2–12)
+//!    feeds the rest: the 2-monotonicity test ([`crate::chow`]), which is
+//!    the paper's Theorem 1 and refutes what it rejects, and for supports
+//!    up to 11 the Chow classes that shrink the ILP — equal-Chow variables
+//!    merge into one weight column and the Chow ordering adds
+//!    weight-chain constraints that prune the branch-and-bound;
+//! 5. tier 0.5 ([`crate::tier05`]) — supports 6–9, on the same table and
+//!    classes;
+//! 6. the ILP, which always answers.
+//!
+//! Every miss answer is memoized under the canonical key. The ILP itself
+//! is tiered ([`tels_ilp`]): every LP relaxation first runs on a
+//! fraction-free `i128` integer simplex and falls back to the
 //! exact-rational oracle only on overflow. [`SolverBreakdown`] reports
-//! where each check spent its time across these tiers.
-//!
-//! [`check_threshold_cached`] additionally memoizes answers in a
-//! [`RealizationCache`] keyed by the canonical positive-unate form, so
-//! repeated queries for the same function — under any variable renaming or
-//! phase assignment — are answered by an exact remap instead of a solve.
+//! where each check spent its time across these tiers. Duplicate
+//! inequalities are dropped when the problem is built.
 
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 use tels_ilp::{Cmp, Problem, Status};
-use tels_logic::{Cube, Polarity, SignatureScratch, Sop, TruthTable, Var};
+use tels_logic::{Cube, SignatureScratch, Sop, TruthTable, Var, VarSet};
 
 use crate::cache::{CanonicalRealization, RealizationCache};
-use crate::chow::{self, ChowAnalysis, Structure};
+use crate::chow::{self, ChowAnalysis};
 use crate::config::TelsConfig;
 use crate::error::SynthError;
-use crate::theorems::theorem1_refutes;
 use crate::tier0;
 use crate::tier05;
 
@@ -46,8 +53,8 @@ use crate::tier05;
 /// that actually ran; a solve lands in `rational_fallbacks` as soon as any
 /// of its LP relaxations needed the exact-rational simplex. The `*_ns`
 /// fields are wall-clock nanoseconds, bucketed the same way;
-/// `structure_ns` covers the combined 2-monotonicity/Chow truth-table
-/// pass.
+/// `structure_ns` covers the miss path's truth-table build, its
+/// 2-monotonicity refutation and its Chow classes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverBreakdown {
     /// Queries answered by the tier-0 truth-table oracle (hit or
@@ -68,10 +75,11 @@ pub struct SolverBreakdown {
     pub rational_fallbacks: usize,
     /// Wall time of tier-0 lookups (truth-table pass + table probe).
     pub tier0_ns: u64,
-    /// Wall time of tier-0.5 work: table build and the decision procedure
-    /// itself (the shared structure pass stays in [`Self::structure_ns`]).
+    /// Wall time of the tier-0.5 decision procedure (its table comes from
+    /// the structure pass, billed to [`Self::structure_ns`]).
     pub tier05_ns: u64,
-    /// Wall time of the structure pass (2-monotonicity + Chow parameters).
+    /// Wall time of the structure pass: the miss path's truth table, the
+    /// 2-monotonicity refutation and the Chow parameters.
     pub structure_ns: u64,
     /// Wall time of ILP solves decided entirely on the integer fast path.
     pub int_solve_ns: u64,
@@ -85,7 +93,7 @@ pub struct SolverBreakdown {
 
 impl SolverBreakdown {
     /// Buckets of [`Self::support_hist`]: supports `0..=11` exactly, 12+
-    /// collapsed (11 is the structure pass's truth-table limit).
+    /// collapsed (11 is the Chow classes' support limit).
     pub const SUPPORT_BUCKETS: usize = 13;
 
     /// Accumulates another breakdown into this one (thread-merge).
@@ -115,36 +123,22 @@ impl SolverBreakdown {
     /// and the bench harness.
     pub fn to_json(&self) -> tels_trace::json::Json {
         use tels_trace::json::Json;
+        let n = |v: usize| Json::Num(v as f64);
+        let ns = |v: u64| Json::Num(v as f64);
+        let hist = self.support_hist.iter().map(|&c| Json::Num(c.into()));
         Json::obj([
-            ("tier0_lookups", Json::Num(self.tier0_lookups as f64)),
-            ("tier0_ns", Json::Num(self.tier0_ns as f64)),
-            ("tier05_hits", Json::Num(self.tier05_hits as f64)),
-            ("tier05_rejects", Json::Num(self.tier05_rejects as f64)),
-            ("tier05_ns", Json::Num(self.tier05_ns as f64)),
-            (
-                "support_hist",
-                Json::Arr(
-                    self.support_hist
-                        .iter()
-                        .map(|&n| Json::Num(n as f64))
-                        .collect(),
-                ),
-            ),
-            ("chow_merged_vars", Json::Num(self.chow_merged_vars as f64)),
-            (
-                "int_fast_path_solves",
-                Json::Num(self.int_fast_path_solves as f64),
-            ),
-            (
-                "rational_fallbacks",
-                Json::Num(self.rational_fallbacks as f64),
-            ),
-            ("structure_ns", Json::Num(self.structure_ns as f64)),
-            ("int_solve_ns", Json::Num(self.int_solve_ns as f64)),
-            (
-                "rational_solve_ns",
-                Json::Num(self.rational_solve_ns as f64),
-            ),
+            ("tier0_lookups", n(self.tier0_lookups)),
+            ("tier0_ns", ns(self.tier0_ns)),
+            ("tier05_hits", n(self.tier05_hits)),
+            ("tier05_rejects", n(self.tier05_rejects)),
+            ("tier05_ns", ns(self.tier05_ns)),
+            ("support_hist", Json::Arr(hist.collect())),
+            ("chow_merged_vars", n(self.chow_merged_vars)),
+            ("int_fast_path_solves", n(self.int_fast_path_solves)),
+            ("rational_fallbacks", n(self.rational_fallbacks)),
+            ("structure_ns", ns(self.structure_ns)),
+            ("int_solve_ns", ns(self.int_solve_ns)),
+            ("rational_solve_ns", ns(self.rational_solve_ns)),
         ])
     }
 }
@@ -229,104 +223,39 @@ pub fn check_threshold(f: &Sop, config: &TelsConfig) -> Result<Option<Realizatio
     Ok(r)
 }
 
-/// Runs the structure pass with its time billed to `solver`.
-fn timed_structure(positive: &Sop, order: &[Var], solver: &mut SolverBreakdown) -> Structure {
-    let t0 = Instant::now();
-    let structure = chow::analyze(positive, order);
-    solver.structure_ns += t0.elapsed().as_nanos() as u64;
-    structure
+/// What one decider of the threshold check made of a query.
+pub(crate) enum Step<R> {
+    /// A realization: the check ends here.
+    Decided(R),
+    /// Proven not a threshold function: the check ends here.
+    Refuted,
+    /// No answer: the next decider runs.
+    Pass,
 }
 
-/// Outcome of the tier-0.5 layer for one query.
-enum Tier05Flow {
-    /// Tier inactive or support out of its 6–9 range — take the plain
-    /// structure + solve path.
-    NotApplicable,
-    /// Identified: positive per-variable weights (in support order) and
-    /// threshold — provably the merged ILP's unique optimum.
-    Threshold(Vec<i64>, i64),
-    /// Proven non-threshold by 2-asummability.
-    NotThreshold,
-    /// The shared structure pass rejected 2-monotonicity.
-    PrefilterReject,
-    /// No guarantee — carries the Chow analysis from the shared table
-    /// pass to the ILP.
-    Fallthrough(Option<ChowAnalysis>),
-}
-
-/// Runs the tier-0.5 layer: one truth-table build shared between the
-/// structure analysis and the decision procedure. Table build and
-/// decision time bill to `tier05_ns`; the structure pass bills to
-/// `structure_ns` exactly as on the plain path.
-fn tier05_flow(
-    positive: &Sop,
-    order: &[Var],
-    config: &TelsConfig,
-    solver: &mut SolverBreakdown,
-) -> Tier05Flow {
-    let k = order.len();
-    if !config.tier05_active() || !(tier05::MIN_VARS..=tier05::MAX_VARS).contains(&k) {
-        return Tier05Flow::NotApplicable;
-    }
-    let mut span = tels_trace::span("core", "tier05_decide");
-    span.arg("support", k as u64);
-    let t0 = Instant::now();
-    let tt = TruthTable::from_sop(positive, order);
-    solver.tier05_ns += t0.elapsed().as_nanos() as u64;
-    let s0 = Instant::now();
-    let structure = chow::analyze_table(&tt);
-    solver.structure_ns += s0.elapsed().as_nanos() as u64;
-    match structure {
-        Structure::NotThreshold => {
-            span.arg("verdict", "prefilter");
-            Tier05Flow::PrefilterReject
+impl<R> Step<R> {
+    /// The check's answer (`Some(None)` for a refutation), or `None` to
+    /// pass.
+    fn answer(self) -> Option<Option<R>> {
+        match self {
+            Step::Decided(r) => Some(Some(r)),
+            Step::Refuted => Some(None),
+            Step::Pass => None,
         }
-        Structure::TwoMonotonic(a) => {
-            let d0 = Instant::now();
-            let verdict = tier05::decide(&tt, &a);
-            solver.tier05_ns += d0.elapsed().as_nanos() as u64;
-            match verdict {
-                tier05::Verdict::Threshold(w, t) => {
-                    solver.tier05_hits += 1;
-                    span.arg("verdict", "hit");
-                    Tier05Flow::Threshold(w, t)
-                }
-                tier05::Verdict::NotThreshold => {
-                    solver.tier05_rejects += 1;
-                    span.arg("verdict", "reject");
-                    Tier05Flow::NotThreshold
-                }
-                tier05::Verdict::Inconclusive => {
-                    span.arg("verdict", "inconclusive");
-                    Tier05Flow::Fallthrough(Some(a))
-                }
-            }
-        }
-        // Unreachable for supports 6–9 (within the structure pass's
-        // range), kept total for safety.
-        Structure::Unknown => Tier05Flow::Fallthrough(None),
     }
 }
 
-/// Buckets one post-merge query support size into the solver histogram.
-fn record_support(pf: &PositiveForm, solver: &mut SolverBreakdown) {
-    let bucket = pf.support.len().min(SolverBreakdown::SUPPORT_BUCKETS - 1);
-    solver.support_hist[bucket] += 1;
-}
-
-/// Decides the query through the tier-0 oracle when the configuration and
-/// support allow it: one truth-table pass — the same pass the Chow
-/// analysis would have made, now doubling as the oracle key — then a
-/// table probe. Returns `None` when tier 0 does not apply; `Some(None)`
-/// is a definitive "not a threshold function".
-fn tier0_answer(
+/// Tier 0: the truth-table oracle, when the configuration and support
+/// allow it. One table pass of the query's positive form is the oracle
+/// key; a table probe then decides or refutes.
+fn tier0_step(
     pf: &PositiveForm,
     config: &TelsConfig,
     solver: &mut SolverBreakdown,
-) -> Option<Option<Realization>> {
+) -> Step<Realization> {
     let k = pf.support.len();
     if !config.tier0_active() || !(1..=tier0::MAX_VARS).contains(&k) {
-        return None;
+        return Step::Pass;
     }
     let t0 = Instant::now();
     let mut span = tels_trace::span("core", "tier0_lookup");
@@ -335,10 +264,13 @@ fn tier0_answer(
     span.arg("support", k as u64);
     solver.tier0_lookups += 1;
     solver.tier0_ns += t0.elapsed().as_nanos() as u64;
-    Some(entry.map(|e| {
-        let wpos: Vec<i64> = e.weights[..k].iter().map(|&w| i64::from(w)).collect();
-        back_substitute(&wpos, i64::from(e.threshold), pf)
-    }))
+    match entry {
+        Some(e) => {
+            let wpos: Vec<i64> = e.weights[..k].iter().map(|&w| i64::from(w)).collect();
+            Step::Decided(back_substitute(&wpos, i64::from(e.threshold), pf))
+        }
+        None => Step::Refuted,
+    }
 }
 
 /// How a [`check_threshold_cached`] query was decided (statistics
@@ -355,10 +287,9 @@ pub(crate) enum CheckVia {
     Tier05,
     /// Served from the canonical realization cache.
     CacheHit,
-    /// Refuted by the Theorem-1 substitution filter (miss path).
+    /// Refuted by Theorem 1, run as the 2-monotonicity test on the miss
+    /// path's truth table.
     Theorem1,
-    /// Rejected by the 2-monotonicity necessary condition (miss path).
-    Prefilter,
     /// Decided by an actual ILP solve (miss path).
     Ilp,
 }
@@ -372,7 +303,6 @@ impl CheckVia {
             CheckVia::Tier05 => "tier05",
             CheckVia::CacheHit => "cache-hit",
             CheckVia::Theorem1 => "theorem1",
-            CheckVia::Prefilter => "prefilter",
             CheckVia::Ilp => "ilp",
         }
     }
@@ -387,24 +317,22 @@ impl CheckVia {
             CheckVia::Tier05 => m::CHECK_TIER05.inc(),
             CheckVia::CacheHit => m::CHECK_CACHE_HITS.inc(),
             CheckVia::Theorem1 => m::CHECK_THEOREM1.inc(),
-            CheckVia::Prefilter => m::CHECK_PREFILTER.inc(),
             CheckVia::Ilp => m::CHECK_ILP_SOLVES.inc(),
         }
     }
 }
 
-/// [`check_threshold`] through the canonical realization cache.
+/// [`check_threshold`] through the canonical realization cache, running
+/// the deciders in the module's order.
 ///
-/// Small-support queries are answered by the tier-0 oracle first (when
-/// [`TelsConfig::tier0_active`]) and never touch the cache. On a miss the
-/// query is decided *in canonical space* — the Theorem-1 filter (when
-/// enabled), the 2-monotonicity pre-filter, then the ILP over the
-/// canonical cover — and the canonical answer is memoized. Hit or miss,
-/// the caller receives the canonical answer remapped onto the query's
-/// variables and phases, so the result depends only on the function's
-/// canonical form, never on which query populated the cache or on thread
-/// scheduling. `scratch` carries the canonicalization buffers, reused
-/// across calls by hot loops.
+/// Small-support queries are answered by tier 0 (when
+/// [`TelsConfig::tier0_active`]) and never touch the cache. A miss is
+/// decided *in canonical space* and the canonical answer is memoized. Hit
+/// or miss, the caller receives the canonical answer remapped onto the
+/// query's variables and phases, so the result depends only on the
+/// function's canonical form, never on which query populated the cache or
+/// on thread scheduling. `scratch` carries the canonicalization buffers,
+/// reused across calls by hot loops.
 pub(crate) fn check_threshold_cached(
     f: &Sop,
     config: &TelsConfig,
@@ -428,23 +356,15 @@ fn check_threshold_cached_impl(
     solver: &mut SolverBreakdown,
     scratch: &mut SignatureScratch,
 ) -> Result<(Option<Realization>, CheckVia), SynthError> {
-    if f.is_zero() {
-        return Ok((
-            Some(Realization::constant(false, config)),
-            CheckVia::Trivial,
-        ));
-    }
-    if f.is_one() {
-        return Ok((Some(Realization::constant(true, config)), CheckVia::Trivial));
+    if f.is_zero() || f.is_one() {
+        let constant = Realization::constant(f.is_one(), config);
+        return Ok((Some(constant), CheckVia::Trivial));
     }
     let Some(pf) = positive_form(f) else {
         return Ok((None, CheckVia::Trivial));
     };
-    record_support(&pf, solver);
-    // Tier 0 bypasses the cache entirely: oracle lookups are cheaper than
-    // canonicalize-hash-probe, so the cache only ever stores
-    // large-support answers.
-    if let Some(answer) = tier0_answer(&pf, config, solver) {
+    solver.support_hist[pf.support.len().min(SolverBreakdown::SUPPORT_BUCKETS - 1)] += 1;
+    if let Some(answer) = tier0_step(&pf, config, solver).answer() {
         return Ok((answer, CheckVia::Tier0));
     }
     let canon_t0 = tels_metrics::enabled().then(Instant::now);
@@ -453,76 +373,95 @@ fn check_threshold_cached_impl(
         tels_metrics::instruments::CHECK_CANON_NS.add(t0.elapsed().as_nanos() as u64);
     }
     if !canon_ok {
-        // Support too wide for a 64-bit canonical key: solve uncached
-        // (such supports are also past the structure pass's limit).
-        let chow = match timed_structure(&pf.positive, &pf.support, solver) {
-            Structure::NotThreshold => return Ok((None, CheckVia::Prefilter)),
-            Structure::TwoMonotonic(a) => Some(a),
-            Structure::Unknown => None,
-        };
-        let solved = solve_positive(&pf.positive, &pf.support, chow.as_ref(), config, solver)?;
-        return Ok((
-            solved.map(|(wpos, t)| back_substitute(&wpos, t, &pf)),
-            CheckVia::Ilp,
-        ));
+        // Support too wide for a 64-bit canonical key (and for any truth
+        // table): solve uncached, without Chow structure.
+        let solved = solve_positive(&pf.positive, &pf.support, None, config, solver)?;
+        let result = solved.map(|(wpos, t)| back_substitute(&wpos, t, &pf));
+        return Ok((result, CheckVia::Ilp));
     }
     let (key, order) = (scratch.key(), scratch.order());
     if let Some(entry) = cache.lookup(key) {
-        return Ok((
-            realize_canonical(entry.as_ref(), order, &pf),
-            CheckVia::CacheHit,
-        ));
+        let result = realize_canonical(entry.as_ref(), order, &pf);
+        return Ok((result, CheckVia::CacheHit));
     }
-    // Miss. Theorem 1 is a sound refutation (it never rejects a true
-    // threshold function), so its verdict may be memoized under the
-    // canonical key as well. Keys are copied out of the scratch only at
-    // the (rare) insert points.
-    if config.use_theorem1 && theorem1_refutes(f) {
-        cache.insert(key.to_vec(), None);
-        return Ok((None, CheckVia::Theorem1));
-    }
+    let (entry, via) = decide_miss(key, config, solver)?;
+    let result = realize_canonical(entry.as_ref(), order, &pf);
+    // Keys are copied out of the scratch only here, on a miss.
+    cache.insert(key.to_vec(), entry);
+    Ok((result, via))
+}
+
+/// Decides a cache miss in canonical space: the canonical positive cover
+/// over `Var(0..k)` is rebuilt from its `key`, tabulated once, and run
+/// through the 2-monotonicity refutation, tier 0.5 and the ILP. Every
+/// answer is what the ILP alone would give (refutations are sound), so
+/// all of them memoize alike.
+fn decide_miss(
+    key: &[u64],
+    config: &TelsConfig,
+    solver: &mut SolverBreakdown,
+) -> Result<(Option<CanonicalRealization>, CheckVia), SynthError> {
     let k = key[0] as usize;
-    let canon_order: Vec<Var> = (0..k as u32).map(Var).collect();
-    let canon = Sop::from_cubes(key[1..].iter().map(|&m| {
+    let order: Vec<Var> = (0..k as u32).map(Var).collect();
+    let cover = Sop::from_cubes(key[1..].iter().map(|&m| {
         Cube::from_literals(
             (0..k as u32)
                 .filter(|&j| m >> j & 1 == 1)
                 .map(|j| (Var(j), true)),
         )
     }));
-    // Tier 0.5 in canonical space: its answers are exactly what the ILP
-    // would have produced, so they memoize in the realization cache the
-    // same way.
-    let chow = match tier05_flow(&canon, &canon_order, config, solver) {
-        Tier05Flow::NotThreshold => {
-            cache.insert(key.to_vec(), None);
-            return Ok((None, CheckVia::Tier05));
-        }
-        Tier05Flow::PrefilterReject => {
-            cache.insert(key.to_vec(), None);
-            return Ok((None, CheckVia::Prefilter));
-        }
-        Tier05Flow::Threshold(weights, threshold) => {
-            let entry = Some(CanonicalRealization { weights, threshold });
-            let result = realize_canonical(entry.as_ref(), order, &pf);
-            cache.insert(key.to_vec(), entry);
-            return Ok((result, CheckVia::Tier05));
-        }
-        Tier05Flow::Fallthrough(chow) => chow,
-        Tier05Flow::NotApplicable => match timed_structure(&canon, &canon_order, solver) {
-            Structure::NotThreshold => {
-                cache.insert(key.to_vec(), None);
-                return Ok((None, CheckVia::Prefilter));
-            }
-            Structure::TwoMonotonic(a) => Some(a),
-            Structure::Unknown => None,
-        },
+    let t0 = Instant::now();
+    let table = (2..=chow::REFUTE_VAR_LIMIT)
+        .contains(&k)
+        .then(|| TruthTable::from_sop(&cover, &order));
+    let refuted = table.as_ref().is_some_and(|tt| !chow::two_monotonic(tt));
+    let chow = match &table {
+        Some(tt) if !refuted && k <= chow::STRUCTURE_VAR_LIMIT => Some(chow::chow_classes(tt)),
+        _ => None,
     };
-    let entry = solve_positive(&canon, &canon_order, chow.as_ref(), config, solver)?
+    solver.structure_ns += t0.elapsed().as_nanos() as u64;
+    if refuted {
+        return Ok((None, CheckVia::Theorem1));
+    }
+    if let (Some(tt), Some(classes)) = (&table, &chow) {
+        if let Some(answer) = tier05_step(tt, classes, config, solver).answer() {
+            return Ok((answer, CheckVia::Tier05));
+        }
+    }
+    let entry = solve_positive(&cover, &order, chow.as_ref(), config, solver)?
         .map(|(weights, threshold)| CanonicalRealization { weights, threshold });
-    let result = realize_canonical(entry.as_ref(), order, &pf);
-    cache.insert(key.to_vec(), entry);
-    Ok((result, CheckVia::Ilp))
+    Ok((entry, CheckVia::Ilp))
+}
+
+/// Tier 0.5 on supports 6–9: the decision procedure on the miss path's
+/// table and Chow classes.
+fn tier05_step(
+    tt: &TruthTable,
+    chow: &ChowAnalysis,
+    config: &TelsConfig,
+    solver: &mut SolverBreakdown,
+) -> Step<CanonicalRealization> {
+    let k = tt.num_vars() as usize;
+    if !config.tier05_active() || !(tier05::MIN_VARS..=tier05::MAX_VARS).contains(&k) {
+        return Step::Pass;
+    }
+    let mut span = tels_trace::span("core", "tier05_decide");
+    span.arg("support", k as u64);
+    let t0 = Instant::now();
+    let step = tier05::decide(tt, chow);
+    solver.tier05_ns += t0.elapsed().as_nanos() as u64;
+    let verdict = match &step {
+        Step::Decided(_) => "hit",
+        Step::Refuted => "reject",
+        Step::Pass => "inconclusive",
+    };
+    span.arg("verdict", verdict);
+    match &step {
+        Step::Decided(_) => solver.tier05_hits += 1,
+        Step::Refuted => solver.tier05_rejects += 1,
+        Step::Pass => {}
+    }
+    step
 }
 
 /// The positive-unate normal form of a unate cover.
@@ -536,31 +475,22 @@ struct PositiveForm {
 }
 
 /// Computes the positive-unate form; `None` for binate covers (every
-/// threshold function is unate, §II-B).
+/// threshold function is unate, §II-B). In a unate cover every literal of
+/// a variable has the same phase, so each positive cube is just the set of
+/// its cube's variables.
 fn positive_form(f: &Sop) -> Option<PositiveForm> {
-    let support: Vec<Var> = f.support().iter().collect();
-    let mut negated = Vec::with_capacity(support.len());
-    for &v in &support {
-        match f.polarity(v) {
-            Some(Polarity::Positive) => negated.push(false),
-            Some(Polarity::Negative) => negated.push(true),
-            Some(Polarity::Binate) => return None,
-            None => unreachable!("support variable must appear"),
-        }
+    let (mut pos, mut neg) = (VarSet::new(), VarSet::new());
+    for c in f.cubes() {
+        pos.union_with(c.positive_vars());
+        neg.union_with(c.negative_vars());
     }
-    // Var → phase flip, built once per call rather than scanned per literal.
-    let flip: HashMap<Var, bool> = support
-        .iter()
-        .copied()
-        .zip(negated.iter().copied())
-        .collect();
-    let positive = Sop::from_cubes(f.cubes().iter().map(|c| {
-        Cube::from_literals(
-            c.literals()
-                .map(|(v, phase)| (v, if flip[&v] { !phase } else { phase })),
-        )
-    }));
-    debug_assert!(positive.is_positive_unate());
+    if pos.intersects(&neg) {
+        return None;
+    }
+    pos.union_with(&neg);
+    let support: Vec<Var> = pos.iter().collect();
+    let negated = support.iter().map(|&v| neg.contains(v)).collect();
+    let positive = Sop::from_cubes(f.cubes().iter().map(Cube::with_positive_phases));
     Some(PositiveForm {
         support,
         negated,
@@ -645,29 +575,30 @@ fn solve_positive(
     // Inequalities with identical per-class multiplicities are identical
     // rows; dedup them as the problem is built (the side is part of the
     // key since ON and OFF rows differ in sense and right-hand side).
-    let counts_of = |positions: &[usize]| {
+    let mut seen: HashSet<(bool, Vec<i64>)> = HashSet::new();
+    let mut add_row = |on: bool, positions: Vec<usize>| {
         let mut counts = vec![0i64; classes.len()];
-        for &i in positions {
+        for i in positions {
             counts[class_of[i]] += 1;
         }
-        counts
-    };
-    let mut seen: HashSet<(bool, Vec<i64>)> = HashSet::new();
-    // ON inequalities: for each cube C, Σ_{v ∈ C} w_v − T ≥ δ_on.
-    for cube in positive.cubes() {
-        let idx: Vec<usize> = cube.literals().map(|(v, _)| index_of[&v]).collect();
-        let counts = counts_of(&idx);
-        if !seen.insert((true, counts.clone())) {
-            continue;
+        if !seen.insert((on, counts.clone())) {
+            return;
         }
-        let terms: Vec<_> = counts
+        let terms = counts
             .iter()
             .enumerate()
             .filter(|&(_, &n)| n != 0)
             .map(|(ci, &n)| (w[ci], n))
-            .chain([(t, -1i64)])
-            .collect();
-        problem.add_constraint(terms, Cmp::Ge, config.delta_on);
+            .chain([(t, -1i64)]);
+        if on {
+            problem.add_constraint(terms, Cmp::Ge, config.delta_on);
+        } else {
+            problem.add_constraint(terms, Cmp::Le, -config.delta_off);
+        }
+    };
+    // ON inequalities: for each cube C, Σ_{v ∈ C} w_v − T ≥ δ_on.
+    for cube in positive.cubes() {
+        add_row(true, cube.literals().map(|(v, _)| index_of[&v]).collect());
     }
     // OFF inequalities: for each complement cube D, the largest weighted
     // sum over D's minterms (weights are non-negative, so every variable
@@ -675,24 +606,12 @@ fn solve_positive(
     // For a negative-unate prime cover this is exactly the paper's
     // "don't-care positions" rule.
     for cube in off.cubes() {
-        let idx: Vec<usize> = order
-            .iter()
-            .enumerate()
-            .filter(|(_, &v)| cube.literal(v) != Some(false))
-            .map(|(i, _)| i)
-            .collect();
-        let counts = counts_of(&idx);
-        if !seen.insert((false, counts.clone())) {
-            continue;
-        }
-        let terms: Vec<_> = counts
-            .iter()
-            .enumerate()
-            .filter(|&(_, &n)| n != 0)
-            .map(|(ci, &n)| (w[ci], n))
-            .chain([(t, -1i64)])
-            .collect();
-        problem.add_constraint(terms, Cmp::Le, -config.delta_off);
+        add_row(
+            false,
+            (0..k)
+                .filter(|&i| cube.literal(order[i]) != Some(false))
+                .collect(),
+        );
     }
 
     let t0 = Instant::now();
@@ -710,19 +629,15 @@ fn solve_positive(
     if !usable {
         return Ok(None);
     }
-    let values = match solution.int_values() {
-        Some(v) => v,
-        // A feasible incumbent from a limit-hit is integral by construction;
-        // anything else is unusable.
-        None => match solution
-            .values
-            .iter()
-            .map(|r| r.to_i64())
-            .collect::<Option<Vec<_>>>()
-        {
-            Some(v) => v,
-            None => return Ok(None),
-        },
+    // A feasible incumbent from a limit-hit is integral by construction;
+    // anything else is unusable.
+    let Some(values) = solution
+        .values
+        .iter()
+        .map(|r| r.to_i64())
+        .collect::<Option<Vec<_>>>()
+    else {
+        return Ok(None);
     };
     // Expand class columns back to per-variable weights.
     let t_pos = values[classes.len()];
@@ -776,10 +691,7 @@ fn realize_canonical(
         .collect();
     by_var.sort_unstable_by_key(|&(v, _)| v.0);
     let wpos: Vec<i64> = by_var.iter().map(|&(_, w)| w).collect();
-    debug_assert!(by_var
-        .iter()
-        .map(|&(v, _)| v)
-        .eq(pf.support.iter().copied()));
+    debug_assert!(by_var.iter().map(|p| p.0).eq(pf.support.iter().copied()));
     Some(back_substitute(&wpos, e.threshold, pf))
 }
 
@@ -930,31 +842,32 @@ mod tests {
         assert!(w0 < r.threshold && w1 < r.threshold);
     }
 
+    /// Whether the 2-monotonicity refutation rejects `f`'s positive form.
+    fn refuted(f: &Sop) -> bool {
+        let pf = positive_form(f).unwrap();
+        !chow::two_monotonic(&TruthTable::from_sop(&pf.positive, &pf.support))
+    }
+
     #[test]
-    fn prefilter_rejects_disjoint_ands_without_ilp() {
+    fn two_monotonicity_refutes_disjoint_ands_without_ilp() {
         let f = sop(&[&[(0, true), (1, true)], &[(2, true), (3, true)]]);
-        let pf = positive_form(&f).unwrap();
-        assert!(matches!(
-            chow::analyze(&pf.positive, &pf.support),
-            Structure::NotThreshold
-        ));
+        assert!(refuted(&f));
         // The checker therefore reports that no solve happened (tier 0
-        // and Theorem 1 off so the pre-filter answers).
+        // off so the refutation answers).
         let cfg = TelsConfig {
             use_tier0: false,
-            use_theorem1: false,
             ..TelsConfig::default()
         };
         let mut solver = SolverBreakdown::default();
         let (r, via) = counted(&f, &cfg, &mut solver);
         assert_eq!(r, None);
-        assert_eq!(via, CheckVia::Prefilter);
+        assert_eq!(via, CheckVia::Theorem1);
         assert_eq!(solver.ilp_solves(), 0);
         assert_eq!(solver.tier0_lookups, 0);
     }
 
     #[test]
-    fn prefilter_accepts_threshold_functions() {
+    fn two_monotonicity_accepts_threshold_functions() {
         for f in [
             sop(&[
                 &[(0, true), (1, true)][..],
@@ -965,15 +878,98 @@ mod tests {
             sop(&[&[(0, true)], &[(1, false)]]),
             sop(&[&[(0, false), (1, false), (2, false)]]),
         ] {
-            let pf = positive_form(&f).unwrap();
-            assert!(
-                !matches!(
-                    chow::analyze(&pf.positive, &pf.support),
-                    Structure::NotThreshold
-                ),
-                "{f}"
-            );
+            assert!(!refuted(&f), "{f}");
         }
+    }
+
+    #[test]
+    fn support_limits_of_the_table_and_the_classes() {
+        // OR of k variables: threshold, one Chow class. Tier 0 and tier
+        // 0.5 off so every support reaches the ILP.
+        let cfg = TelsConfig {
+            use_tier0: false,
+            use_tier05: false,
+            ..TelsConfig::default()
+        };
+        for (k, merged) in [(1, 0), (2, 1), (11, 10), (12, 0)] {
+            let cubes: Vec<Vec<(u32, bool)>> = (0..k).map(|v| vec![(v, true)]).collect();
+            let refs: Vec<&[(u32, bool)]> = cubes.iter().map(Vec::as_slice).collect();
+            let mut solver = SolverBreakdown::default();
+            let (r, via) = counted(&sop(&refs), &cfg, &mut solver);
+            assert_eq!(via, CheckVia::Ilp, "k = {k}");
+            assert!(r.is_some(), "k = {k}");
+            // Chow classes merge columns for supports 2–11 only.
+            assert_eq!(solver.chow_merged_vars, merged, "k = {k}");
+        }
+        // Two disjoint pairs padded to support 12: refuted from the table
+        // (no Chow classes at 12), padded to 13: past the table, the ILP
+        // answers.
+        for (k, via) in [(12, CheckVia::Theorem1), (13, CheckVia::Ilp)] {
+            let mut cubes: Vec<Vec<(u32, bool)>> =
+                vec![vec![(0, true), (1, true)], vec![(2, true), (3, true)]];
+            cubes.extend((4..k).map(|v| vec![(v, true), (0, true), (2, true)]));
+            let refs: Vec<&[(u32, bool)]> = cubes.iter().map(Vec::as_slice).collect();
+            let f = sop(&refs);
+            assert_eq!(f.support().len(), k as usize);
+            let mut solver = SolverBreakdown::default();
+            assert_eq!(counted(&f, &cfg, &mut solver), (None, via), "k = {k}");
+        }
+    }
+
+    #[test]
+    fn positive_form_matches_a_per_literal_flip() {
+        let mut state = 0x9051_7e5e_ed00_0001u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut unate = 0;
+        for round in 0..200 {
+            // Up to 8 cubes over variables spread to 100, so some covers
+            // reach past a VarSet's inline word; one fixed phase per
+            // variable, except that every fourth cover flips one literal.
+            let phases = [next(), next()];
+            let phase = |v: u32| phases[v as usize / 64] >> (v % 64) & 1 == 1;
+            let mut cubes: Vec<Vec<(u32, bool)>> = (0..1 + next() % 8)
+                .map(|_| {
+                    let mut vars: Vec<u32> =
+                        (0..1 + next() % 5).map(|_| (next() % 100) as u32).collect();
+                    vars.sort_unstable();
+                    vars.dedup();
+                    vars.into_iter().map(|v| (v, phase(v))).collect()
+                })
+                .collect();
+            let binate = round % 4 == 3 && cubes.len() > 1;
+            if binate {
+                let (v, p) = cubes[0][0];
+                cubes[1].retain(|&(u, _)| u != v);
+                cubes[1].push((v, !p));
+            }
+            let refs: Vec<&[(u32, bool)]> = cubes.iter().map(Vec::as_slice).collect();
+            let f = sop(&refs);
+            let Some(pf) = positive_form(&f) else {
+                assert!(binate && !f.is_unate(), "{f}");
+                continue;
+            };
+            unate += 1;
+            // Reference: every literal's phase flipped through its
+            // variable's polarity in the cover.
+            let negative = |v: Var| f.polarity(v) == Some(tels_logic::Polarity::Negative);
+            let flipped =
+                Sop::from_cubes(f.cubes().iter().map(|c| {
+                    Cube::from_literals(c.literals().map(|(v, p)| (v, p != negative(v))))
+                }));
+            assert_eq!(pf.positive, flipped, "{f}");
+            assert_eq!(pf.support, f.support().iter().collect::<Vec<_>>());
+            assert!(pf
+                .support
+                .iter()
+                .zip(&pf.negated)
+                .all(|(&v, &n)| n == negative(v)));
+        }
+        assert!((100..200).contains(&unate), "{unate} unate covers");
     }
 
     #[test]
@@ -1087,7 +1083,7 @@ mod tests {
 
     #[test]
     fn cached_non_threshold_is_remembered() {
-        // Tier 0 off so the Theorem-1/pre-filter/memoization chain runs.
+        // Tier 0 off so the refutation/memoization chain runs.
         let cfg = TelsConfig {
             use_tier0: false,
             ..TelsConfig::default()
@@ -1099,23 +1095,11 @@ mod tests {
         let (r1, via1) =
             check_threshold_cached(&f, &cfg, &cache, &mut solver, &mut scratch).unwrap();
         assert_eq!(r1, None);
-        // Theorem 1 (enabled by default) refutes this one before the
-        // pre-filter gets a look.
         assert_eq!(via1, CheckVia::Theorem1);
         let (r2, via2) =
             check_threshold_cached(&f, &cfg, &cache, &mut solver, &mut scratch).unwrap();
         assert_eq!(r2, None);
         assert_eq!(via2, CheckVia::CacheHit);
-        // With Theorem 1 disabled, the 2-monotonicity pre-filter catches it.
-        let cfg2 = TelsConfig {
-            use_theorem1: false,
-            use_tier0: false,
-            ..TelsConfig::default()
-        };
-        let cache2 = RealizationCache::new();
-        let (_, via3) =
-            check_threshold_cached(&f, &cfg2, &cache2, &mut solver, &mut scratch).unwrap();
-        assert_eq!(via3, CheckVia::Prefilter);
     }
 
     #[test]
@@ -1205,8 +1189,8 @@ mod tests {
     }
 
     /// Differential sweep of the *cached* path over 4-variable functions:
-    /// tier 0 on (oracle, cache bypassed) vs off (Theorem 1 + pre-filter +
-    /// ILP + cache) must agree bit for bit. Debug builds sample the space;
+    /// tier 0 on (oracle, cache bypassed) vs off (Theorem 1 + ILP + cache)
+    /// must agree bit for bit. Debug builds sample the space;
     /// release builds (and `--ignored` runs) sweep all 65,536.
     fn cached_tier0_differential(stride: u32) {
         let on = TelsConfig::default();

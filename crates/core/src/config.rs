@@ -42,8 +42,9 @@ pub enum SplitHeuristic {
 /// canonical space from the function key plus these fields — the margins
 /// δ_on/δ_off, the weight cap, and the ILP effort limits. Two
 /// configurations with equal keys may share (or persist/reload) one cache;
-/// the remaining knobs (ψ, strategy, tier-0, Theorem 1) change which
-/// queries are *asked*, never what a given key's answer is.
+/// the remaining knobs (ψ, strategy, split heuristic, tier 0, tier 0.5)
+/// change which queries are *asked* or which tier answers them, never
+/// what a given key's answer is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// ON-side defect tolerance δ_on.
@@ -87,8 +88,8 @@ impl CacheKey {
 ///
 /// Mirrors the user-controllable knobs of the paper's tool: the fanin
 /// restriction ψ and the defect tolerances δ_on / δ_off of Eq. (1), plus
-/// implementation limits for the ILP solver (§V-E) and the Theorem-1
-/// pre-filter toggle (§IV).
+/// implementation limits for the ILP solver (§V-E) and the reference
+/// toggles of the two table-driven tiers ahead of it.
 ///
 /// # Example
 ///
@@ -117,8 +118,6 @@ pub struct TelsConfig {
     /// integer margin (this is also what makes the paper's worked example
     /// `x₁y₂ ∨ x₁y₃ → ⟨2,1,1;3⟩` come out).
     pub delta_off: i64,
-    /// Apply the Theorem-1 substitution pre-filter before invoking the ILP.
-    pub use_theorem1: bool,
     /// Effort limits for each threshold-check ILP; exceeding them counts as
     /// "not a threshold function" and triggers splitting (§V-E).
     pub ilp_limits: Limits,
@@ -163,7 +162,6 @@ impl Default for TelsConfig {
             psi: 3,
             delta_on: 0,
             delta_off: 1,
-            use_theorem1: true,
             ilp_limits: Limits::default(),
             split_heuristic: SplitHeuristic::default(),
             strategy: SynthStrategy::default(),
@@ -259,7 +257,6 @@ mod tests {
     fn defaults_match_paper() {
         let c = TelsConfig::default();
         assert_eq!((c.psi, c.delta_on, c.delta_off), (3, 0, 1));
-        assert!(c.use_theorem1);
     }
 
     #[test]

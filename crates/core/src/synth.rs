@@ -32,10 +32,11 @@ use crate::tnet::{ThresholdGate, ThresholdNetwork, TnId};
 /// Statistics of a synthesis run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SynthStats {
-    /// Threshold queries issued (constants, cache hits, pre-filter
-    /// rejections, and actual solves alike).
+    /// Threshold queries issued (constants, cache hits, refutations, and
+    /// actual solves alike).
     pub ilp_calls: usize,
-    /// Threshold checks skipped thanks to the Theorem-1 pre-filter.
+    /// Queries refuted by Theorem 1, run as the 2-monotonicity test on a
+    /// cache miss (each one an ILP the paper's flow would have built).
     pub theorem1_refutations: usize,
     /// Gates absorbed by Theorem-2 combining (an OR input folded into an
     /// existing gate instead of a separate OR gate).
@@ -48,8 +49,6 @@ pub struct SynthStats {
     pub binate_splits: usize,
     /// Queries answered from the canonical realization cache.
     pub cache_hits: usize,
-    /// Queries rejected by the 2-monotonicity pre-filter before the ILP.
-    pub prefilter_rejections: usize,
     /// Actual ILP solver runs.
     pub ilp_solves: usize,
     /// Per-tier solver breakdown (Chow reduction, integer fast path,
@@ -59,10 +58,9 @@ pub struct SynthStats {
 
 impl SynthStats {
     /// ILP solves avoided by the tier-0 oracle, the tier-0.5 decision
-    /// procedure, memoization, and the cheap pre-filters.
+    /// procedure, and memoization.
     pub fn ilp_avoided(&self) -> usize {
         self.cache_hits
-            + self.prefilter_rejections
             + self.solver.tier0_lookups
             + self.solver.tier05_hits
             + self.solver.tier05_rejects
@@ -82,7 +80,8 @@ impl SynthStats {
             ("unate_splits", n(self.unate_splits)),
             ("binate_splits", n(self.binate_splits)),
             ("cache_hits", n(self.cache_hits)),
-            ("prefilter_rejections", n(self.prefilter_rejections)),
+            // Retired counter, kept at 0: `perfbench/src/layers.rs` reads it.
+            ("prefilter_rejections", n(0)),
             ("ilp_solves", n(self.ilp_solves)),
             ("ilp_avoided", n(self.ilp_avoided())),
             ("solver", self.solver.to_json()),
@@ -145,8 +144,8 @@ impl GatePath {
 }
 
 /// Provenance path for a successful direct threshold check: the tier-0
-/// oracle answered it, the cache replayed the realization, or the ILP
-/// (with its pre-filters) decided it fresh.
+/// oracle answered it, tier 0.5 identified it, the cache replayed the
+/// realization, or the ILP decided it fresh.
 fn path_for(via: CheckVia) -> GatePath {
     match via {
         CheckVia::Tier0 => GatePath::Tier0,
@@ -448,7 +447,8 @@ impl<'a> Synth<'a> {
 
     /// One threshold query through the canonical cache, also reporting how
     /// it was decided (provenance tagging for the emitted gate). The
-    /// Theorem-1 filter runs inside the cached checker, on the miss path.
+    /// Theorem-1 refutation runs inside the cached checker, on the miss
+    /// path.
     fn query_threshold(&mut self, f: &Sop) -> Result<(Option<Realization>, CheckVia), SynthError> {
         self.stats.ilp_calls += 1;
         let (r, via) = check_threshold_cached(
@@ -469,7 +469,6 @@ impl<'a> Synth<'a> {
         match via {
             CheckVia::CacheHit => self.stats.cache_hits += 1,
             CheckVia::Theorem1 => self.stats.theorem1_refutations += 1,
-            CheckVia::Prefilter => self.stats.prefilter_rejections += 1,
             CheckVia::Ilp => self.stats.ilp_solves += 1,
             CheckVia::Trivial | CheckVia::Tier0 | CheckVia::Tier05 => {}
         }

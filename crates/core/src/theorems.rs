@@ -3,21 +3,26 @@
 use tels_logic::{Cube, Polarity, Sop, TruthTable, Var};
 
 use crate::check::Realization;
+use crate::chow::REFUTE_VAR_LIMIT;
 use crate::config::TelsConfig;
 
-/// Largest support for which the Theorem-1 filter builds truth tables.
-const THEOREM1_VAR_LIMIT: usize = 12;
-
-/// Theorem 1 as a fast non-threshold refutation.
+/// Theorem 1 as a non-threshold refutation, by literal substitution.
 ///
 /// For a unate expression `f`, replacing literal `xᵢ` by `x̄ⱼ` yields `g`;
 /// if `g` is not a threshold function, neither is `f`. We apply the cheap
 /// sufficient condition from the paper's own example: if some substitution
 /// makes `g` *functionally binate* in `xⱼ`, then `g` — and hence `f` — is
-/// not threshold.
+/// not threshold. Supports outside `2..=12` are not tested.
 ///
 /// Returns `true` when `f` is **proven not** to be a threshold function;
 /// `false` is inconclusive (the ILP still has to decide).
+///
+/// The threshold checker does not call this procedure: on the positive
+/// form, `g|xⱼ=1` and `g|xⱼ=0` are the cofactors `f|xᵢ=0,xⱼ=1` and
+/// `f|xᵢ=1,xⱼ=0`, so the substitution refutes exactly the unate functions
+/// whose positive form is not 2-monotonic, which the checker tests on one
+/// truth table instead of one per substitution. This function stays as
+/// the paper's statement of the test and as its reference in tests.
 ///
 /// # Example
 ///
@@ -34,7 +39,7 @@ const THEOREM1_VAR_LIMIT: usize = 12;
 /// ```
 pub fn theorem1_refutes(f: &Sop) -> bool {
     let support: Vec<Var> = f.support().iter().collect();
-    if support.len() < 2 || support.len() > THEOREM1_VAR_LIMIT {
+    if support.len() < 2 || support.len() > REFUTE_VAR_LIMIT {
         return false;
     }
     // Phase of each variable in the (unate) expression.
@@ -68,7 +73,7 @@ pub fn theorem1_refutes(f: &Sop) -> bool {
             });
             let g = Sop::from_cubes(cubes.collect::<Vec<Cube>>());
             let g_support: Vec<Var> = g.support().iter().collect();
-            if !g_support.contains(&vj) || g_support.len() > THEOREM1_VAR_LIMIT {
+            if !g_support.contains(&vj) || g_support.len() > REFUTE_VAR_LIMIT {
                 continue;
             }
             let tt = TruthTable::from_sop(&g, &g_support);
@@ -129,7 +134,10 @@ pub fn theorem2_extend(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check::check_threshold;
+    use crate::cache::RealizationCache;
+    use crate::check::{check_threshold, check_threshold_cached, CheckVia, SolverBreakdown};
+    use crate::chow;
+    use tels_logic::SignatureScratch;
 
     fn sop(cubes: &[&[(u32, bool)]]) -> Sop {
         Sop::from_cubes(
@@ -190,6 +198,113 @@ mod tests {
                 assert!(!is_threshold, "filter refuted threshold function {f}");
             }
         }
+    }
+
+    /// The checker's refutation decider: the positive form of the unate
+    /// cover `f`, tabulated over its support, is not 2-monotonic (supports
+    /// outside `2..=12` are never refuted).
+    fn positive_form_not_two_monotonic(f: &Sop) -> bool {
+        let support: Vec<Var> = f.support().iter().collect();
+        let positive = Sop::from_cubes(f.cubes().iter().map(Cube::with_positive_phases));
+        (2..=REFUTE_VAR_LIMIT).contains(&support.len())
+            && !chow::two_monotonic(&TruthTable::from_sop(&positive, &support))
+    }
+
+    /// The prime cover of the positive function `on` of `k` variables (one
+    /// cube per minimal ON row), with variable `i` complemented when bit
+    /// `i` of `negated` is set.
+    fn unate_cover(k: usize, on: impl Fn(usize) -> bool, negated: usize) -> Sop {
+        let minimal = |m: usize| on(m) && (0..k).all(|i| m >> i & 1 == 0 || !on(m ^ 1 << i));
+        Sop::from_cubes((0..1usize << k).filter(|&m| minimal(m)).map(|m| {
+            Cube::from_literals(
+                (0..k)
+                    .filter(|&i| m >> i & 1 == 1)
+                    .map(|i| (Var(i as u32), negated >> i & 1 == 0)),
+            )
+        }))
+    }
+
+    #[test]
+    fn substitution_refutes_exactly_the_non_two_monotonic_up_to_4_vars() {
+        // Every positive function of 4 variables (168, counting those that
+        // ignore some variables) under every phase assignment.
+        let config = TelsConfig {
+            use_tier0: false,
+            ..TelsConfig::default()
+        };
+        let mut solver = SolverBreakdown::default();
+        let mut scratch = SignatureScratch::new();
+        let (mut positive, mut refuted) = (0, 0);
+        for bits in 0u32..1 << 16 {
+            let on = |m: usize| bits >> m & 1 == 1;
+            if !(0..16).all(|m| !on(m) || (0..4).all(|i| on(m | 1 << i))) {
+                continue;
+            }
+            positive += 1;
+            for negated in 0..16 {
+                let f = unate_cover(4, on, negated);
+                let expected = theorem1_refutes(&f);
+                assert_eq!(positive_form_not_two_monotonic(&f), expected, "{f}");
+                // A fresh checker reports exactly these as Theorem-1
+                // refutations.
+                let cache = RealizationCache::new();
+                let (_, via) =
+                    check_threshold_cached(&f, &config, &cache, &mut solver, &mut scratch).unwrap();
+                assert_eq!(via == CheckVia::Theorem1, expected, "{f}");
+                refuted += usize::from(expected);
+            }
+        }
+        assert_eq!(positive, 168);
+        assert!(refuted > 0);
+    }
+
+    #[test]
+    fn substitution_refutes_exactly_the_non_two_monotonic_at_5_to_12_vars() {
+        let mut state = 0x7e1_5eed_0000_0005u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut at_12 = [0usize; 2];
+        for k in 5..=REFUTE_VAR_LIMIT {
+            for round in 0..8 {
+                let negated = next() as usize;
+                let f = if round % 2 == 0 {
+                    // Weighted thresholds: never refuted.
+                    let w: Vec<u64> = (0..k).map(|_| next() % 5 + 1).collect();
+                    let t = next() % w.iter().sum::<u64>() + 1;
+                    let on = |m: usize| {
+                        (0..k)
+                            .filter(|&i| m >> i & 1 == 1)
+                            .map(|i| w[i])
+                            .sum::<u64>()
+                            >= t
+                    };
+                    unate_cover(k, on, negated)
+                } else {
+                    // A few random products: usually refuted.
+                    let cubes: Vec<usize> = (0..2 + next() % 4)
+                        .map(|_| next() as usize & ((1 << k) - 1))
+                        .collect();
+                    unate_cover(k, |m| cubes.iter().any(|&c| c & !m == 0), negated)
+                };
+                let expected = theorem1_refutes(&f);
+                assert_eq!(
+                    positive_form_not_two_monotonic(&f),
+                    expected,
+                    "k = {k}: {f}"
+                );
+                if f.support().len() == 12 {
+                    at_12[usize::from(expected)] += 1;
+                }
+            }
+        }
+        assert!(
+            at_12[0] > 0 && at_12[1] > 0,
+            "support-12 outcomes {at_12:?}"
+        );
     }
 
     #[test]

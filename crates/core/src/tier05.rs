@@ -7,7 +7,7 @@
 //! of the linear pseudo-Boolean procedures of arXiv 2301.03667:
 //!
 //! * the query arrives as a 2-monotonic positive-unate function with its
-//!   Chow classes (`chow::analyze_table`), so by the merging argument in
+//!   Chow classes (`chow::chow_classes`), so by the merging argument in
 //!   `chow.rs` an optimal realization exists with one weight per class,
 //!   weights non-strictly descending in class order;
 //! * every functionally relevant variable of a positive-unate function
@@ -50,6 +50,8 @@
 
 use tels_logic::TruthTable;
 
+use crate::cache::CanonicalRealization;
+use crate::check::Step;
 use crate::chow::ChowAnalysis;
 
 /// Smallest support handled by tier 0.5 (tier 0 owns everything below).
@@ -70,17 +72,6 @@ const INIT_CAP: i64 = 16;
 /// point) before the search gives up and declines.
 const LEAF_BUDGET: u32 = 20_000;
 
-/// Outcome of the tier-0.5 decision procedure.
-pub(crate) enum Verdict {
-    /// Provably the merged ILP's unique optimum: per-variable weights
-    /// (indexed like the checker's support order) and threshold.
-    Threshold(Vec<i64>, i64),
-    /// Provably not a threshold function (2-asummability violation).
-    NotThreshold,
-    /// No guarantee either way — fall through to the ILP.
-    Inconclusive,
-}
-
 /// A row of the table reduced to its number of set variables per Chow
 /// class (classes in order, unused entries 0), so its weighted sum under
 /// class weights `w` is the dot product with `w`.
@@ -88,7 +79,12 @@ type ClassCounts = [i64; MAX_VARS];
 
 /// Runs the decision procedure on a positive-unate table with its Chow
 /// classes. The table must not be constant.
-pub(crate) fn decide(tt: &TruthTable, chow: &ChowAnalysis) -> Verdict {
+///
+/// Decides only with the merged ILP's provably unique optimum
+/// (per-variable weights, indexed like the table's variables, and the
+/// threshold), refutes only on a 2-asummability violation, and passes
+/// whenever it has no guarantee either way.
+pub(crate) fn decide(tt: &TruthTable, chow: &ChowAnalysis) -> Step<CanonicalRealization> {
     let k = tt.num_vars() as usize;
     debug_assert!((MIN_VARS..=MAX_VARS).contains(&k));
 
@@ -111,7 +107,7 @@ pub(crate) fn decide(tt: &TruthTable, chow: &ChowAnalysis) -> Verdict {
     // optimum, and the extreme rows stand for the whole table only when
     // the ON set is an up-set.
     let Some((on, off)) = extreme_points(tt, &class_of) else {
-        return Verdict::Inconclusive;
+        return Step::Pass;
     };
     let mut search = Search {
         sizes,
@@ -125,59 +121,24 @@ pub(crate) fn decide(tt: &TruthTable, chow: &ChowAnalysis) -> Verdict {
     search.run();
 
     if search.budget_exhausted {
-        return Verdict::Inconclusive;
+        return Step::Pass;
     }
     match search.best {
-        Some((_, weights, t)) if !search.tied => {
-            let per_var: Vec<i64> = class_of.iter().map(|&c| weights[c]).collect();
-            Verdict::Threshold(per_var, t)
-        }
-        Some(_) => Verdict::Inconclusive,
+        Some((_, weights, t)) if !search.tied => Step::Decided(CanonicalRealization {
+            weights: class_of.iter().map(|&c| weights[c]).collect(),
+            threshold: t,
+        }),
+        Some(_) => Step::Pass,
         // Search space exhausted without a feasible vector: either the
         // function needs weights above INIT_CAP or it is not threshold.
         // Only the 2-asummability proof may say which.
         None => {
             if two_asummability_violated(tt) {
-                Verdict::NotThreshold
+                Step::Refuted
             } else {
-                Verdict::Inconclusive
+                Step::Pass
             }
         }
-    }
-}
-
-/// A set of rows of a table over 6–9 variables: row `m` is bit `m % 64`
-/// of word `m / 64`.
-type Rows = [u64; 1 << (MAX_VARS - 6)];
-
-/// Per variable `i < 6`, the rows of one word whose bit `i` is clear.
-const CLEAR_IN_WORD: [u64; 6] = [
-    0x5555_5555_5555_5555,
-    0x3333_3333_3333_3333,
-    0x0f0f_0f0f_0f0f_0f0f,
-    0x00ff_00ff_00ff_00ff,
-    0x0000_ffff_0000_ffff,
-    0x0000_0000_ffff_ffff,
-];
-
-/// Word `j` of the rows whose variable `i` is set.
-fn set_rows(i: usize, j: usize) -> u64 {
-    if i < 6 {
-        !CLEAR_IN_WORD[i]
-    } else if j >> (i - 6) & 1 == 1 {
-        !0
-    } else {
-        0
-    }
-}
-
-/// Word `j` of `f` with variable `i` flipped: bit `m` holds `f(m ^ 1 << i)`.
-fn flipped(f: &Rows, i: usize, j: usize) -> u64 {
-    if i < 6 {
-        let (clear, s) = (CLEAR_IN_WORD[i], 1 << i);
-        (f[j] >> s) & clear | (f[j] & clear) << s
-    } else {
-        f[j ^ 1 << (i - 6)]
     }
 }
 
@@ -196,21 +157,18 @@ fn extreme_points(
     tt: &TruthTable,
     class_of: &[usize],
 ) -> Option<(Vec<ClassCounts>, Vec<ClassCounts>)> {
-    let k = class_of.len();
-    let words = tt.words().len();
-    let mut f = Rows::default();
-    f[..words].copy_from_slice(tt.words());
-    let mut min_on = f;
-    let mut max_off = f.map(|w| !w);
-    for i in 0..k {
+    let f = tt.words();
+    let mut min_on = f.to_vec();
+    let mut max_off: Vec<u64> = f.iter().map(|w| !w).collect();
+    for i in 0..class_of.len() as u32 {
         let mut relevant = false;
-        for j in 0..words {
-            let (x, g) = (set_rows(i, j), flipped(&f, i, j));
+        for (j, &word) in f.iter().enumerate() {
+            let (x, g) = (tt.rows_with(i, j), tt.flipped_word(i, j));
             // A clear variable whose setting turns an ON row OFF.
-            if f[j] & !x & !g != 0 {
+            if word & !x & !g != 0 {
                 return None;
             }
-            relevant |= f[j] != g;
+            relevant |= word != g;
             min_on[j] &= !x | !g;
             max_off[j] &= x | g;
         }
@@ -218,9 +176,9 @@ fn extreme_points(
             return None;
         }
     }
-    let points = |rows: &Rows| {
+    let points = |rows: &[u64]| {
         let mut out: Vec<ClassCounts> = Vec::new();
-        for (j, &word) in rows[..words].iter().enumerate() {
+        for (j, &word) in rows.iter().enumerate() {
             let mut rest = word;
             while rest != 0 {
                 let m = j * 64 + rest.trailing_zeros() as usize;
@@ -385,7 +343,7 @@ fn two_asummability_violated(tt: &TruthTable) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chow::{self, Structure};
+    use crate::chow;
     use tels_logic::{Polarity, TruthTable};
 
     fn table_of_bits(k: usize, f: impl Fn(usize) -> bool) -> TruthTable {
@@ -399,10 +357,8 @@ mod tests {
     }
 
     fn analyze(tt: &TruthTable) -> ChowAnalysis {
-        match chow::analyze_table(tt) {
-            Structure::TwoMonotonic(a) => a,
-            _ => panic!("test table must be 2-monotonic"),
-        }
+        assert!(chow::two_monotonic(tt), "test table must be 2-monotonic");
+        chow::chow_classes(tt)
     }
 
     /// Brute-force check that `(weights, t)` realizes the table.
@@ -421,7 +377,10 @@ mod tests {
     fn majority_of_seven_is_found() {
         let tt = table_of_bits(7, |m| m.count_ones() >= 4);
         match decide(&tt, &analyze(&tt)) {
-            Verdict::Threshold(w, t) => {
+            Step::Decided(CanonicalRealization {
+                weights: w,
+                threshold: t,
+            }) => {
                 assert_eq!(w, vec![1; 7]);
                 assert_eq!(t, 4);
                 assert!(realizes(&tt, &w, t));
@@ -439,7 +398,10 @@ mod tests {
             s >= 4
         });
         match decide(&tt, &analyze(&tt)) {
-            Verdict::Threshold(w, t) => {
+            Step::Decided(CanonicalRealization {
+                weights: w,
+                threshold: t,
+            }) => {
                 assert!(realizes(&tt, &w, t));
                 // Objective of the found optimum can't exceed the seed's.
                 let seed_obj: i64 = w0.iter().sum::<i64>() + 4;
@@ -454,7 +416,7 @@ mod tests {
         // Variable 5 never matters: the w ≥ 1 search space would exclude
         // the ILP's optimum, so the tier must decline.
         let tt = table_of_bits(6, |m| (m & 0x1f).count_ones() >= 3);
-        assert!(matches!(decide(&tt, &analyze(&tt)), Verdict::Inconclusive));
+        assert!(matches!(decide(&tt, &analyze(&tt)), Step::Pass));
     }
 
     #[test]
@@ -462,10 +424,10 @@ mod tests {
         // f = ab ∨ cd is famously not threshold:
         // (1100)+(0011) = (1010)+(0101) pairs ON minterms against OFF
         // minterms with equal coordinate sums. It is also not 2-monotonic
-        // (a and c are incomparable), so in the full flow the Chow
-        // prefilter rejects it before `decide` runs — here we exercise the
-        // asummability proof directly, padded to support 6 with two
-        // relevant OR variables (violating pairs keep e = g = 0).
+        // (a and c are incomparable), so in the full flow the
+        // 2-monotonicity refutation answers before `decide` runs — here we
+        // exercise the asummability proof directly, padded to support 6
+        // with two relevant OR variables (violating pairs keep e = g = 0).
         let tt = table_of_bits(6, |m| {
             let (a, b, c, d) = (m & 1, m >> 1 & 1, m >> 2 & 1, m >> 3 & 1);
             let (e, g) = (m >> 4 & 1, m >> 5 & 1);
@@ -615,7 +577,7 @@ mod tests {
             table_of_bits(7, |m| m.count_ones() <= 3),
             table_of_bits(7, |m| m.count_ones() % 2 == 1),
         ] {
-            assert!(matches!(decide(&tt, &analyze(&tt)), Verdict::Inconclusive));
+            assert!(matches!(decide(&tt, &analyze(&tt)), Step::Pass));
         }
     }
 
@@ -641,14 +603,17 @@ mod tests {
             }
             let chow = analyze(&tt);
             match decide(&tt, &chow) {
-                Verdict::Threshold(w, t) => {
+                Step::Decided(CanonicalRealization {
+                    weights: w,
+                    threshold: t,
+                }) => {
                     assert!(
                         realizes(&tt, &w, t),
                         "invalid realization for {w0:?} ≥ {t0}"
                     );
                 }
-                Verdict::NotThreshold => panic!("threshold function rejected: {w0:?} ≥ {t0}"),
-                Verdict::Inconclusive => {} // legal (ties), ILP takes over
+                Step::Refuted => panic!("threshold function rejected: {w0:?} ≥ {t0}"),
+                Step::Pass => {} // legal (ties), ILP takes over
             }
         }
     }

@@ -1,7 +1,7 @@
 //! # tels-fuzz — differential fuzzing of the TELS synthesis pipeline
 //!
 //! The pipeline has four distinct answer paths for every threshold query
-//! (tier-0 truth-table oracle, canonical cache, pre-filters, tiered ILP)
+//! (tier-0 truth-table oracle, canonical cache, Theorem-1 refutation, tiered ILP)
 //! plus tier, trace, metrics, and serve knobs that must all be
 //! observationally identical. This crate cross-checks them:
 //!

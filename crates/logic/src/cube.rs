@@ -110,6 +110,15 @@ impl Cube {
         &self.neg
     }
 
+    /// The cube over the same variables with every literal in positive
+    /// phase.
+    pub fn with_positive_phases(&self) -> Cube {
+        Cube {
+            pos: self.support(),
+            neg: VarSet::new(),
+        }
+    }
+
     /// All variables in the cube's support.
     pub fn support(&self) -> VarSet {
         let mut s = self.pos.clone();

@@ -5,6 +5,16 @@ use std::fmt;
 use crate::cube::{Polarity, Var};
 use crate::sop::Sop;
 
+/// Per variable `i < 6`, the rows of one word whose bit `i` is clear.
+const CLEAR_IN_WORD: [u64; 6] = [
+    0x5555_5555_5555_5555,
+    0x3333_3333_3333_3333,
+    0x0f0f_0f0f_0f0f_0f0f,
+    0x00ff_00ff_00ff_00ff,
+    0x0000_ffff_0000_ffff,
+    0x0000_0000_ffff_ffff,
+];
+
 /// A complete truth table over `n ≤ 24` variables, packed 64 rows per word.
 ///
 /// Row index `m` encodes the assignment where variable `i` (position `i` in
@@ -96,6 +106,55 @@ impl TruthTable {
     /// the bits past row `2ⁿ − 1` are 0.
     pub fn words(&self) -> &[u64] {
         &self.words
+    }
+
+    /// Word `w` of the rows whose variable `i` is set: the table of the
+    /// projection `xᵢ`, with the bits past row `2ⁿ − 1` cleared.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i ≥ n` or `w` is past the last word.
+    pub fn rows_with(&self, i: u32, w: usize) -> u64 {
+        assert!(
+            i < self.n && w < self.words.len(),
+            "variable or word out of range"
+        );
+        let word = if i < 6 {
+            !CLEAR_IN_WORD[i as usize]
+        } else if w >> (i - 6) & 1 == 1 {
+            !0
+        } else {
+            0
+        };
+        word & self.valid_rows()
+    }
+
+    /// Word `w` of the table with variable `i` flipped: bit `m` holds row
+    /// `m ^ 1 << i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i ≥ n` or `w` is past the last word.
+    pub fn flipped_word(&self, i: u32, w: usize) -> u64 {
+        assert!(
+            i < self.n && w < self.words.len(),
+            "variable or word out of range"
+        );
+        if i < 6 {
+            let (clear, s) = (CLEAR_IN_WORD[i as usize], 1 << i);
+            (self.words[w] >> s) & clear | (self.words[w] & clear) << s
+        } else {
+            self.words[w ^ 1 << (i - 6)]
+        }
+    }
+
+    /// The rows of one word that exist in an `n`-variable table.
+    fn valid_rows(&self) -> u64 {
+        if self.n >= 6 {
+            !0
+        } else {
+            (1u64 << (1 << self.n)) - 1
+        }
     }
 
     /// Number of ON-set minterms.
@@ -304,6 +363,32 @@ mod tests {
         let t = TruthTable::from_sop(&f, &[Var(0), Var(1)]);
         assert_eq!(t.as_u32(), 0b1000);
         assert_eq!(TruthTable::constant(5, true).as_u32(), u32::MAX);
+    }
+
+    #[test]
+    fn word_helpers_match_row_definitions() {
+        for n in 1..=8u32 {
+            let mut t = TruthTable::constant(n, false);
+            for m in 0..1usize << n {
+                // A fixed scramble of the rows, so no flip is the identity.
+                t.set_bit(m, ((m * 0x9e37) >> 3) & 1 == 1);
+            }
+            for i in 0..n {
+                for w in 0..t.words().len() {
+                    for b in 0..64 {
+                        let m = w * 64 + b;
+                        let (with, flipped) =
+                            (t.rows_with(i, w) >> b & 1, t.flipped_word(i, w) >> b & 1);
+                        if m < 1 << n {
+                            assert_eq!(with, (m >> i & 1) as u64, "n {n} var {i} row {m}");
+                            assert_eq!(flipped == 1, t.bit(m ^ 1 << i), "n {n} var {i} row {m}");
+                        } else {
+                            assert_eq!((with, flipped), (0, 0), "n {n} var {i} row {m}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -356,10 +356,8 @@ pub mod instruments {
     pub static CHECK_TIER05: Counter = Counter::new();
     /// Threshold checks answered from the realization cache.
     pub static CHECK_CACHE_HITS: Counter = Counter::new();
-    /// Threshold checks refuted by the Theorem-1 pre-filter.
+    /// Threshold checks refuted by Theorem 1 (the 2-monotonicity test).
     pub static CHECK_THEOREM1: Counter = Counter::new();
-    /// Threshold checks rejected by the 2-monotonicity pre-filter.
-    pub static CHECK_PREFILTER: Counter = Counter::new();
     /// Threshold checks that reached the ILP solver.
     pub static CHECK_ILP_SOLVES: Counter = Counter::new();
 
@@ -443,13 +441,8 @@ pub static REGISTRY: &[Descriptor] = &[
     },
     Descriptor {
         name: "tels_check_theorem1_total",
-        help: "Threshold checks refuted by the Theorem-1 pre-filter",
+        help: "Threshold checks refuted by Theorem 1 (2-monotonicity)",
         instrument: InstrumentRef::Counter(&i9s::CHECK_THEOREM1),
-    },
-    Descriptor {
-        name: "tels_check_prefilter_total",
-        help: "Threshold checks rejected by the 2-monotonicity pre-filter",
-        instrument: InstrumentRef::Counter(&i9s::CHECK_PREFILTER),
     },
     Descriptor {
         name: "tels_check_ilp_solves_total",

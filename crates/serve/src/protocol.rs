@@ -230,9 +230,6 @@ fn parse_config(doc: &Json) -> Result<TelsConfig, String> {
     if let Some(v) = field_i64(doc, "weight_cap")? {
         config.weight_cap = Some(v);
     }
-    if let Some(v) = field_bool(doc, "use_theorem1")? {
-        config.use_theorem1 = v;
-    }
     if let Some(v) = field_bool(doc, "use_tier0")? {
         config.use_tier0 = v;
     }
@@ -342,7 +339,6 @@ pub fn synth_request_json(req: &JobRequest) -> Json {
         num("weight_cap", cap as f64);
     }
     for (key, ours, default) in [
-        ("use_theorem1", c.use_theorem1, d.use_theorem1),
         ("use_tier0", c.use_tier0, d.use_tier0),
         ("use_tier05", c.use_tier05, d.use_tier05),
     ] {
@@ -503,21 +499,43 @@ mod tests {
 
     #[test]
     fn unknown_config_fields_are_ignored() {
-        let doc = tels_trace::json::parse(
-            r#"{"op": "synth", "blif": ".model m\n.end\n",
-                "config": {"psi": 4, "retired_flag": false, "retired_count": 0}}"#,
-        )
-        .unwrap();
-        match parse_request(doc).unwrap() {
-            Request::Synth(parsed) => assert_eq!(
-                parsed.config,
-                TelsConfig {
-                    psi: 4,
-                    ..TelsConfig::default()
-                }
-            ),
-            other => panic!("expected synth, got {other:?}"),
-        }
+        // `use_theorem1` was a config field until the Theorem-1 refutation
+        // became the checker's 2-monotonicity test; older clients still
+        // send it. With tier 0 off, that test refutes x₀x₁ ∨ x₂x₃ at
+        // ψ = 4. The BLIF text is JSON-escaped.
+        let blif =
+            r".model m\n.inputs a b c d\n.outputs f\n.names a b c d f\n11-- 1\n--11 1\n.end\n";
+        let request = |config: &str| {
+            let doc = tels_trace::json::parse(&format!(
+                r#"{{"op": "synth", "blif": "{blif}", "config": {config}}}"#
+            ))
+            .unwrap();
+            match parse_request(doc).unwrap() {
+                Request::Synth(parsed) => parsed,
+                other => panic!("expected synth, got {other:?}"),
+            }
+        };
+        let old = request(
+            r#"{"psi": 4, "use_tier0": false, "use_theorem1": false, "retired_flag": false,
+                "retired_count": 0}"#,
+        );
+        assert_eq!(
+            old.config,
+            TelsConfig {
+                psi: 4,
+                use_tier0: false,
+                ..TelsConfig::default()
+            }
+        );
+        // The served bytes equal those of a request without the key.
+        let tnet = |req: &JobRequest| {
+            let session = crate::ServeSession::new(crate::ServeOptions::default()).unwrap();
+            session.submit(req).unwrap().tn.to_tnet()
+        };
+        assert_eq!(
+            tnet(&old),
+            tnet(&request(r#"{"psi": 4, "use_tier0": false}"#))
+        );
     }
 
     #[test]

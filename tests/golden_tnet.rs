@@ -3,10 +3,12 @@
 //! Every factored paper-suite circuit is synthesized at ψ = 3..=9 under the
 //! default configuration, and again at ψ = 6 with δ_on = 1, where the tier-0
 //! and tier-0.5 oracles switch off and the ILP answers every query. Two
-//! wide random networks are pinned at ψ = 6..=9 with Theorem 1 off, so
-//! that non-threshold queries reach tier 0.5 and the ILP instead of being
-//! refuted up front. Eight of the `wide_psi9` benchmark's random networks
-//! are pinned at ψ = 9 with the default configuration (Theorem 1 on),
+//! wide random networks are pinned at ψ = 6..=9 under the default
+//! configuration; their digests were first recorded with the Theorem-1
+//! substitution filter switched off, when the 2-monotonicity test caught
+//! those refutations instead, so they also pin that the merged refutation
+//! gives the same bytes. Eight of the `wide_psi9` benchmark's random
+//! networks are pinned at ψ = 9 with the default configuration,
 //! among them queries where tier 0.5 runs out of leaf budget or exhausts
 //! its search space. The two 10k-node circuits of the big-circuit
 //! benchmark are pinned at the default configuration, read back from BLIF
@@ -150,7 +152,8 @@ fn suite_tnet_bytes_match_golden_digests() {
     }
 }
 
-/// `(seed, ψ, digest)` for the random networks synthesized with Theorem 1 off.
+/// `(seed, ψ, digest)` for the random networks, unchanged since they were
+/// recorded with the Theorem-1 substitution filter off.
 const GOLDEN_NO_THEOREM1: &[(u64, usize, u64)] = &[
     (0x5EED004C, 6, 0x399b3e7a39314245),
     (0x5EED004C, 7, 0x724b0307decc5667),
@@ -179,7 +182,6 @@ fn random_tnet_bytes_without_theorem1_match_golden_digests() {
         for psi in 6..=9 {
             let config = TelsConfig {
                 psi,
-                use_theorem1: false,
                 ..TelsConfig::default()
             };
             let tn = synthesize(&factored, &config).expect("random network");
@@ -198,7 +200,7 @@ fn random_tnet_bytes_without_theorem1_match_golden_digests() {
 }
 
 /// `(seed, digest)` for `wide_psi9`'s random networks at ψ = 9 under the
-/// default configuration (Theorem 1 on). Seeds 0 and 3 each make one
+/// default configuration. Seeds 0 and 3 each make one
 /// tier-0.5 query that spends the whole leaf budget; seeds 5, 14, 21 and
 /// 24 each make one that exhausts the search space with no feasible
 /// weight vector; seeds 1 and 2 take only unique-optimum answers.

@@ -84,7 +84,7 @@ fn probe(n: u32, bits: u128, on: &TelsConfig, off: &TelsConfig) {
 
 /// Seeded random support-6 tables: random functions at this support are
 /// almost never threshold (most are not even unate), so this is the
-/// reject-agreement side — prefilter, 2-asummability, and ILP "no" answers
+/// reject-agreement side — Theorem-1, 2-asummability, and ILP "no" answers
 /// must all be invisible to the caller.
 #[test]
 fn tier05_matches_ilp_on_random_6var_functions() {
