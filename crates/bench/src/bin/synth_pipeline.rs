@@ -11,11 +11,14 @@
 //! the oracle does not cut the suite's ILP solves by at least half, or if
 //! the rational-fallback rate exceeds a sanity bound.
 //!
-//! A third pass re-runs the suite once untraced and once with `tels-trace`
-//! collecting (spans + provenance journal), asserts that tracing changes
-//! neither gate counts nor threshold-query counts and journals exactly one
-//! provenance event per emitted gate, and reports the wall-clock overhead
-//! (`trace_overhead_pct` in the JSON).
+//! A third pass times the suite with `tels-trace` collecting (spans +
+//! provenance journal) and with `tels-metrics` enabled, each in alternating
+//! off/on pairs. It asserts that neither instrument changes a `.tnet` byte
+//! or the threshold-query and ILP solve counts, that tracing journals
+//! exactly one provenance event per emitted gate, and that the median
+//! metrics overhead stays within 2%; the JSON carries each median
+//! (`trace_overhead_pct`, `metrics_overhead_pct`) with its interquartile
+//! range.
 //!
 //! A fourth pass (`perturb` in the JSON) runs §VI-C Monte Carlo yield
 //! analysis on large generated circuits (array multiplier, majority grid,
@@ -128,84 +131,98 @@ fn json_row(name: &str, m: &Measurement, no_tier0: &Measurement) -> Json {
     ])
 }
 
-/// Re-runs every circuit once untraced and once traced (default
-/// configuration, one sample each), asserting that tracing is behaviorally
-/// inert and that the provenance journal holds exactly one event per
-/// emitted gate. Returns `(untraced_ms, traced_ms)` suite totals.
-fn measure_trace_overhead(suite: &[(String, Network, TelsConfig)]) -> (f64, f64) {
-    let mut untraced_ms = 0.0;
-    let mut traced_ms = 0.0;
-    for (name, prepared, config) in suite {
-        let start = Instant::now();
-        let (tn_u, st_u) = synthesize_with_stats(prepared, config).expect("synthesis failed");
-        untraced_ms += start.elapsed().as_secs_f64() * 1e3;
+/// Off/on pairs per instrument-overhead leg.
+const OVERHEAD_PAIRS: usize = 9;
 
-        tels_trace::drain();
-        tels_trace::enable();
-        let start = Instant::now();
-        let (tn_t, st_t) = synthesize_with_stats(prepared, config).expect("synthesis failed");
-        traced_ms += start.elapsed().as_secs_f64() * 1e3;
-        tels_trace::disable();
-        let trace = tels_trace::drain();
+/// Suite passes per pair: one pass takes ~2 ms, too short to time against
+/// a 2% budget on its own.
+const OVERHEAD_PASSES: usize = 20;
 
-        assert_eq!(
-            tn_u.num_gates(),
-            tn_t.num_gates(),
-            "{name}: tracing changed the gate count"
-        );
-        assert_eq!(
-            st_u.ilp_calls, st_t.ilp_calls,
-            "{name}: tracing changed the threshold-query count"
-        );
-        assert_eq!(
-            trace.provenance_events().count(),
-            tn_t.num_gates(),
-            "{name}: provenance journal != one event per emitted gate"
-        );
-    }
-    (untraced_ms, traced_ms)
+/// An instrument whose wall-clock cost on the suite is measured.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Instrument {
+    Trace,
+    Metrics,
 }
 
-/// Re-runs every circuit with metrics collection off and on (default
-/// configuration), asserting byte-identical `.tnet` output and an equal
-/// ILP solve count either way. Timing uses min-of-3 per leg to damp timer
-/// noise — the ≤2% overhead gate rides on this number. Returns
-/// `(off_ms, on_ms)` suite totals.
-fn measure_metrics_overhead(suite: &[(String, Network, TelsConfig)]) -> (f64, f64) {
-    let mut off_ms = 0.0;
-    let mut on_ms = 0.0;
-    for (name, prepared, config) in suite {
-        let mut best_off = f64::INFINITY;
-        let mut best_on = f64::INFINITY;
-        let mut last_off = None;
-        let mut last_on = None;
-        for _ in 0..3 {
-            let start = Instant::now();
-            let (tn, st) = synthesize_with_stats(prepared, config).expect("synthesis failed");
-            best_off = best_off.min(start.elapsed().as_secs_f64() * 1e3);
-            last_off = Some((tn.to_tnet(), st.ilp_solves));
-
-            tels_metrics::enable();
-            let start = Instant::now();
-            let (tn, st) = synthesize_with_stats(prepared, config).expect("synthesis failed");
-            best_on = best_on.min(start.elapsed().as_secs_f64() * 1e3);
-            tels_metrics::disable();
-            last_on = Some((tn.to_tnet(), st.ilp_solves));
+impl Instrument {
+    fn set(self, on: bool) {
+        match (self, on) {
+            (Instrument::Trace, true) => tels_trace::enable(),
+            (Instrument::Trace, false) => tels_trace::disable(),
+            (Instrument::Metrics, true) => tels_metrics::enable(),
+            (Instrument::Metrics, false) => tels_metrics::disable(),
         }
-        let (tnet_off, solves_off) = last_off.expect("ran at least once");
-        let (tnet_on, solves_on) = last_on.expect("ran at least once");
-        assert_eq!(
-            tnet_off, tnet_on,
-            "{name}: metrics on/off produced different .tnet bytes"
-        );
-        assert_eq!(
-            solves_off, solves_on,
-            "{name}: metrics changed the ILP solve count"
-        );
-        off_ms += best_off;
-        on_ms += best_on;
     }
-    (off_ms, on_ms)
+}
+
+/// An instrument's overhead: the median and interquartile range of the
+/// per-pair overhead percentages, and the median suite time per pass
+/// with the instrument off and on.
+struct Overhead {
+    off_ms: f64,
+    on_ms: f64,
+    pct: f64,
+    iqr_pct: f64,
+}
+
+/// Median and interquartile range (nearest rank) of `xs`.
+fn median_iqr(xs: &mut [f64]) -> (f64, f64) {
+    xs.sort_by(f64::total_cmp);
+    let at = |q: f64| xs[((xs.len() - 1) as f64 * q).round() as usize];
+    (at(0.5), at(0.75) - at(0.25))
+}
+
+/// Times the suite with `instrument` off and on in [`OVERHEAD_PAIRS`]
+/// pairs of [`OVERHEAD_PASSES`] passes. Within a pair every circuit runs
+/// off and on back to back, so drift in machine load falls on both sides
+/// alike, and which side runs first alternates from circuit to circuit
+/// and pass to pass, so the second run's warmer caches do too. Every run
+/// pair also asserts that the instrument is behaviorally inert
+/// (byte-identical `.tnet`, equal threshold-query and ILP solve counts)
+/// and that a traced run journals exactly one provenance event per
+/// emitted gate (the trace is drained outside the timed region).
+fn paired_overhead(suite: &[(String, Network, TelsConfig)], instrument: Instrument) -> Overhead {
+    let (mut pcts, mut offs, mut ons) = (Vec::new(), Vec::new(), Vec::new());
+    for pair in 0..OVERHEAD_PAIRS {
+        let mut ms = [0.0f64; 2];
+        for pass in 0..OVERHEAD_PASSES {
+            for (i, (name, prepared, config)) in suite.iter().enumerate() {
+                let mut runs = [None, None];
+                let on_first = (pair + pass + i) % 2 == 1;
+                for on in [on_first, !on_first] {
+                    instrument.set(on);
+                    let start = Instant::now();
+                    let (tn, stats) =
+                        synthesize_with_stats(prepared, config).expect("synthesis failed");
+                    ms[usize::from(on)] += start.elapsed().as_secs_f64() * 1e3;
+                    instrument.set(false);
+                    let journal = tels_trace::drain().provenance_events().count();
+                    let traced = on && instrument == Instrument::Trace;
+                    assert_eq!(
+                        journal,
+                        if traced { tn.num_gates() } else { 0 },
+                        "{name}: provenance journal != one event per emitted gate"
+                    );
+                    runs[usize::from(on)] = Some((tn.to_tnet(), stats.ilp_calls, stats.ilp_solves));
+                }
+                assert_eq!(
+                    runs[0], runs[1],
+                    "{name}: instrument changed the .tnet bytes or the query/solve counts"
+                );
+            }
+        }
+        pcts.push((ms[1] - ms[0]) / ms[0] * 1e2);
+        offs.push(ms[0] / OVERHEAD_PASSES as f64);
+        ons.push(ms[1] / OVERHEAD_PASSES as f64);
+    }
+    let (pct, iqr_pct) = median_iqr(&mut pcts);
+    Overhead {
+        off_ms: median_iqr(&mut offs).0,
+        on_ms: median_iqr(&mut ons).0,
+        pct,
+        iqr_pct,
+    }
 }
 
 /// The word-parallel Monte Carlo scaling leg: §VI-C yield analysis on
@@ -932,19 +949,15 @@ fn main() {
         fallback_rate * 1e2
     );
 
-    let (suite_untraced, suite_traced) = measure_trace_overhead(&traced_suite);
-    let overhead_pct = (suite_traced - suite_untraced) / suite_untraced * 1e2;
-    println!(
-        "trace overhead: untraced {suite_untraced:.1} ms, traced {suite_traced:.1} ms \
-         ({overhead_pct:+.1}%)"
-    );
-
-    let (suite_metrics_off, suite_metrics_on) = measure_metrics_overhead(&traced_suite);
-    let metrics_overhead_pct = (suite_metrics_on - suite_metrics_off) / suite_metrics_off * 1e2;
-    println!(
-        "metrics overhead: off {suite_metrics_off:.1} ms, on {suite_metrics_on:.1} ms \
-         ({metrics_overhead_pct:+.1}%)"
-    );
+    let trace = paired_overhead(&traced_suite, Instrument::Trace);
+    let metrics = paired_overhead(&traced_suite, Instrument::Metrics);
+    for (name, o) in [("trace", &trace), ("metrics", &metrics)] {
+        println!(
+            "{name} overhead: off {:.2} ms, on {:.2} ms per pass; median {:+.1}%, \
+             IQR {:.1} points over {OVERHEAD_PAIRS} pairs",
+            o.off_ms, o.on_ms, o.pct, o.iqr_pct
+        );
+    }
 
     let (perturb_section, perturb_speedup) = measure_perturb(if quick { 1 } else { PERTURB_RUNS });
 
@@ -1140,12 +1153,15 @@ fn main() {
             ("chow_merged_vars", Json::Num(total_merged as f64)),
             ("int_fast_path_solves", Json::Num(total_int_solves as f64)),
             ("rational_fallbacks", Json::Num(total_fallbacks as f64)),
-            ("suite_ms_untraced", Json::Num(suite_untraced)),
-            ("suite_ms_traced", Json::Num(suite_traced)),
-            ("trace_overhead_pct", Json::Num(overhead_pct)),
-            ("suite_ms_metrics_off", Json::Num(suite_metrics_off)),
-            ("suite_ms_metrics_on", Json::Num(suite_metrics_on)),
-            ("metrics_overhead_pct", Json::Num(metrics_overhead_pct)),
+            ("overhead_pairs", Json::Num(OVERHEAD_PAIRS as f64)),
+            ("suite_ms_untraced", Json::Num(trace.off_ms)),
+            ("suite_ms_traced", Json::Num(trace.on_ms)),
+            ("trace_overhead_pct", Json::Num(trace.pct)),
+            ("trace_overhead_iqr_pct", Json::Num(trace.iqr_pct)),
+            ("suite_ms_metrics_off", Json::Num(metrics.off_ms)),
+            ("suite_ms_metrics_on", Json::Num(metrics.on_ms)),
+            ("metrics_overhead_pct", Json::Num(metrics.pct)),
+            ("metrics_overhead_iqr_pct", Json::Num(metrics.iqr_pct)),
             (
                 "ilp_solve_reduction_large",
                 Json::obj([
@@ -1176,10 +1192,11 @@ fn main() {
     );
     // The zero-overhead-when-cheap bar for live metrics: enabling the
     // instrument registry may cost at most 2% wall clock on the synthesis
-    // suite (min-of-3 timing above keeps scheduler noise out of the gate).
+    // suite, as the median over alternating off/on pairs.
     assert!(
-        metrics_overhead_pct <= 2.0,
-        "metrics overhead {metrics_overhead_pct:+.1}% exceeds the 2% budget"
+        metrics.pct <= 2.0,
+        "metrics overhead {:+.1}% exceeds the 2% budget",
+        metrics.pct
     );
     // The word-parallel engine's acceptance bar: ≥ 20x Monte Carlo
     // throughput on the large-circuit suite at equal seeds. Quick mode

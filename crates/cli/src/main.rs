@@ -296,9 +296,6 @@ fn cmd_synth(args: &[String]) -> Result<(), String> {
         if let Some(stats) = &stats {
             pairs.push(("stats", stats.to_json()));
         }
-        if let Some(trace) = &trace {
-            pairs.push(("ilp_histograms", export::ilp_histograms(trace)));
-        }
         println!("{}", Json::obj(pairs).pretty());
         if a.output.is_none() {
             // stdout carries the JSON object; the netlist needs `-o`.
@@ -733,17 +730,21 @@ fn render_top(socket: &str, snap: &Json, prev: Option<&Json>, enabled: bool) {
         fmt_ns(hist("tels_serve_job_run_ns", "p50")),
         fmt_ns(hist("tels_serve_job_run_ns", "p99")),
     );
-    let hits = v("tels_cache_hits_total");
-    let misses = v("tels_cache_misses_total");
+    // Every check past tier 0 and the trivial cases probed the cache: a
+    // hit, or a miss that a decider behind it settled (the ILP count also
+    // holds the rare cover too wide for a cache key).
+    let hits = v("tels_check_cache_hits_total");
+    let misses = v("tels_check_tier05_total")
+        + v("tels_check_theorem1_total")
+        + v("tels_check_ilp_solves_total");
     let hit_rate = if hits + misses > 0.0 {
         1e2 * hits / (hits + misses)
     } else {
         0.0
     };
     println!(
-        "cache   hits {hits:.0} ({})   misses {misses:.0}   inserts {:.0}   hit rate {hit_rate:.1}%",
-        rate("tels_cache_hits_total"),
-        v("tels_cache_inserts_total"),
+        "cache   hits {hits:.0} ({})   misses {misses:.0}   hit rate {hit_rate:.1}%",
+        rate("tels_check_cache_hits_total"),
     );
     println!(
         "check   trivial {:.0}   tier0 {:.0}   tier05 {:.0}   cache {:.0}   theorem1 {:.0}   ilp {:.0}   canon {}",

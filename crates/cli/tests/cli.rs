@@ -246,7 +246,7 @@ fn synth_trace_profile_and_trace_check() {
         Some("sample"),
         "stats object missing model"
     );
-    for key in ["gates", "levels", "area", "stats", "ilp_histograms"] {
+    for key in ["gates", "levels", "area", "stats"] {
         assert!(doc.get(key).is_some(), "stats object missing `{key}`");
     }
     fs::write(&stats, stdout(&o)).unwrap();
@@ -403,9 +403,7 @@ fn synth_stats_json_respects_output_redirect() {
     assert!(o.status.success(), "{}", stderr(&o));
     // Netlist goes to the file; stdout still holds only the JSON object.
     assert!(tnet.exists());
-    let doc = tels_trace::json::parse(&stdout(&o)).expect("stats output is not valid JSON");
-    // Without --trace there is no journal, hence no histograms key.
-    assert!(doc.get("ilp_histograms").is_none());
+    tels_trace::json::parse(&stdout(&o)).expect("stats output is not valid JSON");
     // The legacy human-readable summary is suppressed.
     assert!(!stderr(&o).contains("ILP calls"));
 }
@@ -665,6 +663,138 @@ fn serve_metrics_scrape_and_top_over_socket() {
     let text = fs::read_to_string(&metrics_file).unwrap();
     let doc = tels_trace::json::parse(&text).expect("metrics file is not valid JSON");
     assert!(doc.get("final").is_some() && doc.get("recorder").is_some());
+}
+
+/// The daemon publishes each finished run's check outcomes to the
+/// process-wide `tels_check_*` counters exactly once: after jobs at ψ = 3
+/// and ψ = 9, every counter equals the sum of the replies' statistics.
+#[test]
+fn serve_check_counters_equal_the_replies_stats() {
+    use tels_circuits::{random_network, RandomNetOptions};
+    use tels_core::TelsConfig;
+    use tels_serve::protocol::JobRequest;
+    use tels_trace::json::Json;
+
+    /// Stops the daemon even when an assertion fails.
+    struct Daemon(std::process::Child);
+    impl Drop for Daemon {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+
+    let dir = workdir("check_counters");
+    let sock = dir.join("tels.sock");
+    let _daemon = Daemon(
+        Command::new(env!("CARGO_BIN_EXE_tels"))
+            .args(["serve", "--socket", sock.to_str().unwrap(), "--metrics"])
+            .spawn()
+            .expect("spawn daemon"),
+    );
+    for _ in 0..100 {
+        if sock.exists() {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(100));
+    }
+    assert!(sock.exists(), "daemon never bound its socket");
+    let mut client = tels_serve::Client::connect(&sock).expect("connect");
+
+    // Mostly unate wide networks, so ψ = 9 reaches tier 0.5, Theorem 1,
+    // the cache and (with tier 0.5 off) the ILP.
+    let wide = |seed: u64| {
+        let options = RandomNetOptions {
+            inputs: 24,
+            outputs: 12,
+            nodes: 120,
+            max_fanin: 6,
+            max_cubes: 6,
+            negation_pct: 20,
+            ..RandomNetOptions::default()
+        };
+        tels_logic::blif::write(&random_network("wide", seed, &options))
+    };
+    let at = |psi: usize, use_tier05: bool| TelsConfig {
+        psi,
+        use_tier05,
+        ..TelsConfig::default()
+    };
+    let jobs = [
+        (SAMPLE.to_string(), at(3, true)),
+        (SAMPLE.to_string(), at(3, true)),
+        (wide(1), at(9, true)),
+        (wide(2), at(9, true)),
+        (wide(1), at(9, true)),
+        (wide(3), at(9, false)),
+    ];
+    let mut sums = [0.0f64; 7];
+    for (blif, config) in jobs {
+        let reply = client
+            .synth(&JobRequest {
+                blif,
+                config,
+                ..JobRequest::default()
+            })
+            .expect("synth request");
+        assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply}");
+        let stats = reply.get("stats").expect("reply carries stats");
+        let top = |key: &str| stats.get(key).and_then(Json::as_f64).expect(key);
+        let solver = |key: &str| {
+            stats
+                .get("solver")
+                .and_then(|s| s.get(key))
+                .and_then(Json::as_f64)
+                .expect(key)
+        };
+        let tier05 = solver("tier05_hits") + solver("tier05_rejects");
+        let decided = [
+            solver("tier0_lookups"),
+            tier05,
+            top("cache_hits"),
+            top("theorem1_refutations"),
+            top("ilp_solves"),
+        ];
+        let trivial = top("ilp_calls") - decided.iter().sum::<f64>();
+        let job = [
+            trivial,
+            decided[0],
+            decided[1],
+            decided[2],
+            decided[3],
+            decided[4],
+            solver("canon_ns"),
+        ];
+        for (sum, v) in sums.iter_mut().zip(job) {
+            *sum += v;
+        }
+    }
+
+    let reply = client.metrics(false, false).expect("metrics request");
+    let metrics = reply
+        .get("metrics")
+        .and_then(|s| s.get("metrics"))
+        .expect("metrics snapshot");
+    let names = [
+        "tels_check_trivial_total",
+        "tels_check_tier0_total",
+        "tels_check_tier05_total",
+        "tels_check_cache_hits_total",
+        "tels_check_theorem1_total",
+        "tels_check_ilp_solves_total",
+        "tels_check_canon_ns_total",
+    ];
+    for (name, sum) in names.iter().zip(sums) {
+        let scraped = metrics.get(name).and_then(Json::as_f64).expect(name);
+        assert_eq!(scraped, sum, "{name}");
+        // Every decider answered some query, so no equality holds at 0.
+        // The driver queries neither constants nor binate covers, so the
+        // trivial count is 0 on both sides.
+        assert!(
+            sum > 0.0 || name == &"tels_check_trivial_total",
+            "{name} never advanced"
+        );
+    }
 }
 
 /// Scalar/packed agreement of the failure rate is pinned in

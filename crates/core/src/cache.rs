@@ -62,46 +62,28 @@ impl RealizationCache {
         }
     }
 
-    /// Shard index of a key (stable within a process run).
-    fn shard_index(&self, key: &[u64]) -> usize {
+    /// The shard holding a key (stable within a process run).
+    fn shard(&self, key: &[u64]) -> &RwLock<HashMap<Vec<u64>, Option<CanonicalRealization>>> {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
-        h.finish() as usize % SHARDS
-    }
-
-    fn shard(&self, key: &[u64]) -> &RwLock<HashMap<Vec<u64>, Option<CanonicalRealization>>> {
-        &self.shards[self.shard_index(key)]
+        &self.shards[h.finish() as usize % SHARDS]
     }
 
     /// Looks up a canonical key. Outer `None` = not cached; inner value is
     /// the memoized answer.
     pub fn lookup(&self, key: &[u64]) -> Option<Option<CanonicalRealization>> {
-        let index = self.shard_index(key);
-        let entry = self.shards[index]
+        self.shard(key)
             .read()
             .expect("cache shard poisoned")
             .get(key)
-            .cloned();
-        if entry.is_some() {
-            tels_metrics::instruments::CACHE_HITS.inc(index);
-        } else {
-            tels_metrics::instruments::CACHE_MISSES.inc(index);
-        }
-        if tels_trace::enabled() {
-            let name = if entry.is_some() { "hit" } else { "miss" };
-            tels_trace::instant("cache", name, Vec::new());
-        }
-        entry
+            .cloned()
     }
 
     /// Stores the answer for a canonical key. Double inserts under the same
     /// key are benign: values are decided in canonical space, so every
     /// writer computes the same answer.
     pub fn insert(&self, key: Vec<u64>, value: Option<CanonicalRealization>) {
-        tels_trace::instant("cache", "insert", Vec::new());
-        let index = self.shard_index(&key);
-        tels_metrics::instruments::CACHE_INSERTS.inc(index);
-        self.shards[index]
+        self.shard(&key)
             .write()
             .expect("cache shard poisoned")
             .insert(key, value);

@@ -30,9 +30,13 @@
 //! Every miss answer is memoized under the canonical key. The ILP itself
 //! is tiered ([`tels_ilp`]): every LP relaxation first runs on a
 //! fraction-free `i128` integer simplex and falls back to the
-//! exact-rational oracle only on overflow. [`SolverBreakdown`] reports
-//! where each check spent its time across these tiers. Duplicate
-//! inequalities are dropped when the problem is built.
+//! exact-rational oracle only on overflow. Duplicate inequalities are
+//! dropped when the problem is built.
+//!
+//! The checker times its stages into a [`SolverBreakdown`] (and, while
+//! tracing, opens one span per stage) through a single helper; how each
+//! query was decided is returned as a [`CheckVia`] and counted by the
+//! caller, once.
 
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
@@ -52,9 +56,11 @@ use crate::tier05;
 /// `int_fast_path_solves + rational_fallbacks` is the number of ILP solves
 /// that actually ran; a solve lands in `rational_fallbacks` as soon as any
 /// of its LP relaxations needed the exact-rational simplex. The `*_ns`
-/// fields are wall-clock nanoseconds, bucketed the same way;
+/// fields are wall-clock nanoseconds per stage of the check;
 /// `structure_ns` covers the miss path's truth-table build, its
-/// 2-monotonicity refutation and its Chow classes.
+/// 2-monotonicity refutation and its Chow classes. The outcome counters
+/// (`tier0_lookups`, `tier05_*`) are tallied by the synthesis driver from
+/// each query's `CheckVia`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverBreakdown {
     /// Queries answered by the tier-0 truth-table oracle (hit or
@@ -75,6 +81,8 @@ pub struct SolverBreakdown {
     pub rational_fallbacks: usize,
     /// Wall time of tier-0 lookups (truth-table pass + table probe).
     pub tier0_ns: u64,
+    /// Wall time of canonicalizing covers into cache keys.
+    pub canon_ns: u64,
     /// Wall time of the tier-0.5 decision procedure (its table comes from
     /// the structure pass, billed to [`Self::structure_ns`]).
     pub tier05_ns: u64,
@@ -96,24 +104,6 @@ impl SolverBreakdown {
     /// collapsed (11 is the Chow classes' support limit).
     pub const SUPPORT_BUCKETS: usize = 13;
 
-    /// Accumulates another breakdown into this one (thread-merge).
-    pub fn merge(&mut self, other: &SolverBreakdown) {
-        self.tier0_lookups += other.tier0_lookups;
-        self.tier05_hits += other.tier05_hits;
-        self.tier05_rejects += other.tier05_rejects;
-        self.chow_merged_vars += other.chow_merged_vars;
-        self.int_fast_path_solves += other.int_fast_path_solves;
-        self.rational_fallbacks += other.rational_fallbacks;
-        self.tier0_ns += other.tier0_ns;
-        self.tier05_ns += other.tier05_ns;
-        self.structure_ns += other.structure_ns;
-        self.int_solve_ns += other.int_solve_ns;
-        self.rational_solve_ns += other.rational_solve_ns;
-        for (a, b) in self.support_hist.iter_mut().zip(other.support_hist.iter()) {
-            *a += b;
-        }
-    }
-
     /// Total ILP solves that ran (either tier).
     pub fn ilp_solves(&self) -> usize {
         self.int_fast_path_solves + self.rational_fallbacks
@@ -129,6 +119,7 @@ impl SolverBreakdown {
         Json::obj([
             ("tier0_lookups", n(self.tier0_lookups)),
             ("tier0_ns", ns(self.tier0_ns)),
+            ("canon_ns", ns(self.canon_ns)),
             ("tier05_hits", n(self.tier05_hits)),
             ("tier05_rejects", n(self.tier05_rejects)),
             ("tier05_ns", ns(self.tier05_ns)),
@@ -245,6 +236,23 @@ impl<R> Step<R> {
     }
 }
 
+/// Runs one stage of the check (tier 0, canonicalization, structure, tier
+/// 0.5 or the ILP): its wall time is added to the breakdown field that
+/// `field` picks from the stage's result, and while tracing is on the
+/// stage runs inside the `core` span `stage`, which `run` may annotate.
+fn timed<T>(
+    solver: &mut SolverBreakdown,
+    stage: &'static str,
+    field: for<'s> fn(&'s mut SolverBreakdown, &T) -> &'s mut u64,
+    run: impl FnOnce(&mut tels_trace::Span) -> T,
+) -> T {
+    let mut span = tels_trace::span("core", stage);
+    let t0 = Instant::now();
+    let out = run(&mut span);
+    *field(solver, &out) += t0.elapsed().as_nanos() as u64;
+    out
+}
+
 /// Tier 0: the truth-table oracle, when the configuration and support
 /// allow it. One table pass of the query's positive form is the oracle
 /// key; a table probe then decides or refutes.
@@ -257,13 +265,15 @@ fn tier0_step(
     if !config.tier0_active() || !(1..=tier0::MAX_VARS).contains(&k) {
         return Step::Pass;
     }
-    let t0 = Instant::now();
-    let mut span = tels_trace::span("core", "tier0_lookup");
-    let key = TruthTable::from_sop(&pf.positive, &pf.support).as_u32();
-    let entry = tier0::lookup(k, key);
-    span.arg("support", k as u64);
-    solver.tier0_lookups += 1;
-    solver.tier0_ns += t0.elapsed().as_nanos() as u64;
+    let entry = timed(
+        solver,
+        "tier0_lookup",
+        |s, _| &mut s.tier0_ns,
+        |span| {
+            span.arg("support", k as u64);
+            tier0::lookup(k, TruthTable::from_sop(&pf.positive, &pf.support).as_u32())
+        },
+    );
     match entry {
         Some(e) => {
             let wpos: Vec<i64> = e.weights[..k].iter().map(|&w| i64::from(w)).collect();
@@ -273,8 +283,8 @@ fn tier0_step(
     }
 }
 
-/// How a [`check_threshold_cached`] query was decided (statistics
-/// bucketing).
+/// How a [`check_threshold_cached`] query was decided: the one record of
+/// the outcome, which the synthesis driver tallies into its statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum CheckVia {
     /// Constant or syntactically binate — decided before any heavy work.
@@ -306,20 +316,6 @@ impl CheckVia {
             CheckVia::Ilp => "ilp",
         }
     }
-
-    /// Bumps the live dispatch-mix counter for this decision path (a
-    /// no-op while metrics are disabled).
-    fn count_metric(self) {
-        use tels_metrics::instruments as m;
-        match self {
-            CheckVia::Trivial => m::CHECK_TRIVIAL.inc(),
-            CheckVia::Tier0 => m::CHECK_TIER0_HITS.inc(),
-            CheckVia::Tier05 => m::CHECK_TIER05.inc(),
-            CheckVia::CacheHit => m::CHECK_CACHE_HITS.inc(),
-            CheckVia::Theorem1 => m::CHECK_THEOREM1.inc(),
-            CheckVia::Ilp => m::CHECK_ILP_SOLVES.inc(),
-        }
-    }
 }
 
 /// [`check_threshold`] through the canonical realization cache, running
@@ -344,7 +340,6 @@ pub(crate) fn check_threshold_cached(
     let result = check_threshold_cached_impl(f, config, cache, solver, scratch);
     if let Ok((_, via)) = &result {
         span.arg("via", via.as_str());
-        via.count_metric();
     }
     result
 }
@@ -367,11 +362,12 @@ fn check_threshold_cached_impl(
     if let Some(answer) = tier0_step(&pf, config, solver).answer() {
         return Ok((answer, CheckVia::Tier0));
     }
-    let canon_t0 = tels_metrics::enabled().then(Instant::now);
-    let canon_ok = pf.positive.canonical_signature_into(scratch);
-    if let Some(t0) = canon_t0 {
-        tels_metrics::instruments::CHECK_CANON_NS.add(t0.elapsed().as_nanos() as u64);
-    }
+    let canon_ok = timed(
+        solver,
+        "canonicalize",
+        |s, _| &mut s.canon_ns,
+        |_| pf.positive.canonical_signature_into(scratch),
+    );
     if !canon_ok {
         // Support too wide for a 64-bit canonical key (and for any truth
         // table): solve uncached, without Chow structure.
@@ -410,16 +406,24 @@ fn decide_miss(
                 .map(|j| (Var(j), true)),
         )
     }));
-    let t0 = Instant::now();
-    let table = (2..=chow::REFUTE_VAR_LIMIT)
-        .contains(&k)
-        .then(|| TruthTable::from_sop(&cover, &order));
-    let refuted = table.as_ref().is_some_and(|tt| !chow::two_monotonic(tt));
-    let chow = match &table {
-        Some(tt) if !refuted && k <= chow::STRUCTURE_VAR_LIMIT => Some(chow::chow_classes(tt)),
-        _ => None,
-    };
-    solver.structure_ns += t0.elapsed().as_nanos() as u64;
+    let (table, refuted, chow) = timed(
+        solver,
+        "structure",
+        |s, _| &mut s.structure_ns,
+        |_| {
+            let table = (2..=chow::REFUTE_VAR_LIMIT)
+                .contains(&k)
+                .then(|| TruthTable::from_sop(&cover, &order));
+            let refuted = table.as_ref().is_some_and(|tt| !chow::two_monotonic(tt));
+            let chow = match &table {
+                Some(tt) if !refuted && k <= chow::STRUCTURE_VAR_LIMIT => {
+                    Some(chow::chow_classes(tt))
+                }
+                _ => None,
+            };
+            (table, refuted, chow)
+        },
+    );
     if refuted {
         return Ok((None, CheckVia::Theorem1));
     }
@@ -445,23 +449,22 @@ fn tier05_step(
     if !config.tier05_active() || !(tier05::MIN_VARS..=tier05::MAX_VARS).contains(&k) {
         return Step::Pass;
     }
-    let mut span = tels_trace::span("core", "tier05_decide");
-    span.arg("support", k as u64);
-    let t0 = Instant::now();
-    let step = tier05::decide(tt, chow);
-    solver.tier05_ns += t0.elapsed().as_nanos() as u64;
-    let verdict = match &step {
-        Step::Decided(_) => "hit",
-        Step::Refuted => "reject",
-        Step::Pass => "inconclusive",
-    };
-    span.arg("verdict", verdict);
-    match &step {
-        Step::Decided(_) => solver.tier05_hits += 1,
-        Step::Refuted => solver.tier05_rejects += 1,
-        Step::Pass => {}
-    }
-    step
+    timed(
+        solver,
+        "tier05_decide",
+        |s, _| &mut s.tier05_ns,
+        |span| {
+            span.arg("support", k as u64);
+            let step = tier05::decide(tt, chow);
+            let verdict = match &step {
+                Step::Decided(_) => "hit",
+                Step::Refuted => "reject",
+                Step::Pass => "inconclusive",
+            };
+            span.arg("verdict", verdict);
+            step
+        },
+    )
 }
 
 /// The positive-unate normal form of a unate cover.
@@ -614,15 +617,19 @@ fn solve_positive(
         );
     }
 
-    let t0 = Instant::now();
-    let (solution, solve_stats) = problem.solve_with_stats(&config.ilp_limits)?;
-    let solve_ns = t0.elapsed().as_nanos() as u64;
+    let (solution, solve_stats) = timed(
+        solver,
+        "ilp_solve",
+        |s, solved: &Result<(_, tels_ilp::SolveStats), _>| match solved {
+            Ok((_, stats)) if stats.rational_lp_solves > 0 => &mut s.rational_solve_ns,
+            _ => &mut s.int_solve_ns,
+        },
+        |_| problem.solve_with_stats(&config.ilp_limits),
+    )?;
     if solve_stats.rational_lp_solves == 0 {
         solver.int_fast_path_solves += 1;
-        solver.int_solve_ns += solve_ns;
     } else {
         solver.rational_fallbacks += 1;
-        solver.rational_solve_ns += solve_ns;
     }
     let usable = matches!(solution.status, Status::Optimal)
         || (matches!(solution.status, Status::LimitReached) && !solution.values.is_empty());
@@ -863,7 +870,6 @@ mod tests {
         assert_eq!(r, None);
         assert_eq!(via, CheckVia::Theorem1);
         assert_eq!(solver.ilp_solves(), 0);
-        assert_eq!(solver.tier0_lookups, 0);
     }
 
     #[test]
@@ -1150,15 +1156,14 @@ mod tests {
         ] {
             let mut s_on = SolverBreakdown::default();
             let mut s_off = SolverBreakdown::default();
-            let (r_on, via) = counted(&f, &on, &mut s_on);
-            let (r_off, _) = counted(&f, &off, &mut s_off);
+            let (r_on, via_on) = counted(&f, &on, &mut s_on);
+            let (r_off, via_off) = counted(&f, &off, &mut s_off);
             // Same Option<Realization>, bit for bit: same weights, same
             // threshold, same variable order.
             assert_eq!(r_on, r_off, "{f}");
-            assert_eq!(via, CheckVia::Tier0, "{f}");
-            assert_eq!(s_on.tier0_lookups, 1, "{f}");
+            assert_eq!(via_on, CheckVia::Tier0, "{f}");
             assert_eq!(s_on.ilp_solves(), 0, "oracle path must not solve: {f}");
-            assert_eq!(s_off.tier0_lookups, 0, "{f}");
+            assert_ne!(via_off, CheckVia::Tier0, "{f}");
             if let Some(r) = &r_on {
                 validate(&f, r);
             }
@@ -1185,7 +1190,6 @@ mod tests {
             check_threshold_cached(&f, &cfg, &cache, &mut solver, &mut scratch).unwrap();
         assert_eq!(via2, CheckVia::Tier0);
         assert_eq!(r1, r2);
-        assert_eq!(solver.tier0_lookups, 2);
     }
 
     /// Differential sweep of the *cached* path over 4-variable functions:
@@ -1203,10 +1207,12 @@ mod tests {
         let mut s_on = SolverBreakdown::default();
         let mut s_off = SolverBreakdown::default();
         let mut scratch = SignatureScratch::new();
+        let mut tier0_answers = 0;
         for bits in (0u32..=u16::MAX as u32).step_by(stride as usize) {
             let f = sop_of_bits(4, bits);
-            let (r_on, _) =
+            let (r_on, via) =
                 check_threshold_cached(&f, &on, &cache_on, &mut s_on, &mut scratch).unwrap();
+            tier0_answers += usize::from(via == CheckVia::Tier0);
             let (r_off, _) =
                 check_threshold_cached(&f, &off, &cache_off, &mut s_off, &mut scratch).unwrap();
             assert_eq!(r_on, r_off, "tt {bits:#06x}: {f}");
@@ -1214,7 +1220,7 @@ mod tests {
                 validate(&f, r);
             }
         }
-        assert!(s_on.tier0_lookups > 0);
+        assert!(tier0_answers > 0);
     }
 
     #[test]

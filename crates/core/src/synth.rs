@@ -66,6 +66,23 @@ impl SynthStats {
             + self.solver.tier05_rejects
     }
 
+    /// Adds the run's check outcomes and canonicalization time to the
+    /// process-wide `tels_check_*` counters, once per finished run (no-ops
+    /// while metrics are off). Trivial checks are the queries no decider
+    /// counted.
+    fn publish(&self) {
+        use tels_metrics::instruments as m;
+        let s = &self.solver;
+        let decided = self.ilp_avoided() + self.theorem1_refutations + self.ilp_solves;
+        m::CHECK_TRIVIAL.add((self.ilp_calls - decided) as u64);
+        m::CHECK_TIER0_HITS.add(s.tier0_lookups as u64);
+        m::CHECK_TIER05.add((s.tier05_hits + s.tier05_rejects) as u64);
+        m::CHECK_CACHE_HITS.add(self.cache_hits as u64);
+        m::CHECK_THEOREM1.add(self.theorem1_refutations as u64);
+        m::CHECK_ILP_SOLVES.add(self.ilp_solves as u64);
+        m::CHECK_CANON_NS.add(s.canon_ns);
+    }
+
     /// Machine-readable form of the run statistics (including the
     /// [`SolverBreakdown`]), shared by the CLI's `--stats-json` output and
     /// the bench harness.
@@ -256,6 +273,7 @@ pub fn synthesize_with_cache(
     run_with_depth_stack(depth, || s.run())?;
     span.arg("gates", s.tn.num_gates() as u64);
     span.arg("ilp_calls", s.stats.ilp_calls as u64);
+    s.stats.publish();
     Ok((s.tn, s.stats))
 }
 
@@ -458,19 +476,23 @@ impl<'a> Synth<'a> {
             &mut self.stats.solver,
             &mut self.scratch,
         )?;
-        self.bucket_via(via);
+        self.tally(via, r.is_some());
         Ok((r, via))
     }
 
-    /// Folds one query verdict into the run statistics (`tier0_lookups`
-    /// and the tier-0.5 counters live in the solver breakdown, tallied by
-    /// the checker itself).
-    fn bucket_via(&mut self, via: CheckVia) {
+    /// Counts one query's outcome: the only place the run statistics
+    /// record how a check was decided. `threshold` tells a tier-0.5
+    /// identification from a tier-0.5 rejection.
+    fn tally(&mut self, via: CheckVia, threshold: bool) {
+        let stats = &mut self.stats;
         match via {
-            CheckVia::CacheHit => self.stats.cache_hits += 1,
-            CheckVia::Theorem1 => self.stats.theorem1_refutations += 1,
-            CheckVia::Ilp => self.stats.ilp_solves += 1,
-            CheckVia::Trivial | CheckVia::Tier0 | CheckVia::Tier05 => {}
+            CheckVia::Trivial => {}
+            CheckVia::Tier0 => stats.solver.tier0_lookups += 1,
+            CheckVia::Tier05 if threshold => stats.solver.tier05_hits += 1,
+            CheckVia::Tier05 => stats.solver.tier05_rejects += 1,
+            CheckVia::CacheHit => stats.cache_hits += 1,
+            CheckVia::Theorem1 => stats.theorem1_refutations += 1,
+            CheckVia::Ilp => stats.ilp_solves += 1,
         }
     }
 

@@ -86,17 +86,6 @@ pub struct SolveStats {
     pub pivots: u64,
 }
 
-impl SolveStats {
-    /// Accumulates another run's counters into this one.
-    pub fn merge(&mut self, other: &SolveStats) {
-        self.nodes += other.nodes;
-        self.int_lp_solves += other.int_lp_solves;
-        self.rational_lp_solves += other.rational_lp_solves;
-        self.int_aborts += other.int_aborts;
-        self.pivots += other.pivots;
-    }
-}
-
 /// Result of [`Problem::solve`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Solution {

@@ -124,13 +124,13 @@ mod tests {
     fn rendered_snapshot_passes_lint() {
         let _g = lock();
         enable();
-        instruments::CACHE_HITS.inc(3);
+        instruments::SERVE_FRAMES.inc(3);
         instruments::SERVE_QUEUE_WAIT_NS.record(12_345);
         instruments::SERVE_JOBS_INFLIGHT.set(2);
         disable();
         let text = snapshot().to_prometheus();
-        assert!(text.contains("# TYPE tels_cache_hits_total counter"));
-        assert!(text.contains("tels_cache_hits_total{shard=\"3\"}"));
+        assert!(text.contains("# TYPE tels_serve_frames_total counter"));
+        assert!(text.contains("tels_serve_frames_total{conn=\"3\"}"));
         assert!(text.contains("# TYPE tels_serve_queue_wait_ns histogram"));
         assert!(text.contains("tels_serve_queue_wait_ns_bucket{le=\"+Inf\"}"));
         assert!(text.contains("tels_serve_queue_wait_ns_sum 12345"));

@@ -1,10 +1,11 @@
 //! # tels-metrics — live runtime metrics for TELS-RS
 //!
 //! A process-wide registry of lock-free instruments for the long-running
-//! parts of the pipeline (the realization cache, the threshold-check
-//! dispatch, the packed simulator, the Monte Carlo trial loop, and the
-//! `tels serve` daemon). Dependency-free, like [`tels_trace`], whose in-tree
-//! JSON machinery and log₂ [`tels_trace::Histogram`] it reuses.
+//! parts of the pipeline (the threshold-check outcomes, which each
+//! synthesis run publishes once when it finishes, the packed simulator,
+//! the Monte Carlo trial loop, and the `tels serve` daemon).
+//! Dependency-free, like [`tels_trace`], whose in-tree JSON machinery it
+//! reuses; [`Histogram`] is the snapshot form of [`AtomicHistogram`].
 //!
 //! ## Zero overhead when disabled
 //!
@@ -19,10 +20,10 @@
 //! [`Counter`] spreads increments over [`COUNTER_SHARDS`] cache-line-padded
 //! atomic cells; each thread picks a home shard once (round-robin at first
 //! touch), so the hot path is one uncontended relaxed `fetch_add`.
-//! [`PerIndex`] instruments dedicate one cell per small index (cache
-//! shard, connection id mod [`MAX_INDEX`]) — uncontended by
-//! construction and exposed as labeled series. [`Gauge`]s are single
-//! atomics, written from samplers rather than hot paths.
+//! [`PerIndex`] instruments dedicate one cell per small index (connection
+//! id mod [`MAX_INDEX`]) — uncontended by construction and exposed as
+//! labeled series. [`Gauge`]s are single atomics, written from samplers
+//! rather than hot paths.
 //!
 //! ## Snapshot consistency
 //!
@@ -30,23 +31,24 @@
 //! going. Each individual counter is therefore exact-at-some-instant and
 //! monotone across snapshots (a later snapshot never reports a smaller
 //! sum), but *cross*-counter relationships are best-effort: a snapshot may
-//! see a cache hit already counted whose enclosing check dispatch is not
-//! yet. Consumers (`tels top`, the flight recorder) display rates and
-//! mixes, for which this is sufficient.
+//! see a run's check counters already published while the daemon job that
+//! ran it is not yet counted as served. Consumers (`tels top`, the flight
+//! recorder) display rates and mixes, for which this is sufficient.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod expo;
+mod histogram;
 mod recorder;
 
 pub use expo::lint_prometheus;
+pub use histogram::Histogram;
 pub use recorder::{FlightRecorder, Frame};
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 
 use tels_trace::json::Json;
-use tels_trace::Histogram;
 
 /// Shards per [`Counter`]; increments from up to this many threads
 /// proceed without cache-line contention.
@@ -192,7 +194,7 @@ impl Default for Gauge {
     }
 }
 
-/// A counter family keyed by a small index (cache shard, connection id)
+/// A counter family keyed by a small index (a connection id)
 /// with one dedicated cell per index — writers with distinct indices
 /// never contend. Indices wrap modulo [`MAX_INDEX`].
 #[derive(Debug)]
@@ -249,8 +251,8 @@ impl Default for PerIndex {
     }
 }
 
-/// A lock-free log₂ histogram: the atomic twin of
-/// [`tels_trace::Histogram`], which it converts into at snapshot time.
+/// A lock-free log₂ histogram: the atomic twin of [`Histogram`], which it
+/// converts into at snapshot time.
 #[derive(Debug)]
 pub struct AtomicHistogram {
     buckets: [AtomicU64; 65],
@@ -314,7 +316,7 @@ pub enum InstrumentRef {
     PerIndex {
         /// The instrument.
         family: &'static PerIndex,
-        /// Prometheus label key for the index (`shard`, `conn`).
+        /// Prometheus label key for the index (`conn`).
         label: &'static str,
     },
     /// A log₂ histogram.
@@ -338,16 +340,13 @@ pub struct Descriptor {
 pub mod instruments {
     use super::{AtomicHistogram, Counter, Gauge, PerIndex};
 
-    /// Realization-cache lookup hits, per cache shard.
-    pub static CACHE_HITS: PerIndex = PerIndex::new();
-    /// Realization-cache lookup misses, per cache shard.
-    pub static CACHE_MISSES: PerIndex = PerIndex::new();
-    /// Realization-cache inserts, per cache shard.
-    pub static CACHE_INSERTS: PerIndex = PerIndex::new();
+    // The `CHECK_*` counters advance once per finished synthesis run, by
+    // that run's totals; a run that errors publishes nothing.
 
     /// Nanoseconds spent canonicalizing covers for cache keys.
     pub static CHECK_CANON_NS: Counter = Counter::new();
-    /// Threshold checks answered trivially (constants, single literals).
+    /// Threshold checks answered trivially: constants and syntactically
+    /// binate covers (single literals go to tier 0).
     pub static CHECK_TRIVIAL: Counter = Counter::new();
     /// Threshold checks answered by the tier-0 truth-table oracle.
     pub static CHECK_TIER0_HITS: Counter = Counter::new();
@@ -390,30 +389,6 @@ use instruments as i9s;
 
 /// Every registered instrument, in exposition order.
 pub static REGISTRY: &[Descriptor] = &[
-    Descriptor {
-        name: "tels_cache_hits_total",
-        help: "Realization-cache lookup hits",
-        instrument: InstrumentRef::PerIndex {
-            family: &i9s::CACHE_HITS,
-            label: "shard",
-        },
-    },
-    Descriptor {
-        name: "tels_cache_misses_total",
-        help: "Realization-cache lookup misses",
-        instrument: InstrumentRef::PerIndex {
-            family: &i9s::CACHE_MISSES,
-            label: "shard",
-        },
-    },
-    Descriptor {
-        name: "tels_cache_inserts_total",
-        help: "Realization-cache inserts",
-        instrument: InstrumentRef::PerIndex {
-            family: &i9s::CACHE_INSERTS,
-            label: "shard",
-        },
-    },
     Descriptor {
         name: "tels_check_canon_ns_total",
         help: "Nanoseconds spent canonicalizing covers",
@@ -518,7 +493,7 @@ pub enum Value {
     Gauge(i64),
     /// Labeled series: non-zero `(index, value)` cells plus the total.
     Series {
-        /// Label key (`shard`, `conn`).
+        /// Label key (`conn`).
         label: &'static str,
         /// Non-zero cells.
         cells: Vec<(usize, u64)>,
@@ -743,7 +718,7 @@ mod tests {
                 s.spawn(move || {
                     while !stop.load(Ordering::Relaxed) {
                         instruments::EVAL_VECTORS.add(64);
-                        instruments::CACHE_HITS.inc(w);
+                        instruments::SERVE_FRAMES.inc(w);
                     }
                 });
             }
@@ -753,7 +728,7 @@ mod tests {
                 for _ in 0..200 {
                     let snap = snapshot();
                     let v = snap.scalar("tels_eval_vectors_total").unwrap();
-                    let t = snap.scalar("tels_cache_hits_total").unwrap();
+                    let t = snap.scalar("tels_serve_frames_total").unwrap();
                     assert!(v >= last_vec, "counter regressed: {v} < {last_vec}");
                     assert!(t >= last_tasks, "series regressed: {t} < {last_tasks}");
                     last_vec = v;

@@ -52,9 +52,8 @@ use tels_core::{
 };
 use tels_logic::blif;
 use tels_logic::opt::script_algebraic;
-use tels_metrics::{instruments as metrics, FlightRecorder};
+use tels_metrics::{instruments as metrics, FlightRecorder, Histogram};
 use tels_trace::json::Json;
-use tels_trace::Histogram;
 
 use protocol::{error_reply, parse_request, validate_config, JobRequest, Request};
 

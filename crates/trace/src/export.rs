@@ -1,5 +1,5 @@
-//! Trace exporters: Chrome `trace_event` JSON, a plain-text profile tree,
-//! and per-tier ILP latency histograms.
+//! Trace exporters: Chrome `trace_event` JSON and a plain-text profile
+//! tree.
 //!
 //! The Chrome export loads directly into `chrome://tracing` or
 //! [Perfetto](https://ui.perfetto.dev); [`validate_chrome_json`] is the
@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use crate::json::Json;
-use crate::{ArgValue, EventKind, Histogram, Trace};
+use crate::{ArgValue, EventKind, Trace};
 
 fn arg_json(v: &ArgValue) -> Json {
     match v {
@@ -74,14 +74,6 @@ pub fn chrome_trace(trace: &Trace) -> String {
                 pairs.push(("args".to_string(), args_json(args)));
                 Json::Obj(pairs)
             }
-            EventKind::Counter { name, value } => {
-                let mut pairs = base("C", "counter", name);
-                pairs.push((
-                    "args".to_string(),
-                    Json::obj([("value", Json::Num(*value as f64))]),
-                ));
-                Json::Obj(pairs)
-            }
         };
         events.push(obj);
     }
@@ -109,13 +101,6 @@ pub struct SpanRecord {
     pub dur_ns: u64,
     /// Arguments recorded on the span.
     pub args: Vec<(&'static str, ArgValue)>,
-}
-
-impl SpanRecord {
-    /// The argument named `key`, if recorded.
-    pub fn arg(&self, key: &str) -> Option<&ArgValue> {
-        self.args.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
-    }
 }
 
 /// Reconstructs completed spans by matching begin/end pairs per thread.
@@ -156,7 +141,7 @@ pub fn spans(trace: &Trace) -> Result<Vec<SpanRecord>, String> {
                     args: args.clone(),
                 });
             }
-            EventKind::Instant { .. } | EventKind::Counter { .. } => {}
+            EventKind::Instant { .. } => {}
         }
     }
     for (tid, stack) in stacks {
@@ -246,57 +231,6 @@ fn render_children(node: &ProfileNode, depth: usize, out: &mut String) {
     }
 }
 
-/// Per-tier threshold-solve histograms: wall time (ns) and simplex pivots
-/// for the integer fast path and the rational-fallback tier (from
-/// `ilp:solve` spans), plus wall time for the tier-0 truth-table oracle
-/// (from `core:tier0_lookup` spans) and the tier-0.5 decision procedure
-/// (from `core:tier05_decide` spans). Neither tier runs a simplex, so
-/// their buckets carry no pivot histogram.
-///
-/// Returns an empty object when the trace holds no such spans (e.g.
-/// tracing was disabled).
-pub fn ilp_histograms(trace: &Trace) -> Json {
-    let Ok(records) = spans(trace) else {
-        return Json::Obj(Vec::new());
-    };
-    let mut tiers: BTreeMap<&str, (Histogram, Histogram)> = BTreeMap::new();
-    for r in records {
-        let tier = if r.cat == "ilp" && r.name == "solve" {
-            let Some(ArgValue::Str(tier)) = r.arg("tier") else {
-                continue;
-            };
-            if tier == "int" {
-                "int"
-            } else {
-                "rational"
-            }
-        } else if r.cat == "core" && r.name == "tier0_lookup" {
-            "tier0"
-        } else if r.cat == "core" && r.name == "tier05_decide" {
-            "tier05"
-        } else {
-            continue;
-        };
-        let entry = tiers.entry(tier).or_default();
-        entry.0.record(r.dur_ns);
-        if let Some(ArgValue::UInt(p)) = r.arg("pivots") {
-            entry.1.record(*p);
-        }
-    }
-    Json::Obj(
-        tiers
-            .into_iter()
-            .map(|(tier, (wall, pivots))| {
-                let mut fields = vec![("wall_ns", wall.to_json())];
-                if tier != "tier0" && tier != "tier05" {
-                    fields.push(("pivots", pivots.to_json()));
-                }
-                (tier.to_string(), Json::obj(fields))
-            })
-            .collect(),
-    )
-}
-
 /// Summary of a validated Chrome-trace JSON document.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChromeSummary {
@@ -366,7 +300,6 @@ pub fn validate_chrome_json(doc: &Json) -> Result<ChromeSummary, String> {
                     provenance += 1;
                 }
             }
-            "C" => {}
             other => return Err(format!("event {i}: unknown phase `{other}`")),
         }
     }
@@ -488,79 +421,5 @@ mod tests {
         assert!(text.contains("synthesize"));
         // `solve` is indented under `synthesize`.
         assert!(text.contains("  solve"), "{text}");
-    }
-
-    #[test]
-    fn ilp_histograms_bucket_by_tier() {
-        let j = ilp_histograms(&sample_trace());
-        let int = j.get("int").expect("int tier");
-        assert_eq!(
-            int.get("wall_ns")
-                .and_then(|w| w.get("count"))
-                .and_then(Json::as_u64),
-            Some(1)
-        );
-        assert_eq!(
-            int.get("pivots")
-                .and_then(|p| p.get("max"))
-                .and_then(Json::as_u64),
-            Some(12)
-        );
-        assert!(j.get("tier0").is_none(), "no oracle spans in this trace");
-    }
-
-    #[test]
-    fn ilp_histograms_include_tier0_lookups() {
-        let mut trace = sample_trace();
-        trace.events.insert(1, begin(2, 1, "core", "tier0_lookup"));
-        trace.events.insert(
-            2,
-            end(
-                7,
-                1,
-                "core",
-                "tier0_lookup",
-                vec![("support", ArgValue::UInt(3))],
-            ),
-        );
-        let j = ilp_histograms(&trace);
-        let t0 = j.get("tier0").expect("tier0 bucket");
-        assert_eq!(
-            t0.get("wall_ns")
-                .and_then(|w| w.get("count"))
-                .and_then(Json::as_u64),
-            Some(1)
-        );
-        // The oracle runs no simplex: no pivot histogram.
-        assert!(t0.get("pivots").is_none());
-        // The ILP buckets are unaffected.
-        assert!(j.get("int").is_some());
-    }
-
-    #[test]
-    fn ilp_histograms_include_tier05_decisions() {
-        let mut trace = sample_trace();
-        trace.events.insert(1, begin(2, 1, "core", "tier05_decide"));
-        trace.events.insert(
-            2,
-            end(
-                9,
-                1,
-                "core",
-                "tier05_decide",
-                vec![("support", ArgValue::UInt(7))],
-            ),
-        );
-        let j = ilp_histograms(&trace);
-        let t05 = j.get("tier05").expect("tier05 bucket");
-        assert_eq!(
-            t05.get("wall_ns")
-                .and_then(|w| w.get("count"))
-                .and_then(Json::as_u64),
-            Some(1)
-        );
-        // The decision procedure runs no simplex: no pivot histogram.
-        assert!(t05.get("pivots").is_none());
-        assert!(j.get("int").is_some());
     }
 }

@@ -2,9 +2,11 @@
 //!
 //! Hierarchical, thread-aware spans with monotonic timing, structured
 //! instant events (including the per-gate *synthesis provenance* journal),
-//! counters, and exporters: Chrome `trace_event` JSON (loadable in
-//! `chrome://tracing` / Perfetto), a plain-text profile tree, and latency
-//! histograms. No external dependencies, matching the in-tree PRNG and
+//! and exporters: Chrome `trace_event` JSON (loadable in
+//! `chrome://tracing` / Perfetto) and a plain-text profile tree. Counts
+//! and timings per run live in the program's own statistics, and live
+//! process-wide counters in `tels-metrics`; a trace records when things
+//! happened. No external dependencies, matching the in-tree PRNG and
 //! criterion-shim precedent.
 //!
 //! ## Zero overhead when disabled
@@ -45,10 +47,7 @@
 #![warn(missing_docs)]
 
 pub mod export;
-mod histogram;
 pub mod json;
-
-pub use histogram::Histogram;
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -171,13 +170,6 @@ pub enum EventKind {
         name: String,
         /// Arguments.
         args: Args,
-    },
-    /// A counter sample (`ph: "C"`).
-    Counter {
-        /// Counter name.
-        name: String,
-        /// Sampled value.
-        value: i64,
     },
 }
 
@@ -352,18 +344,6 @@ pub fn instant(cat: &'static str, name: impl Into<String>, args: Args) {
     });
 }
 
-/// Records a counter sample.
-#[inline]
-pub fn counter(name: impl Into<String>, value: i64) {
-    if !enabled() {
-        return;
-    }
-    push(EventKind::Counter {
-        name: name.into(),
-        value,
-    });
-}
-
 /// Records one synthesis-provenance event: the threshold gate `gate` was
 /// emitted by `path` (e.g. `direct-ilp`, `cache-hit`, `binate-split`),
 /// while synthesizing the source network node `node`, under fanin
@@ -451,7 +431,6 @@ mod tests {
             let mut s = span("t", "noop");
             s.arg("k", 1u64);
             instant("t", "i", vec![]);
-            counter("c", 5);
             provenance("g", "direct-ilp", None, 3);
         }
         assert!(drain().events.is_empty());
@@ -479,7 +458,6 @@ mod tests {
                 EventKind::Begin { name, .. } => name.as_str(),
                 EventKind::End { name, .. } => name.as_str(),
                 EventKind::Instant { name, .. } => name.as_str(),
-                EventKind::Counter { name, .. } => name.as_str(),
             })
             .collect();
         assert_eq!(kinds, ["outer", "inner", "tick", "inner", "outer"]);

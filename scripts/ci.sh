@@ -106,7 +106,8 @@ trap 'kill "$serve_pid" 2>/dev/null; rm -rf "$smoke_dir"' EXIT
 for _ in $(seq 1 100); do [ -S "$sock" ] && break; sleep 0.1; done
 [ -S "$sock" ] || { echo "ci.sh: daemon socket never appeared" >&2; exit 1; }
 cargo run --release --quiet -p tels-cli --bin tels -- synth \
-    "$smoke_dir/smoke.blif" -o "$smoke_dir/oneshot.tnet"
+    "$smoke_dir/smoke.blif" -o "$smoke_dir/oneshot.tnet" --stats-json \
+    > "$smoke_dir/oneshot_stats.json"
 cargo run --release --quiet -p tels-cli --bin tels -- client --socket "$sock" --malformed
 cargo run --release --quiet -p tels-cli --bin tels -- client --socket "$sock" \
     "$smoke_dir/smoke.blif" -o "$smoke_dir/served_cold.tnet"
@@ -126,6 +127,12 @@ grep -q '^tels_serve_jobs_ok_total 2$' "$smoke_dir/metrics.prom" \
 # floor — presence is what this checks).
 grep -q '^tels_check_tier05_total ' "$smoke_dir/metrics.prom" \
     || { echo "ci.sh: metrics scrape missing tier-0.5 series" >&2; exit 1; }
+# Each finished run publishes its check outcomes once: both served jobs
+# run at ψ = 3, where tier 0 answers before the cache, so the scraped
+# tier-0 count is twice the one-shot run's.
+tier0=$(sed -n 's/^ *"tier0_lookups": *\([0-9]*\).*/\1/p' "$smoke_dir/oneshot_stats.json")
+grep -q "^tels_check_tier0_total $((2 * tier0))\$" "$smoke_dir/metrics.prom" \
+    || { echo "ci.sh: tels_check_tier0_total is not twice $tier0" >&2; exit 1; }
 cargo run --release --quiet -p tels-cli --bin tels -- top --socket "$sock" --count 1 \
     | grep -q "jobs ok 2" \
     || { echo "ci.sh: tels top did not render live stats" >&2; exit 1; }

@@ -29,6 +29,7 @@ fn config(psi: usize) -> TelsConfig {
 /// part of [`SynthStats`]; zero them before comparing runs.
 fn zero_clocks(mut stats: SynthStats) -> SynthStats {
     stats.solver.tier0_ns = 0;
+    stats.solver.canon_ns = 0;
     stats.solver.structure_ns = 0;
     stats.solver.int_solve_ns = 0;
     stats.solver.rational_solve_ns = 0;
