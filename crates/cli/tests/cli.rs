@@ -2,7 +2,7 @@
 
 use std::fs;
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Child, Command, Output};
 
 const SAMPLE: &str = "\
 .model sample
@@ -39,6 +39,39 @@ fn stdout(o: &Output) -> String {
 
 fn stderr(o: &Output) -> String {
     String::from_utf8_lossy(&o.stderr).into_owned()
+}
+
+/// A running `tels serve`, killed and reaped on drop, so a failing
+/// assertion does not leave the daemon (and the test's output pipe) behind.
+struct Daemon(Child);
+
+impl Daemon {
+    fn spawn(args: &[&str]) -> Daemon {
+        Daemon(
+            Command::new(env!("CARGO_BIN_EXE_tels"))
+                .args(args)
+                .spawn()
+                .expect("spawn daemon"),
+        )
+    }
+
+    /// Whether the daemon exits by itself within 10 s.
+    fn exits(&mut self) -> bool {
+        for _ in 0..100 {
+            if self.0.try_wait().expect("poll daemon").is_some() {
+                return true;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(100));
+        }
+        false
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
 }
 
 #[test]
@@ -445,16 +478,13 @@ fn serve_daemon_round_trip_over_socket() {
     ]);
     assert!(o.status.success(), "one-shot synth failed: {}", stderr(&o));
 
-    let mut daemon = Command::new(env!("CARGO_BIN_EXE_tels"))
-        .args([
-            "serve",
-            "--socket",
-            sock.to_str().unwrap(),
-            "--cache-file",
-            cache.to_str().unwrap(),
-        ])
-        .spawn()
-        .expect("spawn daemon");
+    let mut daemon = Daemon::spawn(&[
+        "serve",
+        "--socket",
+        sock.to_str().unwrap(),
+        "--cache-file",
+        cache.to_str().unwrap(),
+    ]);
     // Wait for the listener to come up.
     for _ in 0..100 {
         if sock.exists() {
@@ -492,32 +522,18 @@ fn serve_daemon_round_trip_over_socket() {
     // Clean shutdown; the daemon must exit and save its cache file.
     let o = tels(&["client", "--socket", sock.to_str().unwrap(), "--shutdown"]);
     assert!(o.status.success(), "shutdown failed: {}", stderr(&o));
-    let mut exited = false;
-    for _ in 0..100 {
-        if daemon.try_wait().expect("poll daemon").is_some() {
-            exited = true;
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(100));
-    }
-    if !exited {
-        daemon.kill().ok();
-    }
-    assert!(exited, "daemon did not exit after shutdown request");
+    assert!(daemon.exits(), "daemon did not exit after shutdown request");
     assert!(cache.exists(), "daemon did not save its cache file");
 
     // A second daemon must load the persisted cache and serve identical
     // bytes warm.
-    let mut daemon2 = Command::new(env!("CARGO_BIN_EXE_tels"))
-        .args([
-            "serve",
-            "--socket",
-            sock.to_str().unwrap(),
-            "--cache-file",
-            cache.to_str().unwrap(),
-        ])
-        .spawn()
-        .expect("spawn warm daemon");
+    let mut daemon2 = Daemon::spawn(&[
+        "serve",
+        "--socket",
+        sock.to_str().unwrap(),
+        "--cache-file",
+        cache.to_str().unwrap(),
+    ]);
     for _ in 0..100 {
         if sock.exists() {
             break;
@@ -540,13 +556,7 @@ fn serve_daemon_round_trip_over_socket() {
         fs::read(&one_shot).unwrap(),
         "persisted-warm bytes must match one-shot"
     );
-    for _ in 0..100 {
-        if daemon2.try_wait().expect("poll daemon").is_some() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(100));
-    }
-    daemon2.kill().ok();
+    daemon2.exits();
 }
 
 #[test]
@@ -557,19 +567,16 @@ fn serve_metrics_scrape_and_top_over_socket() {
     let sock = dir.join("tels-metrics.sock");
     let cache = dir.join("cache.bin");
 
-    let mut daemon = Command::new(env!("CARGO_BIN_EXE_tels"))
-        .args([
-            "serve",
-            "--socket",
-            sock.to_str().unwrap(),
-            "--cache-file",
-            cache.to_str().unwrap(),
-            "--metrics",
-            "--metrics-interval-ms",
-            "100",
-        ])
-        .spawn()
-        .expect("spawn daemon");
+    let mut daemon = Daemon::spawn(&[
+        "serve",
+        "--socket",
+        sock.to_str().unwrap(),
+        "--cache-file",
+        cache.to_str().unwrap(),
+        "--metrics",
+        "--metrics-interval-ms",
+        "100",
+    ]);
     for _ in 0..100 {
         if sock.exists() {
             break;
@@ -645,18 +652,7 @@ fn serve_metrics_scrape_and_top_over_socket() {
 
     let o = tels(&["client", "--socket", sock.to_str().unwrap(), "--shutdown"]);
     assert!(o.status.success(), "shutdown failed: {}", stderr(&o));
-    let mut exited = false;
-    for _ in 0..100 {
-        if daemon.try_wait().expect("poll daemon").is_some() {
-            exited = true;
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(100));
-    }
-    if !exited {
-        daemon.kill().ok();
-    }
-    assert!(exited, "daemon did not exit after shutdown request");
+    assert!(daemon.exits(), "daemon did not exit after shutdown request");
     // Final snapshot persisted next to the cache file.
     let metrics_file = dir.join("cache.bin.metrics.json");
     assert!(metrics_file.exists(), "final metrics snapshot not written");
@@ -675,23 +671,9 @@ fn serve_check_counters_equal_the_replies_stats() {
     use tels_serve::protocol::JobRequest;
     use tels_trace::json::Json;
 
-    /// Stops the daemon even when an assertion fails.
-    struct Daemon(std::process::Child);
-    impl Drop for Daemon {
-        fn drop(&mut self) {
-            let _ = self.0.kill();
-            let _ = self.0.wait();
-        }
-    }
-
     let dir = workdir("check_counters");
     let sock = dir.join("tels.sock");
-    let _daemon = Daemon(
-        Command::new(env!("CARGO_BIN_EXE_tels"))
-            .args(["serve", "--socket", sock.to_str().unwrap(), "--metrics"])
-            .spawn()
-            .expect("spawn daemon"),
-    );
+    let _daemon = Daemon::spawn(&["serve", "--socket", sock.to_str().unwrap(), "--metrics"]);
     for _ in 0..100 {
         if sock.exists() {
             break;

@@ -517,19 +517,17 @@ impl ThresholdNetwork {
         let output_names: Vec<&str> = self.outputs.iter().map(|(n, _)| n.as_str()).collect();
         let _ = writeln!(out, ".outputs {}", output_names.join(" "));
         for (id, g) in self.gates() {
-            let terms: Vec<String> = g
-                .inputs
-                .iter()
-                .zip(&g.weights)
-                .map(|(&i, &w)| format!("{}:{}", self.name(i), w))
-                .collect();
-            let _ = writeln!(
-                out,
-                ".gate {} T={} {}",
-                self.name(id),
-                g.threshold,
-                terms.join(" ")
-            );
+            // `.gate <name> T=<t> <in>:<w> ...`; a gate without inputs keeps
+            // the space after its threshold.
+            let _ = write!(out, ".gate {} T={} ", self.name(id), g.threshold);
+            for (k, (&i, &w)) in g.inputs.iter().zip(&g.weights).enumerate() {
+                if k > 0 {
+                    out.push(' ');
+                }
+                out.push_str(self.name(i));
+                let _ = write!(out, ":{w}");
+            }
+            out.push('\n');
         }
         for (name, id) in &self.outputs {
             if self.name(*id) != name {
@@ -825,6 +823,43 @@ mod tests {
             let assign = [(m & 1) != 0, (m & 2) != 0, (m & 4) != 0];
             assert_eq!(back.eval(&assign).unwrap(), tn.eval(&assign).unwrap());
         }
+    }
+
+    #[test]
+    fn tnet_gate_lines() {
+        let mut tn = majority_net();
+        let a = tn.find("a").unwrap();
+        let c = tn.find("c").unwrap();
+        let k = tn
+            .add_gate(
+                "k",
+                ThresholdGate {
+                    inputs: Vec::new(),
+                    weights: Vec::new(),
+                    threshold: 0,
+                },
+            )
+            .unwrap();
+        let n = tn
+            .add_gate(
+                "n",
+                ThresholdGate {
+                    inputs: vec![c, a],
+                    weights: vec![-3, 2],
+                    threshold: -1,
+                },
+            )
+            .unwrap();
+        tn.add_output("k", k).unwrap();
+        tn.add_output("y", n).unwrap();
+        assert_eq!(
+            tn.to_tnet(),
+            ".model maj\n.inputs a b c\n.outputs m k y\n\
+             .gate m T=2 a:1 b:1 c:1\n\
+             .gate k T=0 \n\
+             .gate n T=-1 c:-3 a:2\n\
+             .alias y n\n.end\n"
+        );
     }
 
     #[test]

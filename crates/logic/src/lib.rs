@@ -41,6 +41,7 @@ pub mod blif;
 mod cube;
 mod error;
 pub mod factor;
+mod fxhash;
 pub mod mutate;
 mod network;
 pub mod opt;

@@ -1,10 +1,12 @@
 //! Multi-level combinational Boolean networks.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::fmt;
 
 use crate::cube::Var;
 use crate::error::LogicError;
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::opt::PassMemo;
 use crate::sop::Sop;
 
@@ -164,11 +166,15 @@ impl Network {
     }
 
     fn add_raw(&mut self, name: String, kind: NodeKind) -> Result<NodeId, LogicError> {
-        if self.names.contains_key(&name) {
-            return Err(LogicError::DuplicateName(name));
-        }
         let id = NodeId(self.nodes.len() as u32);
-        self.names.insert(name.clone(), id);
+        let name = match self.names.entry(name) {
+            Entry::Occupied(taken) => return Err(LogicError::DuplicateName(taken.key().clone())),
+            Entry::Vacant(free) => {
+                let name = free.key().clone();
+                free.insert(id);
+                name
+            }
+        };
         let rank = self.next_rank;
         self.next_rank += RANK_GAP;
         let stamp = self.tick();
@@ -337,7 +343,7 @@ impl Network {
             .filter(|f| self.nodes[f.index()].rank >= rank)
             .collect();
         let mut cone: Vec<NodeId> = Vec::new();
-        let mut seen: HashSet<NodeId> = HashSet::new();
+        let mut seen: FxHashSet<NodeId> = FxHashSet::default();
         while let Some(n) = stack.pop() {
             if n == id {
                 return Err(LogicError::Cycle);
@@ -652,7 +658,7 @@ impl Network {
             stack.extend(self.fanins(id).iter().copied());
         }
         let mut out = Network::new(self.model.clone());
-        let mut map: HashMap<NodeId, NodeId> = HashMap::new();
+        let mut map: FxHashMap<NodeId, NodeId> = FxHashMap::default();
         // Inputs first, preserving order.
         for id in self.node_ids() {
             if self.is_input(id) {

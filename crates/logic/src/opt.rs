@@ -14,11 +14,13 @@
 //! result is reused only while everything it read is unchanged, so a pass
 //! writes the same network whether or not it ran before.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 
 use crate::cube::{Cube, Var};
 use crate::error::LogicError;
 use crate::factor::{divide, kernels};
+use crate::fxhash::FxHashMap;
 use crate::network::{Network, NodeId, NodeKind};
 use crate::sop::Sop;
 
@@ -232,22 +234,23 @@ pub fn simplify(net: &mut Network) {
     memo.simplified.resize(net.node_ids().count(), 0);
     // Minimization reads only the local cover, and a circuit repeats few
     // distinct covers: each is minimized once per call.
-    let mut covers: HashMap<Sop, Minimized> = HashMap::new();
+    let mut covers: HashMap<Sop, usize> = HashMap::new();
+    let mut minimized: Vec<Minimized> = Vec::new();
     for id in net.node_ids().collect::<Vec<_>>() {
         if net.is_input(id) || memo.simplified[id.index()] == net.stamp(id) {
             continue;
         }
-        if !covers.contains_key(net.sop(id)) {
-            let cover = net.sop(id).minimize();
-            covers.insert(
-                net.sop(id).clone(),
-                Minimized {
-                    cover,
+        let m = match covers.get(net.sop(id)) {
+            Some(&i) => &mut minimized[i],
+            None => {
+                covers.insert(net.sop(id).clone(), minimized.len());
+                minimized.push(Minimized {
+                    cover: net.sop(id).minimize(),
                     fixpoint: None,
-                },
-            );
-        }
-        let m = covers.get_mut(net.sop(id)).expect("inserted above");
+                });
+                minimized.last_mut().expect("pushed above")
+            }
+        };
         let canonical = reads_ascending_fanins(net, id);
         if canonical && m.fixpoint == Some(true) {
             memo.simplified[id.index()] = net.stamp(id);
@@ -320,7 +323,18 @@ struct ElimTrial {
 /// Inlines nodes whose elimination does not grow the network by more than
 /// `threshold` literals (SIS `eliminate`). Returns eliminated node count.
 pub fn eliminate(net: &mut Network, threshold: isize, opts: &OptOptions) -> usize {
-    let _span = tels_trace::span("logic", "eliminate");
+    eliminate_with(net, threshold, opts, &mut PairMemo::default())
+}
+
+/// [`eliminate`] with the call's (user, victim) memo passed in, so tests
+/// can read its counters or switch it off.
+fn eliminate_with(
+    net: &mut Network,
+    threshold: isize,
+    opts: &OptOptions,
+    pairs: &mut PairMemo,
+) -> usize {
+    let mut span = tels_trace::span("logic", "eliminate");
     // A trial depends only on the victim's cover, its use list, the users'
     // covers and the literal limit, so its growth holds at any threshold
     // until one of those changes. The use lists are read at the start of
@@ -328,8 +342,9 @@ pub fn eliminate(net: &mut Network, threshold: isize, opts: &OptOptions) -> usiz
     // trial's `read` already used the victim then and has not changed
     // since, so it was in the trial's list; when every current user is,
     // and the counts agree, the lists are equal. A trial that passes the
-    // threshold is re-run, since committing needs its new covers.
+    // threshold builds the covers it commits.
     let mut memo = net.take_memo();
+    let limit = opts.max_elim_literals;
     let mut removed = 0;
     loop {
         let users = users_of(net);
@@ -352,7 +367,7 @@ pub fn eliminate(net: &mut Network, threshold: isize, opts: &OptOptions) -> usiz
             let last = memo.trials[victim.index()];
             let unchanged = |n: &NodeId| net.stamp(*n) <= last.at;
             if last.uses == uses.len()
-                && last.limit == opts.max_elim_literals
+                && last.limit == limit
                 && unchanged(&victim)
                 && uses.iter().all(unchanged)
                 && last.growth.is_none_or(|g| g > threshold)
@@ -363,32 +378,30 @@ pub fn eliminate(net: &mut Network, threshold: isize, opts: &OptOptions) -> usiz
             let victim_lits = net.sop(victim).num_literals();
             // Tentatively substitute into every user and measure, each over
             // the union of the user's and the victim's fanins.
-            let mut new_sops: Vec<(NodeId, Vec<NodeId>, Sop)> = Vec::with_capacity(uses.len());
-            let mut delta: isize = -(victim_lits as isize);
-            let mut abort = false;
+            let mut growth = Some(-(victim_lits as isize));
             for &u in &uses {
                 let space = space_of(net, &[u, victim], &[]);
-                let old = local_sop(net, u, &space);
-                let new = old.substitute(var_in(&space, victim), &local_sop(net, victim, &space));
-                if new.num_literals() > opts.max_elim_literals {
-                    abort = true;
+                growth = growth
+                    .zip(pairs.growth(net, u, victim, &space, limit))
+                    .map(|(g, d)| g + d);
+                if growth.is_none() {
                     break;
                 }
-                delta += new.num_literals() as isize - old.num_literals() as isize;
-                new_sops.push((u, space, new));
             }
             memo.trials[victim.index()] = ElimTrial {
                 at: read,
                 uses: uses.len(),
-                limit: opts.max_elim_literals,
-                growth: (!abort).then_some(delta),
+                limit,
+                growth,
             };
-            if abort || delta > threshold {
+            if growth.is_none_or(|g| g > threshold) {
                 continue;
             }
             let mut committed = true;
-            for (u, space, sop) in new_sops {
-                if set_local_sop(net, u, &space, &sop).is_err() {
+            for u in uses {
+                let space = space_of(net, &[u, victim], &[]);
+                let new = substituted(net, u, victim, &space);
+                if set_local_sop(net, u, &space, &new).is_err() {
                     committed = false;
                     break;
                 }
@@ -400,9 +413,127 @@ pub fn eliminate(net: &mut Network, threshold: isize, opts: &OptOptions) -> usiz
         }
         if !progress {
             net.put_memo(memo);
+            span.arg("pair_lookups", pairs.lookups as u64);
+            span.arg("pair_trials", pairs.computed as u64);
             return removed;
         }
     }
+}
+
+/// `user`'s cover over `space` with `victim` substituted in.
+fn substituted(net: &Network, user: NodeId, victim: NodeId, space: &[NodeId]) -> Sop {
+    local_sop(net, user, space).substitute(var_in(space, victim), &local_sop(net, victim, space))
+}
+
+/// One [`eliminate`] call's (user, victim) trials, keyed by local shape:
+/// a circuit repeats few shapes, so most trials are looked up, not run.
+///
+/// A key holds the user's and the victim's stored covers (as ids), the
+/// rank of each stored fanin of both nodes in the trial's space (the
+/// ascending union of the two fanin lists) and the victim's slot in the
+/// user's fanin list. Those fix both covers over the space exactly, hence
+/// the substituted cover and its literal count: a hit is what
+/// recomputation gives. The literal limit is the call's.
+#[derive(Default)]
+struct PairMemo {
+    /// Interned covers. A client writes them, so they keep std's keyed
+    /// hasher.
+    cover_ids: HashMap<Sop, u32>,
+    /// Per node, the stamp its cover was interned at (0 for never) and the
+    /// cover's id.
+    node_covers: Vec<(u64, u32)>,
+    /// Trial key → the user's literal change, or `None` past the limit.
+    trials: FxHashMap<Box<[u32]>, Option<isize>>,
+    /// The key being built.
+    key: Vec<u32>,
+    /// Trials asked for and trials computed.
+    lookups: usize,
+    computed: usize,
+    /// Computes every trial (the reference the memo is tested against).
+    #[cfg(test)]
+    recompute: bool,
+}
+
+impl PairMemo {
+    /// The id of `id`'s stored cover.
+    fn cover_id(&mut self, net: &Network, id: NodeId) -> u32 {
+        if self.node_covers.len() <= id.index() {
+            self.node_covers.resize(net.node_ids().count(), (0, 0));
+        }
+        let (stamp, cover) = self.node_covers[id.index()];
+        if stamp == net.stamp(id) {
+            return cover;
+        }
+        let sop = net.sop(id);
+        let cover = match self.cover_ids.get(sop) {
+            Some(&cover) => cover,
+            None => {
+                let cover = self.cover_ids.len() as u32;
+                self.cover_ids.insert(sop.clone(), cover);
+                cover
+            }
+        };
+        self.node_covers[id.index()] = (net.stamp(id), cover);
+        cover
+    }
+
+    /// The literal change of substituting `victim` into `user` over
+    /// `space`, or `None` if the user's new cover has more than `limit`
+    /// literals.
+    fn growth(
+        &mut self,
+        net: &Network,
+        user: NodeId,
+        victim: NodeId,
+        space: &[NodeId],
+        limit: usize,
+    ) -> Option<isize> {
+        self.lookups += 1;
+        #[cfg(test)]
+        if self.recompute {
+            self.computed += 1;
+            return trial_growth(net, user, victim, space, limit);
+        }
+        let (u, v) = (self.cover_id(net, user), self.cover_id(net, victim));
+        let fanins = net.fanins(user);
+        let slot = fanins
+            .iter()
+            .position(|&f| f == victim)
+            .expect("the user reads the victim");
+        let mut key = std::mem::take(&mut self.key);
+        key.clear();
+        key.extend([u, v, slot as u32, fanins.len() as u32]);
+        key.extend(
+            fanins
+                .iter()
+                .chain(net.fanins(victim))
+                .map(|&f| var_in(space, f).0),
+        );
+        let growth = match self.trials.get(&key[..]) {
+            Some(&growth) => growth,
+            None => {
+                self.computed += 1;
+                let growth = trial_growth(net, user, victim, space, limit);
+                self.trials.insert(key[..].into(), growth);
+                growth
+            }
+        };
+        self.key = key;
+        growth
+    }
+}
+
+/// [`PairMemo::growth`] computed.
+fn trial_growth(
+    net: &Network,
+    user: NodeId,
+    victim: NodeId,
+    space: &[NodeId],
+    limit: usize,
+) -> Option<isize> {
+    // Covers are kept SCC-minimal, so renaming preserves the count.
+    let new = substituted(net, user, victim, space).num_literals();
+    (new <= limit).then(|| new as isize - net.sop(user).num_literals() as isize)
 }
 
 /// Canonical key of an SOP for candidate deduplication.
@@ -428,7 +559,7 @@ pub fn extract(net: &mut Network, opts: &OptOptions) -> usize {
         let logic_nodes: Vec<NodeId> = net.node_ids().filter(|&id| !net.is_input(id)).collect();
         // Literal (node, phase) → nodes whose cover contains it, ascending
         // (for candidate filtering), read off the local covers.
-        let mut lit_index: HashMap<(NodeId, bool), Vec<NodeId>> = HashMap::new();
+        let mut lit_index: FxHashMap<(NodeId, bool), Vec<NodeId>> = FxHashMap::default();
         for &id in &logic_nodes {
             let fanins = net.fanins(id);
             for c in net.sop(id).cubes() {
@@ -442,7 +573,7 @@ pub fn extract(net: &mut Network, opts: &OptOptions) -> usize {
         }
         // Candidates and cuts live in the global space; a node's global
         // cover is built when its kernels are enumerated or it is divided.
-        let mut globals: HashMap<NodeId, Sop> = HashMap::new();
+        let mut globals: FxHashMap<NodeId, Sop> = FxHashMap::default();
 
         // Candidate divisors: kernels of each node, plus common cubes of
         // intra-node cube pairs. A BTreeMap keeps candidate evaluation order
@@ -582,52 +713,52 @@ pub fn strash(net: &mut Network) -> usize {
             // global-space covers.
             let support = support_nodes(net, id);
             let key = (canon_key(&local_sop(net, id, &support)), support);
-            match seen.get(&key) {
-                None => {
-                    seen.insert(key, id);
+            let keeper = match seen.entry(key) {
+                Entry::Vacant(free) => {
+                    free.insert(id);
+                    continue;
                 }
-                Some(&keeper) => {
-                    // Rewire every user of `id` to `keeper`, then re-point
-                    // any outputs. The duplicate becomes dead and is removed
-                    // by the caller's compact().
-                    let users: Vec<NodeId> = user_lists[id.0 as usize]
-                        .iter()
-                        .copied()
-                        .filter(|&u| net.fanins(u).contains(&id))
-                        .collect();
-                    let drives_po = net.outputs().iter().any(|&(_, n)| n == id);
-                    if users.is_empty() && !drives_po {
-                        // Already dead: nothing to rewire, and counting it
-                        // as a merge would loop forever.
-                        continue;
-                    }
-                    let mut ok = true;
-                    for u in users {
-                        let space = space_of(net, &[u], &[keeper]);
-                        let rebuilt = local_sop(net, u, &space).substitute(
-                            var_in(&space, id),
-                            &Sop::literal(var_in(&space, keeper), true),
-                        );
-                        if set_local_sop(net, u, &space, &rebuilt).is_err() {
-                            ok = false;
-                        } else {
-                            user_lists[keeper.0 as usize].push(u);
-                        }
-                    }
-                    if ok {
-                        let po_names: Vec<String> = net
-                            .outputs()
-                            .iter()
-                            .filter(|(_, n)| *n == id)
-                            .map(|(name, _)| name.clone())
-                            .collect();
-                        for name in po_names {
-                            net.set_output(&name, keeper).expect("existing output");
-                        }
-                        merged += 1;
-                        progress = true;
-                    }
+                Entry::Occupied(taken) => *taken.get(),
+            };
+            // Rewire every user of `id` to `keeper`, then re-point
+            // any outputs. The duplicate becomes dead and is removed
+            // by the caller's compact().
+            let users: Vec<NodeId> = user_lists[id.0 as usize]
+                .iter()
+                .copied()
+                .filter(|&u| net.fanins(u).contains(&id))
+                .collect();
+            let drives_po = net.outputs().iter().any(|&(_, n)| n == id);
+            if users.is_empty() && !drives_po {
+                // Already dead: nothing to rewire, and counting it
+                // as a merge would loop forever.
+                continue;
+            }
+            let mut ok = true;
+            for u in users {
+                let space = space_of(net, &[u], &[keeper]);
+                let rebuilt = local_sop(net, u, &space).substitute(
+                    var_in(&space, id),
+                    &Sop::literal(var_in(&space, keeper), true),
+                );
+                if set_local_sop(net, u, &space, &rebuilt).is_err() {
+                    ok = false;
+                } else {
+                    user_lists[keeper.0 as usize].push(u);
                 }
+            }
+            if ok {
+                let po_names: Vec<String> = net
+                    .outputs()
+                    .iter()
+                    .filter(|(_, n)| *n == id)
+                    .map(|(name, _)| name.clone())
+                    .collect();
+                for name in po_names {
+                    net.set_output(&name, keeper).expect("existing output");
+                }
+                merged += 1;
+                progress = true;
             }
         }
         if !progress {
@@ -649,7 +780,7 @@ pub fn resubstitute(net: &mut Network) -> usize {
     // of any one literal of d visits a superset of the pairs the all-pairs
     // loop would rewrite — picking the rarest literal just makes that
     // superset small.
-    let mut lit_index: HashMap<(NodeId, bool), Vec<NodeId>> = HashMap::new();
+    let mut lit_index: FxHashMap<(NodeId, bool), Vec<NodeId>> = FxHashMap::default();
     for &id in &logic_nodes {
         let fanins = net.fanins(id);
         let mut seen: Vec<(NodeId, bool)> = Vec::new();
@@ -674,24 +805,30 @@ pub fn resubstitute(net: &mut Network) -> usize {
         // The rarest literal of the divisor (first in ascending variable
         // order among ties): fewest covers to scan. A literal indexed
         // nowhere proves no cover can divide by d.
-        let mut candidates: Option<&Vec<NodeId>> = None;
-        for c in d_own.cubes() {
+        let mut rarest: Option<((NodeId, bool), usize)> = None;
+        'literals: for c in d_own.cubes() {
             for (v, phase) in c.literals() {
-                match lit_index.get(&(d_support[v.0 as usize], phase)) {
+                let lit = (d_support[v.0 as usize], phase);
+                match lit_index.get(&lit) {
                     Some(list) => {
-                        if candidates.is_none_or(|best| list.len() < best.len()) {
-                            candidates = Some(list);
+                        if rarest.is_none_or(|(_, len)| list.len() < len) {
+                            rarest = Some((lit, list.len()));
                         }
                     }
                     None => {
-                        candidates = None;
-                        break;
+                        rarest = None;
+                        break 'literals;
                     }
                 }
             }
         }
-        let candidates: Vec<NodeId> = candidates.cloned().unwrap_or_default();
-        for f in candidates {
+        let Some((lit, _)) = rarest else {
+            continue;
+        };
+        // The loop below only adds to the list of the literal d, which d
+        // does not read, so the chosen list can be borrowed out meanwhile.
+        let candidates = lit_index.remove(&lit).expect("indexed literal");
+        for &f in &candidates {
             if f == d {
                 continue;
             }
@@ -732,6 +869,7 @@ pub fn resubstitute(net: &mut Network) -> usize {
                 }
             }
         }
+        lit_index.insert(lit, candidates);
     }
     rewrites
 }
@@ -1453,6 +1591,208 @@ mod tests {
     #[test]
     fn stale_memos_harmless_on_negated_random_networks() {
         assert_stale_memos_harmless(random_networks("neg50", 50));
+    }
+
+    /// `net` with `pad` dead logic nodes ahead of its logic, so live ids
+    /// pass 128 when `pad` does, and with every logic node's fanin list
+    /// reversed (its cover's columns permuted to keep the function).
+    fn renumbered(net: &Network, pad: usize) -> Network {
+        let mut out = Network::new(net.model());
+        let mut ids = vec![NodeId(0); net.node_ids().count()];
+        let inputs = net.inputs();
+        for &pi in &inputs {
+            ids[pi.index()] = out.add_input(net.name(pi)).unwrap();
+        }
+        for i in 0..pad {
+            let a = ids[inputs[i % inputs.len()].index()];
+            out.add_node(format!("dead{i}"), vec![a], sop(&[&[(0, false)]]))
+                .unwrap();
+        }
+        // Placeholders first, so the logic keeps its relative order.
+        let logic: Vec<NodeId> = net.node_ids().filter(|&id| !net.is_input(id)).collect();
+        for &id in &logic {
+            ids[id.index()] = out.add_node(net.name(id), vec![], Sop::zero()).unwrap();
+        }
+        for &id in &logic {
+            let fanins: Vec<NodeId> = net
+                .fanins(id)
+                .iter()
+                .rev()
+                .map(|f| ids[f.index()])
+                .collect();
+            let n = fanins.len() as u32;
+            let map: Vec<Var> = (0..n).map(|i| Var(n - 1 - i)).collect();
+            out.set_function(ids[id.index()], fanins, net.sop(id).remap(&map))
+                .unwrap();
+        }
+        for (name, id) in net.outputs() {
+            out.add_output(name.clone(), ids[id.index()]).unwrap();
+        }
+        out
+    }
+
+    /// Runs the algebraic and then the Boolean script's passes on each
+    /// network, and every `eliminate` twice on copies: with the pair memo
+    /// and recomputing every trial. Both must write the same network.
+    /// Returns the memo's lookups and computed trials.
+    fn assert_pair_memo_exact(nets: Vec<(String, Network)>) -> (usize, usize) {
+        let opts = OptOptions::default();
+        let (mut lookups, mut computed) = (0, 0);
+        for (name, net) in nets {
+            let mut n = net;
+            for (script, passes) in [("algebraic", &ALGEBRAIC[..]), ("boolean", &BOOLEAN[..])] {
+                for (i, pass) in passes.iter().enumerate() {
+                    let Pass::Eliminate(threshold) = *pass else {
+                        run_passes(&mut n, &[*pass], &opts);
+                        continue;
+                    };
+                    let mut reference = n.clone();
+                    let mut recompute = PairMemo {
+                        recompute: true,
+                        ..PairMemo::default()
+                    };
+                    let want = eliminate_with(&mut reference, threshold, &opts, &mut recompute);
+                    let mut pairs = PairMemo::default();
+                    let got = eliminate_with(&mut n, threshold, &opts, &mut pairs);
+                    assert_eq!(got, want, "{name}: {script} pass {i}");
+                    assert_eq!(
+                        crate::blif::write(&n),
+                        crate::blif::write(&reference),
+                        "{name}: {script} pass {i}"
+                    );
+                    assert_eq!(pairs.lookups, recompute.lookups, "{name}");
+                    lookups += pairs.lookups;
+                    computed += pairs.computed;
+                }
+                n = n.compact();
+            }
+        }
+        (lookups, computed)
+    }
+
+    #[test]
+    fn pair_memo_exact_on_the_paper_suite() {
+        let (lookups, computed) = assert_pair_memo_exact(paper_suite());
+        assert!(
+            computed < lookups,
+            "{computed} of {lookups} trials computed"
+        );
+    }
+
+    #[test]
+    fn pair_memo_exact_on_wide_random_networks() {
+        assert_pair_memo_exact(random_networks("wide", 20));
+    }
+
+    #[test]
+    fn pair_memo_exact_on_renumbered_networks() {
+        let nets = paper_suite()
+            .into_iter()
+            .chain(random_networks("wide", 20).into_iter().take(3))
+            .map(|(name, net)| (name, renumbered(&net, 130)))
+            .collect();
+        assert_pair_memo_exact(nets);
+    }
+
+    #[test]
+    fn pair_memo_tells_victim_slots_apart() {
+        // t = p·q feeds u1 = t·x̄ (fanins [t, x]) and u2 = y·t̄ (fanins
+        // [y, t]). Both users' covers are x0·x̄1, and their fanins rank
+        // [3, 2] in their spaces ({p, q, x, t} and {p, q, t, y}), t's
+        // [0, 1]; only t's slot differs. Substituting grows u1 by 1 (p·q·x̄)
+        // and u2 by 2 (y·p̄ ∨ y·q̄): growth −2 + 1 + 2 = +1, over threshold 0.
+        // A key without the slot would reuse u1's +1 for u2 and eliminate.
+        let mut net = Network::new("slots");
+        let p = net.add_input("p").unwrap();
+        let q = net.add_input("q").unwrap();
+        let x = net.add_input("x").unwrap();
+        let t = net
+            .add_node("t", vec![p, q], sop(&[&[(0, true), (1, true)]]))
+            .unwrap();
+        let y = net.add_input("y").unwrap();
+        let shape = || sop(&[&[(0, true), (1, false)]]);
+        let u1 = net.add_node("u1", vec![t, x], shape()).unwrap();
+        let u2 = net.add_node("u2", vec![y, t], shape()).unwrap();
+        net.add_output("u1", u1).unwrap();
+        net.add_output("u2", u2).unwrap();
+        let mut pairs = PairMemo::default();
+        let before = net.clone();
+        assert_eq!(
+            eliminate_with(&mut net, 0, &OptOptions::default(), &mut pairs),
+            0
+        );
+        assert_eq!(trial(&mut net, t).growth, Some(1));
+        assert_eq!((pairs.lookups, pairs.computed), (2, 2));
+        // At threshold 1 it is eliminated, and the function holds.
+        let (after, n) = eliminated(&before, 1, OptOptions::default().max_elim_literals);
+        assert_eq!(n, 1);
+        assert_eq!(after.compact().num_literals(), 7);
+    }
+
+    #[test]
+    fn pair_memo_tells_victim_fanin_orders_apart() {
+        // t1 = p1·x̄1 over [p1, x1] and t2 = x2·p̄2 over [x2, p2]: the same
+        // cover, x0·x̄1. Each feeds u = t·x over [t, x], whose fanins rank
+        // [2, 1] in both spaces ({p, x, t}); only the victims' fanin ranks
+        // differ ([0, 1] and [1, 0]). u1 = p1·x̄1·x1 vanishes (growth
+        // −2 − 2 = −4), u2 = x2·p̄2 keeps 2 literals (growth −2).
+        let mut net = Network::new("orders");
+        let p1 = net.add_input("p1").unwrap();
+        let x1 = net.add_input("x1").unwrap();
+        let p2 = net.add_input("p2").unwrap();
+        let x2 = net.add_input("x2").unwrap();
+        let victim = || sop(&[&[(0, true), (1, false)]]);
+        let and2 = || sop(&[&[(0, true), (1, true)]]);
+        let t1 = net.add_node("t1", vec![p1, x1], victim()).unwrap();
+        let t2 = net.add_node("t2", vec![x2, p2], victim()).unwrap();
+        let u1 = net.add_node("u1", vec![t1, x1], and2()).unwrap();
+        let u2 = net.add_node("u2", vec![t2, x2], and2()).unwrap();
+        net.add_output("u1", u1).unwrap();
+        net.add_output("u2", u2).unwrap();
+        let mut pairs = PairMemo::default();
+        let before = net.clone();
+        assert_eq!(
+            eliminate_with(&mut net, -1, &OptOptions::default(), &mut pairs),
+            2
+        );
+        assert_eq!(trial(&mut net, t1).growth, Some(-4));
+        assert_eq!(trial(&mut net, t2).growth, Some(-2));
+        assert_eq!((pairs.lookups, pairs.computed), (2, 2));
+        assert_equiv(&before, &net);
+    }
+
+    #[test]
+    fn pair_memo_reuses_a_shape_across_users_and_sweeps() {
+        // Four users of the same shape around four victims of the same
+        // shape: one computed trial answers all of them.
+        let mut net = Network::new("shapes");
+        let mut users = Vec::new();
+        for i in 0..4 {
+            let a = net.add_input(format!("a{i}")).unwrap();
+            let b = net.add_input(format!("b{i}")).unwrap();
+            let c = net.add_input(format!("c{i}")).unwrap();
+            let t = net
+                .add_node(
+                    format!("t{i}"),
+                    vec![a, b],
+                    sop(&[&[(0, true)], &[(1, true)]]),
+                )
+                .unwrap();
+            let u = net
+                .add_node(format!("u{i}"), vec![t, c], sop(&[&[(0, true), (1, true)]]))
+                .unwrap();
+            users.push(u);
+        }
+        for (i, &u) in users.iter().enumerate() {
+            net.add_output(format!("u{i}"), u).unwrap();
+        }
+        let mut pairs = PairMemo::default();
+        // Growth −2 + (4 − 2) = 0: kept at −1.
+        assert_eq!(
+            eliminate_with(&mut net, -1, &OptOptions::default(), &mut pairs),
+            0
+        );
+        assert_eq!((pairs.lookups, pairs.computed), (4, 1));
     }
 
     #[test]

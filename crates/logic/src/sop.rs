@@ -349,9 +349,24 @@ impl Sop {
     /// Panics if a support variable's index is out of range of `map`, or if
     /// the mapping merges two variables into opposite phases of one cube.
     pub fn remap(&self, map: &[Var]) -> Sop {
-        Sop::from_cubes(self.cubes.iter().map(|c| {
-            Cube::from_literals(c.literals().map(|(v, phase)| (map[v.0 as usize], phase)))
-        }))
+        let cubes: Vec<Cube> = self
+            .cubes
+            .iter()
+            .map(|c| Cube::from_literals(c.literals().map(|(v, phase)| (map[v.0 as usize], phase))))
+            .collect();
+        // A map injective on the support renames without merging: distinct
+        // cubes stay distinct, containment and literal counts are kept, so
+        // the SCC-minimal cover, sorted by literal count, maps to one.
+        let mut image = VarSet::new();
+        let injective = self
+            .support()
+            .iter()
+            .all(|v| image.insert(map[v.0 as usize]));
+        if !injective {
+            return Sop::from_cubes(cubes);
+        }
+        debug_assert_eq!(Sop::from_cubes(cubes.clone()).cubes, cubes);
+        Sop { cubes }
     }
 
     /// Canonical signature of a positive-unate cover, for memoizing

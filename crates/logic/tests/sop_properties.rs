@@ -131,6 +131,74 @@ fn scc_sound_and_idempotent() {
     }
 }
 
+/// `f`'s cubes with every variable `v` renamed to `map[v]`, unreduced.
+fn renamed(f: &Sop, map: &[Var]) -> Vec<Cube> {
+    f.cubes()
+        .iter()
+        .map(|c| Cube::from_literals(c.literals().map(|(v, p)| (map[v.0 as usize], p))))
+        .collect()
+}
+
+/// Under a map injective on the support, `remap` returns the renamed
+/// cubes as they are, which is what `from_cubes` of them gives.
+#[test]
+fn remap_under_injective_maps_keeps_the_cubes() {
+    for seed in 0..CASES {
+        let mut rng = Xoshiro256::seed_from_u64(seed);
+        let f = arb_sop(&mut rng, N, 8);
+        // Distinct targets in any order, some past the first 64-bit word.
+        let mut map: Vec<Var> = Vec::new();
+        while map.len() < N as usize {
+            let t = Var(rng.gen_range(0..200u32));
+            if !map.contains(&t) {
+                map.push(t);
+            }
+        }
+        let g = f.remap(&map);
+        assert_eq!(g.cubes(), &renamed(&f, &map)[..], "seed {seed}");
+        assert_eq!(g, Sop::from_cubes(renamed(&f, &map)), "seed {seed}");
+    }
+}
+
+/// Under a map that merges variables, `remap` still merges equal cubes
+/// and drops contained ones, and keeps the function.
+#[test]
+fn remap_under_merging_maps_reduces_the_cover() {
+    let mut shrunk = 0;
+    for seed in 0..CASES {
+        let mut rng = Xoshiro256::seed_from_u64(seed);
+        let k = rng.gen_range(2..=3u32);
+        let map: Vec<Var> = (0..N).map(|_| Var(rng.gen_range(0..k))).collect();
+        // One phase per target, so that no renamed cube holds both phases.
+        let phase: Vec<bool> = (0..k).map(|_| rng.gen_bool()).collect();
+        let cubes = rng.gen_range(1..=6usize);
+        let f = Sop::from_cubes((0..cubes).map(|_| {
+            Cube::from_literals(
+                (0..N)
+                    .filter(|_| rng.gen_bool())
+                    .map(|v| (Var(v), phase[map[v as usize].0 as usize])),
+            )
+        }));
+        let g = f.remap(&map);
+        assert_eq!(g, Sop::from_cubes(renamed(&f, &map)), "seed {seed}");
+        for (i, a) in g.cubes().iter().enumerate() {
+            for (j, b) in g.cubes().iter().enumerate() {
+                assert!(i == j || !a.covers(b), "seed {seed}: {a} covers {b}");
+            }
+        }
+        for m in 0..1u32 << k {
+            let target = |v: Var| m >> v.0 & 1 != 0;
+            assert_eq!(
+                g.eval(target),
+                f.eval(|v| target(map[v.0 as usize])),
+                "seed {seed}"
+            );
+        }
+        shrunk += usize::from(g.num_cubes() < f.num_cubes());
+    }
+    assert!(shrunk > 0, "no map merged a cube");
+}
+
 /// Minimization yields a cover where no literal can be dropped and no cube
 /// removed (prime and irredundant).
 #[test]
