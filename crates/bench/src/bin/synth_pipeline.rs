@@ -55,6 +55,15 @@
 //! asserts that parse, factoring and synthesis grow no faster than
 //! n log n against the 10k leg, timing the two sizes pair by pair.
 //!
+//! A seventh pass (`synthesis_stages` in the JSON) splits synthesis into
+//! the driver's stage timers (`SynthStats::stages`) and the check's tier
+//! timers on three workloads — the suite, the 31 wide random networks the
+//! repository benchmark's `wide_psi9` workload synthesizes at ψ = 9, and
+//! the 10k-node parity ladder — as the median and interquartile range over
+//! [`STAGE_REPEATS`] repeats of each whole workload, with `nproc`, the
+//! unattributed remainder's share, tier 0.5's search time per wide cycle,
+//! and the streaming parser's MB/s on the wide texts and the ladder text.
+//!
 //! Run with `cargo run --release -p tels-bench --bin synth_pipeline`;
 //! pass `--quick` for a single-sample smoke run that skips the JSON write
 //! (what `scripts/ci.sh` uses).
@@ -940,6 +949,207 @@ fn measure_scaling_100k() -> Json {
     ])
 }
 
+/// Repeats of each whole workload in the stage table (full runs; quick
+/// runs take 3).
+const STAGE_REPEATS: usize = 7;
+
+/// The 31 wide random networks of the repository benchmark's `wide_psi9`
+/// workload (200 nodes, 24 inputs, 12 outputs, fanin ≤ 6, ≤ 6 cubes, one
+/// literal in five complemented, seeds `0x5EED0000 + i`), factored once,
+/// as BLIF text.
+fn wide_texts() -> Vec<String> {
+    let options = RandomNetOptions {
+        inputs: 24,
+        outputs: 12,
+        nodes: 200,
+        max_fanin: 6,
+        max_cubes: 6,
+        negation_pct: 20,
+        ..RandomNetOptions::default()
+    };
+    (0..31u64)
+        .map(|i| {
+            let net = random_network(&format!("wide_{i}"), 0x5EED_0000 + i, &options);
+            blif::write(&script_algebraic(&net))
+        })
+        .collect()
+}
+
+/// The stage timers of one synthesis run, in ms, in table order; the last
+/// entry is the run's wall clock.
+fn stage_ms(stats: &SynthStats) -> [f64; STAGE_NAMES.len()] {
+    let (st, sv) = (&stats.stages, &stats.solver);
+    [
+        st.setup_ns,
+        st.collapse_ns,
+        st.unate_split_ns,
+        st.binate_split_ns,
+        st.theorem2_ns,
+        st.query_prep_ns,
+        sv.tier0_ns,
+        sv.canon_ns,
+        sv.structure_ns,
+        sv.tier05_ns,
+        sv.int_solve_ns + sv.rational_solve_ns,
+        st.emit_ns,
+        st.unattributed_ns,
+        st.total_ns,
+    ]
+    .map(|ns| ns as f64 / 1e6)
+}
+
+/// Row names of the stage table, matching [`stage_ms`].
+const STAGE_NAMES: [&str; 14] = [
+    "setup",
+    "collapse",
+    "unate_split",
+    "binate_split",
+    "theorem2",
+    "query_prep",
+    "tier0",
+    "canonicalize",
+    "structure",
+    "tier05",
+    "ilp",
+    "emit",
+    "unattributed",
+    "total",
+];
+
+/// `{median, iqr}` of a sample, rounded to microseconds.
+fn spread(xs: &mut [f64]) -> Json {
+    let (median, iqr) = median_iqr(xs);
+    let round = |v: f64| (v * 1e3).round() / 1e3;
+    Json::obj([
+        ("median", Json::Num(round(median))),
+        ("iqr", Json::Num(round(iqr))),
+    ])
+}
+
+/// One workload of the stage table: every circuit synthesized once per
+/// repeat, the stage timers summed over the workload. Returns the JSON
+/// row and the medians (ms per workload pass, in [`STAGE_NAMES`] order).
+fn stage_row(name: &str, jobs: &[(&Network, TelsConfig)], repeats: usize) -> (Json, Vec<f64>) {
+    let mut samples = vec![Vec::new(); STAGE_NAMES.len()];
+    for _ in 0..repeats {
+        let mut sums = [0.0; STAGE_NAMES.len()];
+        for (net, config) in jobs {
+            let (_, stats) = synthesize_with_stats(net, config).expect("synthesis failed");
+            for (sum, ms) in sums.iter_mut().zip(stage_ms(&stats)) {
+                *sum += ms;
+            }
+        }
+        for (sample, sum) in samples.iter_mut().zip(sums) {
+            sample.push(sum);
+        }
+    }
+    let medians: Vec<f64> = samples.iter_mut().map(|xs| median_iqr(xs).0).collect();
+    let unattributed_pct = medians[STAGE_NAMES.len() - 2] / medians[STAGE_NAMES.len() - 1] * 1e2;
+    let stages = STAGE_NAMES
+        .iter()
+        .zip(samples.iter_mut())
+        .map(|(stage, xs)| (format!("{stage}_ms"), spread(xs)));
+    let row = Json::obj([
+        ("workload", Json::str(name)),
+        ("circuits", Json::Num(jobs.len() as f64)),
+        (
+            "unattributed_pct",
+            Json::Num((unattributed_pct * 10.0).round() / 10.0),
+        ),
+        ("stages", Json::Obj(stages.collect())),
+    ]);
+    (row, medians)
+}
+
+/// Streaming-parser throughput over `texts` as `{median, iqr}` MB/s over
+/// `repeats` passes, each pass parsing every text once.
+fn parse_mb_per_s(texts: &[String], repeats: usize) -> Json {
+    let bytes: usize = texts.iter().map(String::len).sum();
+    let mut rates: Vec<f64> = (0..repeats)
+        .map(|_| {
+            let mut secs = 0.0;
+            for text in texts {
+                let start = Instant::now();
+                let net = blif::parse_reader(text.as_bytes()).expect("parse");
+                secs += start.elapsed().as_secs_f64();
+                drop(net);
+            }
+            bytes as f64 / 1e6 / secs
+        })
+        .collect();
+    let (median, iqr) = median_iqr(&mut rates);
+    Json::obj([
+        ("bytes", Json::Num(bytes as f64)),
+        ("median", Json::Num((median * 10.0).round() / 10.0)),
+        ("iqr", Json::Num((iqr * 10.0).round() / 10.0)),
+    ])
+}
+
+/// The stage table (see the module docs): the suite as the main pass
+/// synthesizes it, the wide networks at ψ = 9 and the 10k ladder at the
+/// default ψ, plus parse throughput on the wide and ladder texts.
+fn measure_stages(suite: &[(String, Network, TelsConfig)], repeats: usize) -> Json {
+    let wide = wide_texts();
+    let wide_nets: Vec<Network> = wide
+        .iter()
+        .map(|t| blif::parse(t).expect("parse wide"))
+        .collect();
+    let ladder_text = blif::write(&parity_ladder(160, 64));
+    let ladder = script_algebraic(&blif::parse(&ladder_text).expect("parse ladder"));
+    let psi9 = TelsConfig {
+        psi: 9,
+        ..TelsConfig::default()
+    };
+    let suite_jobs: Vec<(&Network, TelsConfig)> =
+        suite.iter().map(|(_, n, c)| (n, c.clone())).collect();
+    let wide_jobs: Vec<(&Network, TelsConfig)> =
+        wide_nets.iter().map(|n| (n, psi9.clone())).collect();
+    let ladder_jobs = [(&ladder, TelsConfig::default())];
+    let mut rows = Vec::new();
+    println!("\nsynthesis stages, median ms per workload pass over {repeats} repeats:");
+    println!(
+        "{:<14} {:>10} {:>10} {:>10}",
+        "stage", "suite", "wide_psi9", "ladder_10k"
+    );
+    let mut columns = Vec::new();
+    for (name, jobs) in [
+        ("suite", &suite_jobs[..]),
+        ("wide_psi9", &wide_jobs[..]),
+        ("parity_ladder_160x64", &ladder_jobs[..]),
+    ] {
+        let (row, medians) = stage_row(name, jobs, repeats);
+        rows.push(row);
+        columns.push(medians);
+    }
+    for (i, stage) in STAGE_NAMES.iter().enumerate() {
+        println!(
+            "{stage:<14} {:>10.3} {:>10.3} {:>10.3}",
+            columns[0][i], columns[1][i], columns[2][i]
+        );
+    }
+    let wide_parse = parse_mb_per_s(&wide, repeats);
+    let ladder_parse = parse_mb_per_s(std::slice::from_ref(&ladder_text), repeats);
+    let mb = |j: &Json| j.get("median").and_then(Json::as_f64).unwrap_or(0.0);
+    println!(
+        "streaming parse: wide texts {:.1} MB/s, ladder text {:.1} MB/s",
+        mb(&wide_parse),
+        mb(&ladder_parse)
+    );
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    Json::obj([
+        ("nproc", Json::Num(nproc as f64)),
+        ("repeats", Json::Num(repeats as f64)),
+        ("workloads", Json::Arr(rows)),
+        (
+            "parse_mb_per_s",
+            Json::obj([
+                ("wide_psi9", wide_parse),
+                ("parity_ladder_160x64", ladder_parse),
+            ]),
+        ),
+    ])
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let samples = if quick { 1 } else { SAMPLES };
@@ -1120,6 +1330,8 @@ fn main() {
         t05_on_ms <= t05_off_ms * 1.05,
         "tier 0.5 slowed the large suite: {t05_on_ms:.1} ms on vs {t05_off_ms:.1} ms off"
     );
+
+    let stages_section = measure_stages(&traced_suite, if quick { 3 } else { STAGE_REPEATS });
 
     let (scaling_section, scaling_parse_ms, scaling_pipeline_ms) = measure_scaling();
     let scaling_100k_section = (!quick).then(measure_scaling_100k);
@@ -1313,6 +1525,7 @@ fn main() {
             ),
             ("perturb", perturb_section),
             ("tier05_large", tier05_section),
+            ("synthesis_stages", stages_section),
             ("scaling", scaling_section),
             (
                 "scaling_100k",

@@ -747,8 +747,7 @@ fn render_top(socket: &str, snap: &Json, prev: Option<&Json>, enabled: bool) {
         rate("tels_check_cache_hits_total"),
     );
     println!(
-        "check   trivial {:.0}   tier0 {:.0}   tier05 {:.0}   cache {:.0}   theorem1 {:.0}   ilp {:.0}   canon {}",
-        v("tels_check_trivial_total"),
+        "check   tier0 {:.0}   tier05 {:.0}   cache {:.0}   theorem1 {:.0}   ilp {:.0}   canon {}",
         v("tels_check_tier0_total"),
         v("tels_check_tier05_total"),
         v("tels_check_cache_hits_total"),

@@ -7,25 +7,29 @@
 //! threshold function (over the cube constraints, which are exact for unate
 //! covers).
 //!
-//! [`check_threshold_cached`] runs one fixed, ordered list of deciders,
-//! each of which decides the query, refutes it, or passes it on:
+//! [`check_threshold`] answers constants and syntactically binate covers
+//! itself. Every other query — the only kind the synthesis driver asks —
+//! goes to [`check_threshold_cached`], which brings the cover to its
+//! positive form (support, negated variables and one bit mask of support
+//! positions per cube, in reused buffers) and runs one fixed, ordered list
+//! of deciders, each of which decides the query, refutes it, or passes it
+//! on:
 //!
-//! 1. trivial — constants and syntactically binate covers;
-//! 2. tier 0 ([`crate::tier0`]) — supports up to 5, answered before the
-//!    cache and never memoized;
-//! 3. the [`RealizationCache`], keyed by the canonical positive-unate
+//! 1. tier 0 ([`crate::tier0`]) — supports up to 5, keyed by the table
+//!    of the cube masks, answered before the cache and never memoized;
+//! 2. the [`RealizationCache`], keyed by the canonical positive-unate
 //!    form, so repeated queries for the same function — under any
 //!    variable renaming or phase assignment — are answered by an exact
 //!    remap instead of a solve;
-//! 4. on a miss, one truth table of the canonical cover (supports 2–12)
+//! 3. on a miss, one truth table of the canonical cover (supports 2–12)
 //!    feeds the rest: the 2-monotonicity test ([`crate::chow`]), which is
 //!    the paper's Theorem 1 and refutes what it rejects, and for supports
 //!    up to 11 the Chow classes that shrink the ILP — equal-Chow variables
 //!    merge into one weight column and the Chow ordering adds
 //!    weight-chain constraints that prune the branch-and-bound;
-//! 5. tier 0.5 ([`crate::tier05`]) — supports 6–9, on the same table and
+//! 4. tier 0.5 ([`crate::tier05`]) — supports 6–9, on the same table and
 //!    classes;
-//! 6. the ILP, which always answers.
+//! 5. the ILP, which always answers.
 //!
 //! Every miss answer is memoized under the canonical key. The ILP itself
 //! is tiered ([`tels_ilp`]): every LP relaxation first runs on a
@@ -107,6 +111,17 @@ impl SolverBreakdown {
     /// Total ILP solves that ran (either tier).
     pub fn ilp_solves(&self) -> usize {
         self.int_fast_path_solves + self.rational_fallbacks
+    }
+
+    /// Wall time of all timed stages of the check: tier 0,
+    /// canonicalization, structure, tier 0.5 and the ILP solves.
+    pub fn stage_ns(&self) -> u64 {
+        self.tier0_ns
+            + self.canon_ns
+            + self.tier05_ns
+            + self.structure_ns
+            + self.int_solve_ns
+            + self.rational_solve_ns
     }
 
     /// Machine-readable form, shared by the CLI's `--stats-json` output
@@ -204,12 +219,18 @@ impl Realization {
 /// Returns [`SynthError::Solver`] only on arithmetic failure inside the
 /// exact solver.
 pub fn check_threshold(f: &Sop, config: &TelsConfig) -> Result<Option<Realization>, SynthError> {
+    if f.is_zero() || f.is_one() {
+        return Ok(Some(Realization::constant(f.is_one(), config)));
+    }
+    if !f.is_unate() {
+        return Ok(None);
+    }
     let (r, _) = check_threshold_cached(
-        f,
+        Query::Cover(f),
         config,
         &RealizationCache::new(),
         &mut SolverBreakdown::default(),
-        &mut SignatureScratch::new(),
+        &mut QueryScratch::default(),
     )?;
     Ok(r)
 }
@@ -254,7 +275,7 @@ fn timed<T>(
 }
 
 /// Tier 0: the truth-table oracle, when the configuration and support
-/// allow it. One table pass of the query's positive form is the oracle
+/// allow it. The table of the positive form's cube masks is the oracle
 /// key; a table probe then decides or refutes.
 fn tier0_step(
     pf: &PositiveForm,
@@ -271,24 +292,49 @@ fn tier0_step(
         |s, _| &mut s.tier0_ns,
         |span| {
             span.arg("support", k as u64);
-            tier0::lookup(k, TruthTable::from_sop(&pf.positive, &pf.support).as_u32())
+            tier0::lookup(k, small_table(k, &pf.cubes))
         },
     );
     match entry {
         Some(e) => {
-            let wpos: Vec<i64> = e.weights[..k].iter().map(|&w| i64::from(w)).collect();
-            Step::Decided(back_substitute(&wpos, i64::from(e.threshold), pf))
+            let wpos = pf.support.iter().zip(&e.weights[..k]);
+            let wpos = wpos.map(|(&v, &w)| (v, i64::from(w))).collect();
+            Step::Decided(back_substitute(wpos, i64::from(e.threshold), pf))
         }
         None => Step::Refuted,
     }
+}
+
+/// The table of a positive cover over `k ≤ 5` positions given as cube
+/// masks, row `m` at bit `m` (the layout of [`TruthTable::as_u32`]): the
+/// tier-0 key, built without a table allocation.
+fn small_table(k: usize, cubes: &[u64]) -> u32 {
+    /// Per position `i < 5`, the rows whose bit `i` is set.
+    const ROWS_WITH: [u32; 5] = [
+        0xaaaa_aaaa,
+        0xcccc_cccc,
+        0xf0f0_f0f0,
+        0xff00_ff00,
+        0xffff_0000,
+    ];
+    debug_assert!(k <= ROWS_WITH.len());
+    let mut table = 0u32;
+    for &c in cubes {
+        let mut rows = !0u32;
+        let mut rest = c;
+        while rest != 0 {
+            rows &= ROWS_WITH[rest.trailing_zeros() as usize];
+            rest &= rest - 1;
+        }
+        table |= rows;
+    }
+    table & (!0u32 >> (32 - (1u32 << k)))
 }
 
 /// How a [`check_threshold_cached`] query was decided: the one record of
 /// the outcome, which the synthesis driver tallies into its statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum CheckVia {
-    /// Constant or syntactically binate — decided before any heavy work.
-    Trivial,
     /// Answered by the tier-0 truth-table oracle (hit or definitive
     /// miss); never touches the cache or the ILP.
     Tier0,
@@ -308,7 +354,6 @@ impl CheckVia {
     /// Stable tag used in trace span arguments.
     pub(crate) fn as_str(self) -> &'static str {
         match self {
-            CheckVia::Trivial => "trivial",
             CheckVia::Tier0 => "tier0",
             CheckVia::Tier05 => "tier05",
             CheckVia::CacheHit => "cache-hit",
@@ -318,8 +363,45 @@ impl CheckVia {
     }
 }
 
+/// One threshold query: a cover, or one of the synthesis driver's
+/// prototype gates over `Var(0..n)`, whose positive forms are written
+/// without building a cover.
+#[derive(Clone, Copy)]
+pub(crate) enum Query<'a> {
+    /// A non-constant unate cover.
+    Cover(&'a Sop),
+    /// The AND of the literals `Var(i)` in the phases `phases[i]` (a
+    /// single literal when there is one phase).
+    And(&'a [bool]),
+    /// The OR of `n ≥ 2` positive literals `Var(0..n)`.
+    Or(usize),
+}
+
+impl Query<'_> {
+    /// The query as a cover.
+    fn to_cover(self) -> Sop {
+        let lit = |i: usize, phase: bool| Cube::from_literals([(Var(i as u32), phase)]);
+        match self {
+            Query::Cover(f) => f.clone(),
+            Query::And(phases) => Sop::from_cubes([Cube::from_literals(
+                phases.iter().enumerate().map(|(i, &p)| (Var(i as u32), p)),
+            )]),
+            Query::Or(n) => Sop::from_cubes((0..n).map(|i| lit(i, true))),
+        }
+    }
+}
+
+/// Reusable buffers of one threshold query: its positive form and its
+/// canonicalization. A synthesis run keeps one for all of its queries.
+#[derive(Default)]
+pub(crate) struct QueryScratch {
+    form: PositiveForm,
+    signature: SignatureScratch,
+}
+
 /// [`check_threshold`] through the canonical realization cache, running
-/// the deciders in the module's order.
+/// the deciders in the module's order. `f` must be a non-constant unate
+/// cover; [`check_threshold`] answers the others.
 ///
 /// Small-support queries are answered by tier 0 (when
 /// [`TelsConfig::tier0_active`]) and never touch the cache. A miss is
@@ -327,17 +409,25 @@ impl CheckVia {
 /// or miss, the caller receives the canonical answer remapped onto the
 /// query's variables and phases, so the result depends only on the
 /// function's canonical form, never on which query populated the cache or
-/// on thread scheduling. `scratch` carries the canonicalization buffers,
-/// reused across calls by hot loops.
+/// on thread scheduling. `scratch` carries the positive form and the
+/// canonicalization buffers, reused across calls by hot loops.
 pub(crate) fn check_threshold_cached(
-    f: &Sop,
+    query: Query<'_>,
     config: &TelsConfig,
     cache: &RealizationCache,
     solver: &mut SolverBreakdown,
-    scratch: &mut SignatureScratch,
+    scratch: &mut QueryScratch,
 ) -> Result<(Option<Realization>, CheckVia), SynthError> {
+    debug_assert!(
+        match query {
+            Query::Cover(f) => !f.is_zero() && !f.is_one() && f.is_unate(),
+            Query::And(phases) => !phases.is_empty(),
+            Query::Or(n) => n >= 2,
+        },
+        "threshold queries are non-constant unate covers"
+    );
     let mut span = tels_trace::span("core", "threshold_check");
-    let result = check_threshold_cached_impl(f, config, cache, solver, scratch);
+    let result = check_threshold_cached_impl(query, config, cache, solver, scratch);
     if let Ok((_, via)) = &result {
         span.arg("via", via.as_str());
     }
@@ -345,43 +435,46 @@ pub(crate) fn check_threshold_cached(
 }
 
 fn check_threshold_cached_impl(
-    f: &Sop,
+    query: Query<'_>,
     config: &TelsConfig,
     cache: &RealizationCache,
     solver: &mut SolverBreakdown,
-    scratch: &mut SignatureScratch,
+    scratch: &mut QueryScratch,
 ) -> Result<(Option<Realization>, CheckVia), SynthError> {
-    if f.is_zero() || f.is_one() {
-        let constant = Realization::constant(f.is_one(), config);
-        return Ok((Some(constant), CheckVia::Trivial));
-    }
-    let Some(pf) = positive_form(f) else {
-        return Ok((None, CheckVia::Trivial));
-    };
+    let QueryScratch {
+        form: pf,
+        signature,
+    } = scratch;
+    let masked = positive_form(query, pf);
     solver.support_hist[pf.support.len().min(SolverBreakdown::SUPPORT_BUCKETS - 1)] += 1;
-    if let Some(answer) = tier0_step(&pf, config, solver).answer() {
+    if let Some(answer) = tier0_step(pf, config, solver).answer() {
         return Ok((answer, CheckVia::Tier0));
     }
-    let canon_ok = timed(
+    if !masked {
+        // Support too wide for a 64-bit canonical key (and for any truth
+        // table): solve uncached, without Chow structure.
+        let f = query.to_cover();
+        let positive = Sop::from_cubes(f.cubes().iter().map(Cube::with_positive_phases));
+        let solved = solve_positive(&positive, &pf.support, None, config, solver)?;
+        let result = solved.map(|(wpos, t)| {
+            let wpos = pf.support.iter().copied().zip(wpos).collect();
+            back_substitute(wpos, t, pf)
+        });
+        return Ok((result, CheckVia::Ilp));
+    }
+    timed(
         solver,
         "canonicalize",
         |s, _| &mut s.canon_ns,
-        |_| pf.positive.canonical_signature_into(scratch),
+        |_| signature.canonicalize(&pf.support, &pf.cubes),
     );
-    if !canon_ok {
-        // Support too wide for a 64-bit canonical key (and for any truth
-        // table): solve uncached, without Chow structure.
-        let solved = solve_positive(&pf.positive, &pf.support, None, config, solver)?;
-        let result = solved.map(|(wpos, t)| back_substitute(&wpos, t, &pf));
-        return Ok((result, CheckVia::Ilp));
-    }
-    let (key, order) = (scratch.key(), scratch.order());
+    let (key, order) = (signature.key(), signature.order());
     if let Some(entry) = cache.lookup(key) {
-        let result = realize_canonical(entry.as_ref(), order, &pf);
+        let result = realize_canonical(entry.as_ref(), order, pf);
         return Ok((result, CheckVia::CacheHit));
     }
     let (entry, via) = decide_miss(key, config, solver)?;
-    let result = realize_canonical(entry.as_ref(), order, &pf);
+    let result = realize_canonical(entry.as_ref(), order, pf);
     // Keys are copied out of the scratch only here, on a miss.
     cache.insert(key.to_vec(), entry);
     Ok((result, via))
@@ -398,14 +491,6 @@ fn decide_miss(
     solver: &mut SolverBreakdown,
 ) -> Result<(Option<CanonicalRealization>, CheckVia), SynthError> {
     let k = key[0] as usize;
-    let order: Vec<Var> = (0..k as u32).map(Var).collect();
-    let cover = Sop::from_cubes(key[1..].iter().map(|&m| {
-        Cube::from_literals(
-            (0..k as u32)
-                .filter(|&j| m >> j & 1 == 1)
-                .map(|j| (Var(j), true)),
-        )
-    }));
     let (table, refuted, chow) = timed(
         solver,
         "structure",
@@ -413,7 +498,7 @@ fn decide_miss(
         |_| {
             let table = (2..=chow::REFUTE_VAR_LIMIT)
                 .contains(&k)
-                .then(|| TruthTable::from_sop(&cover, &order));
+                .then(|| TruthTable::from_positive_cubes(k as u32, &key[1..]));
             let refuted = table.as_ref().is_some_and(|tt| !chow::two_monotonic(tt));
             let chow = match &table {
                 Some(tt) if !refuted && k <= chow::STRUCTURE_VAR_LIMIT => {
@@ -432,6 +517,14 @@ fn decide_miss(
             return Ok((answer, CheckVia::Tier05));
         }
     }
+    let order: Vec<Var> = (0..k as u32).map(Var).collect();
+    let cover = Sop::from_cubes(key[1..].iter().map(|&m| {
+        Cube::from_literals(
+            (0..k as u32)
+                .filter(|&j| m >> j & 1 == 1)
+                .map(|j| (Var(j), true)),
+        )
+    }));
     let entry = solve_positive(&cover, &order, chow.as_ref(), config, solver)?
         .map(|(weights, threshold)| CanonicalRealization { weights, threshold });
     Ok((entry, CheckVia::Ilp))
@@ -467,38 +560,69 @@ fn tier05_step(
     )
 }
 
-/// The positive-unate normal form of a unate cover.
+/// The positive-unate normal form of a unate cover, in buffers reused
+/// from query to query.
+#[derive(Default)]
 struct PositiveForm {
     /// Support in ascending variable order.
     support: Vec<Var>,
-    /// Phase flip per support position.
-    negated: Vec<bool>,
-    /// The cover with every negative-phase literal flipped positive.
-    positive: Sop,
+    /// The support variables in negative phase.
+    negated: VarSet,
+    /// One mask of support positions per cube (bit `j` is `support[j]`),
+    /// in cover order; empty when the support is wider than 64.
+    cubes: Vec<u64>,
 }
 
-/// Computes the positive-unate form; `None` for binate covers (every
-/// threshold function is unate, §II-B). In a unate cover every literal of
-/// a variable has the same phase, so each positive cube is just the set of
-/// its cube's variables.
-fn positive_form(f: &Sop) -> Option<PositiveForm> {
-    let (mut pos, mut neg) = (VarSet::new(), VarSet::new());
+/// Writes the positive-unate form of a query into `pf`, and returns
+/// whether its cube masks were written (support ≤ 64). In a unate cover
+/// every literal of a variable has the same phase, so each positive cube
+/// is just the set of its cube's variables. The cover is
+/// single-cube-containment minimal, and so is its positive form: no cube
+/// needs removing. A prototype's form is written directly, in the cube
+/// order its cover would have.
+fn positive_form(query: Query<'_>, pf: &mut PositiveForm) -> bool {
+    pf.support.clear();
+    pf.cubes.clear();
+    pf.negated = VarSet::new();
+    let n = match query {
+        Query::Cover(f) => return cover_positive_form(f, pf),
+        Query::And(phases) => phases.len(),
+        Query::Or(n) => n,
+    };
+    pf.support.extend((0..n as u32).map(Var));
+    if let Query::And(phases) = query {
+        let negative = phases.iter().enumerate().filter(|&(_, &p)| !p);
+        pf.negated.extend(negative.map(|(i, _)| Var(i as u32)));
+    }
+    if n > 64 {
+        return false;
+    }
+    match query {
+        Query::Or(_) => pf.cubes.extend((0..n).map(|i| 1u64 << i)),
+        _ => pf.cubes.push(!0u64 >> (64 - n)),
+    }
+    true
+}
+
+fn cover_positive_form(f: &Sop, pf: &mut PositiveForm) -> bool {
+    let (mut all, mut neg) = (VarSet::new(), VarSet::new());
     for c in f.cubes() {
-        pos.union_with(c.positive_vars());
+        all.union_with(c.positive_vars());
         neg.union_with(c.negative_vars());
     }
-    if pos.intersects(&neg) {
-        return None;
+    debug_assert!(!all.intersects(&neg), "binate cover {f}");
+    all.union_with(&neg);
+    pf.support.extend(all.iter());
+    pf.negated = neg;
+    if pf.support.len() > 64 {
+        return false;
     }
-    pos.union_with(&neg);
-    let support: Vec<Var> = pos.iter().collect();
-    let negated = support.iter().map(|&v| neg.contains(v)).collect();
-    let positive = Sop::from_cubes(f.cubes().iter().map(Cube::with_positive_phases));
-    Some(PositiveForm {
-        support,
-        negated,
-        positive,
-    })
+    pf.cubes.extend(
+        f.cubes()
+            .iter()
+            .map(|c| c.positive_vars().positions_in(&all) | c.negative_vars().positions_in(&all)),
+    );
+    true
 }
 
 /// Builds and solves the ON/OFF ILP for the positive-unate cover
@@ -659,21 +783,16 @@ fn solve_positive(
 
 /// Back-substitution (§IV): negate weights of negative-phase variables;
 /// the threshold drops by the sum of those (positive-form) weights.
-fn back_substitute(weights_pos: &[i64], t_pos: i64, pf: &PositiveForm) -> Realization {
+/// `weights` pairs each support variable, ascending, with its
+/// positive-form weight.
+fn back_substitute(mut weights: Vec<(Var, i64)>, t_pos: i64, pf: &PositiveForm) -> Realization {
     let mut threshold = t_pos;
-    let weights: Vec<(Var, i64)> = pf
-        .support
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| {
-            if pf.negated[i] {
-                threshold -= weights_pos[i];
-                (v, -weights_pos[i])
-            } else {
-                (v, weights_pos[i])
-            }
-        })
-        .collect();
+    for (v, w) in &mut weights {
+        if pf.negated.contains(*v) {
+            threshold -= *w;
+            *w = -*w;
+        }
+    }
     Realization {
         weights,
         threshold,
@@ -691,15 +810,16 @@ fn realize_canonical(
 ) -> Option<Realization> {
     let e = entry?;
     debug_assert_eq!(e.weights.len(), order.len());
-    let mut by_var: Vec<(Var, i64)> = order
-        .iter()
-        .copied()
-        .zip(e.weights.iter().copied())
-        .collect();
-    by_var.sort_unstable_by_key(|&(v, _)| v.0);
-    let wpos: Vec<i64> = by_var.iter().map(|&(_, w)| w).collect();
-    debug_assert!(by_var.iter().map(|p| p.0).eq(pf.support.iter().copied()));
-    Some(back_substitute(&wpos, e.threshold, pf))
+    debug_assert_eq!(order.len(), pf.support.len());
+    let mut wpos: Vec<(Var, i64)> = pf.support.iter().map(|&v| (v, 0)).collect();
+    for (v, &w) in order.iter().zip(&e.weights) {
+        let i = pf
+            .support
+            .binary_search(v)
+            .expect("order permutes the support");
+        wpos[i].1 = w;
+    }
+    Some(back_substitute(wpos, e.threshold, pf))
 }
 
 #[cfg(test)]
@@ -726,8 +846,8 @@ mod tests {
         solver: &mut SolverBreakdown,
     ) -> (Option<Realization>, CheckVia) {
         let cache = RealizationCache::new();
-        let mut scratch = SignatureScratch::new();
-        check_threshold_cached(f, config, &cache, solver, &mut scratch).unwrap()
+        let mut scratch = QueryScratch::default();
+        check_threshold_cached(Query::Cover(f), config, &cache, solver, &mut scratch).unwrap()
     }
 
     /// Exhaustively validates a realization against the function.
@@ -851,8 +971,10 @@ mod tests {
 
     /// Whether the 2-monotonicity refutation rejects `f`'s positive form.
     fn refuted(f: &Sop) -> bool {
-        let pf = positive_form(f).unwrap();
-        !chow::two_monotonic(&TruthTable::from_sop(&pf.positive, &pf.support))
+        let mut pf = PositiveForm::default();
+        assert!(positive_form(Query::Cover(f), &mut pf));
+        let k = pf.support.len() as u32;
+        !chow::two_monotonic(&TruthTable::from_positive_cubes(k, &pf.cubes))
     }
 
     #[test]
@@ -955,10 +1077,12 @@ mod tests {
             }
             let refs: Vec<&[(u32, bool)]> = cubes.iter().map(Vec::as_slice).collect();
             let f = sop(&refs);
-            let Some(pf) = positive_form(&f) else {
-                assert!(binate && !f.is_unate(), "{f}");
+            if !f.is_unate() {
+                assert!(binate, "{f}");
                 continue;
-            };
+            }
+            let mut pf = PositiveForm::default();
+            assert!(positive_form(Query::Cover(&f), &mut pf));
             unate += 1;
             // Reference: every literal's phase flipped through its
             // variable's polarity in the cover.
@@ -967,13 +1091,22 @@ mod tests {
                 Sop::from_cubes(f.cubes().iter().map(|c| {
                     Cube::from_literals(c.literals().map(|(v, p)| (v, p != negative(v))))
                 }));
-            assert_eq!(pf.positive, flipped, "{f}");
+            // The masks name support positions, one per cube in cover
+            // order, with nothing left for `scc` to remove.
+            assert_eq!(pf.cubes.len(), f.num_cubes());
+            let positive = Sop::from_cubes(pf.cubes.iter().map(|&m| {
+                Cube::from_literals(
+                    (0..pf.support.len())
+                        .filter(|&j| m >> j & 1 == 1)
+                        .map(|j| (pf.support[j], true)),
+                )
+            }));
+            assert_eq!(positive, flipped, "{f}");
             assert_eq!(pf.support, f.support().iter().collect::<Vec<_>>());
             assert!(pf
                 .support
                 .iter()
-                .zip(&pf.negated)
-                .all(|(&v, &n)| n == negative(v)));
+                .all(|&v| pf.negated.contains(v) == negative(v)));
         }
         assert!((100..200).contains(&unate), "{unate} unate covers");
     }
@@ -1042,13 +1175,20 @@ mod tests {
             sop(&[&[(0, true), (1, false)], &[(0, false), (1, true)]]), // binate
         ];
         let mut solver = SolverBreakdown::default();
-        let mut scratch = SignatureScratch::new();
+        let mut scratch = QueryScratch::default();
         for f in &fns {
             let direct = check_threshold(f, &cfg).unwrap();
+            if !f.is_unate() {
+                // The public checker answers binate covers itself.
+                assert_eq!(direct, None, "{f}");
+                continue;
+            }
             let (first, _) =
-                check_threshold_cached(f, &cfg, &cache, &mut solver, &mut scratch).unwrap();
+                check_threshold_cached(Query::Cover(f), &cfg, &cache, &mut solver, &mut scratch)
+                    .unwrap();
             let (second, _) =
-                check_threshold_cached(f, &cfg, &cache, &mut solver, &mut scratch).unwrap();
+                check_threshold_cached(Query::Cover(f), &cfg, &cache, &mut solver, &mut scratch)
+                    .unwrap();
             // Hit must equal miss bit-for-bit, and equal a fresh-cache
             // query through the public checker.
             assert_eq!(first, second, "{f}");
@@ -1068,17 +1208,19 @@ mod tests {
         };
         let cache = RealizationCache::new();
         let mut solver = SolverBreakdown::default();
-        let mut scratch = SignatureScratch::new();
+        let mut scratch = QueryScratch::default();
         // x₁x₂ ∨ x₁x₃ populates the cache ...
         let a = sop(&[&[(1, true), (2, true)], &[(1, true), (3, true)]]);
         let (ra, via_a) =
-            check_threshold_cached(&a, &cfg, &cache, &mut solver, &mut scratch).unwrap();
+            check_threshold_cached(Query::Cover(&a), &cfg, &cache, &mut solver, &mut scratch)
+                .unwrap();
         assert_eq!(via_a, CheckVia::Ilp);
         // ... and x̄₅x₇ ∨ x̄₅x₉ — the same function up to renaming and
         // phase — must hit and remap exactly.
         let b = sop(&[&[(5, false), (7, true)], &[(5, false), (9, true)]]);
         let (rb, via_b) =
-            check_threshold_cached(&b, &cfg, &cache, &mut solver, &mut scratch).unwrap();
+            check_threshold_cached(Query::Cover(&b), &cfg, &cache, &mut solver, &mut scratch)
+                .unwrap();
         assert_eq!(via_b, CheckVia::CacheHit);
         let (ra, rb) = (ra.unwrap(), rb.unwrap());
         validate(&b, &rb);
@@ -1096,14 +1238,16 @@ mod tests {
         };
         let cache = RealizationCache::new();
         let mut solver = SolverBreakdown::default();
-        let mut scratch = SignatureScratch::new();
+        let mut scratch = QueryScratch::default();
         let f = sop(&[&[(0, true), (1, true)], &[(2, true), (3, true)]]);
         let (r1, via1) =
-            check_threshold_cached(&f, &cfg, &cache, &mut solver, &mut scratch).unwrap();
+            check_threshold_cached(Query::Cover(&f), &cfg, &cache, &mut solver, &mut scratch)
+                .unwrap();
         assert_eq!(r1, None);
         assert_eq!(via1, CheckVia::Theorem1);
         let (r2, via2) =
-            check_threshold_cached(&f, &cfg, &cache, &mut solver, &mut scratch).unwrap();
+            check_threshold_cached(Query::Cover(&f), &cfg, &cache, &mut solver, &mut scratch)
+                .unwrap();
         assert_eq!(r2, None);
         assert_eq!(via2, CheckVia::CacheHit);
     }
@@ -1171,14 +1315,58 @@ mod tests {
     }
 
     #[test]
+    fn prototype_forms_match_their_covers() {
+        let phases = [true, false, false, true, true, false, true];
+        let queries = (1..=phases.len())
+            .map(|k| Query::And(&phases[..k]))
+            .chain((2..=9).map(Query::Or));
+        for query in queries {
+            let cover = query.to_cover();
+            let (mut direct, mut via_cover) = (PositiveForm::default(), PositiveForm::default());
+            assert!(positive_form(query, &mut direct));
+            assert!(positive_form(Query::Cover(&cover), &mut via_cover));
+            assert_eq!(direct.support, via_cover.support, "{cover}");
+            assert_eq!(direct.negated, via_cover.negated, "{cover}");
+            assert_eq!(direct.cubes, via_cover.cubes, "{cover}");
+        }
+        // Past 64 variables no masks are written.
+        let wide = [false; 65];
+        let mut pf = PositiveForm::default();
+        assert!(!positive_form(Query::And(&wide), &mut pf));
+        assert_eq!(pf.negated.len(), 65);
+        assert!(!positive_form(Query::Or(65), &mut pf));
+        assert!(pf.negated.is_empty());
+    }
+
+    #[test]
+    fn small_table_matches_the_packed_table() {
+        let mut state = 0x5a11_7ab1_e000_0001u64;
+        for k in 1..=tier0::MAX_VARS {
+            for _ in 0..64 {
+                let cubes: Vec<u64> = (0..1 + state % 4)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        state & ((1 << k) - 1)
+                    })
+                    .collect();
+                let packed = TruthTable::from_positive_cubes(k as u32, &cubes).as_u32();
+                assert_eq!(small_table(k, &cubes), packed, "k = {k}, {cubes:?}");
+            }
+        }
+    }
+
+    #[test]
     fn tier0_bypasses_the_cache() {
         let cfg = TelsConfig::default();
         let cache = RealizationCache::new();
         let mut solver = SolverBreakdown::default();
-        let mut scratch = SignatureScratch::new();
+        let mut scratch = QueryScratch::default();
         let f = sop(&[&[(0, true), (1, true)], &[(0, true), (2, true)]]);
         let (r1, via1) =
-            check_threshold_cached(&f, &cfg, &cache, &mut solver, &mut scratch).unwrap();
+            check_threshold_cached(Query::Cover(&f), &cfg, &cache, &mut solver, &mut scratch)
+                .unwrap();
         assert_eq!(via1, CheckVia::Tier0);
         assert!(r1.is_some());
         assert!(
@@ -1187,7 +1375,8 @@ mod tests {
         );
         // Second query re-resolves through the oracle, identically.
         let (r2, via2) =
-            check_threshold_cached(&f, &cfg, &cache, &mut solver, &mut scratch).unwrap();
+            check_threshold_cached(Query::Cover(&f), &cfg, &cache, &mut solver, &mut scratch)
+                .unwrap();
         assert_eq!(via2, CheckVia::Tier0);
         assert_eq!(r1, r2);
     }
@@ -1206,15 +1395,26 @@ mod tests {
         let cache_off = RealizationCache::new();
         let mut s_on = SolverBreakdown::default();
         let mut s_off = SolverBreakdown::default();
-        let mut scratch = SignatureScratch::new();
+        let mut scratch = QueryScratch::default();
         let mut tier0_answers = 0;
         for bits in (0u32..=u16::MAX as u32).step_by(stride as usize) {
             let f = sop_of_bits(4, bits);
+            // Constants and binate covers never reach the cached path.
+            if f.is_zero() || f.is_one() || !f.is_unate() {
+                continue;
+            }
             let (r_on, via) =
-                check_threshold_cached(&f, &on, &cache_on, &mut s_on, &mut scratch).unwrap();
+                check_threshold_cached(Query::Cover(&f), &on, &cache_on, &mut s_on, &mut scratch)
+                    .unwrap();
             tier0_answers += usize::from(via == CheckVia::Tier0);
-            let (r_off, _) =
-                check_threshold_cached(&f, &off, &cache_off, &mut s_off, &mut scratch).unwrap();
+            let (r_off, _) = check_threshold_cached(
+                Query::Cover(&f),
+                &off,
+                &cache_off,
+                &mut s_off,
+                &mut scratch,
+            )
+            .unwrap();
             assert_eq!(r_on, r_off, "tt {bits:#06x}: {f}");
             if let Some(r) = &r_on {
                 validate(&f, r);

@@ -16,13 +16,17 @@
 //! bytes equal those of a driver over global node-id variables — while
 //! cube bitsets stay one word wide instead of growing with the node count.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::time::Instant;
 
 use tels_logic::opt::{local_sop, node_function, space_of, var_in};
-use tels_logic::{Cube, Network, NodeId, SignatureScratch, Sop, Var};
+use tels_logic::{Network, NodeId, Sop, Var, VarSet};
 
 use crate::cache::RealizationCache;
-use crate::check::{check_threshold_cached, CheckVia, Realization, SolverBreakdown};
+use crate::check::{
+    check_threshold_cached, CheckVia, Query, QueryScratch, Realization, SolverBreakdown,
+};
 use crate::config::TelsConfig;
 use crate::error::SynthError;
 use crate::split::{split_binate, split_cubes_k, split_unate_with, UnateSplit};
@@ -54,6 +58,67 @@ pub struct SynthStats {
     /// Per-tier solver breakdown (Chow reduction, integer fast path,
     /// rational fallbacks, per-stage wall time).
     pub solver: SolverBreakdown,
+    /// Wall time of the driver's own stages.
+    pub stages: SynthStages,
+}
+
+/// Wall time of the synthesis driver's stages, in nanoseconds.
+///
+/// Each timer brackets whole stage calls and never the synthesis that
+/// recurses below them, so these timers and the check's stage timers
+/// ([`SolverBreakdown::stage_ns`]) are disjoint, and `unattributed_ns` is
+/// what neither covers: the driver's glue between stages.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SynthStages {
+    /// The run's set-up: the source network's levels and the threshold
+    /// network's inputs.
+    pub setup_ns: u64,
+    /// Building each node's local cover and collapsing fanins into it
+    /// (Fig. 4), for nodes and split products alike, from the first
+    /// fanin that may collapse.
+    pub collapse_ns: u64,
+    /// Unate splits (Fig. 7), including the k-way cube splits.
+    pub unate_split_ns: u64,
+    /// Binate splits (Fig. 8).
+    pub binate_split_ns: u64,
+    /// Theorem-2 combines: choosing the gate half and extending its
+    /// realization by the OR input.
+    pub theorem2_ns: u64,
+    /// The threshold check outside its timed stages: the positive form,
+    /// the cache probe, the remap onto the query and back-substitution.
+    pub query_prep_ns: u64,
+    /// Emitting gates into the threshold network.
+    pub emit_ns: u64,
+    /// Wall clock of the whole run.
+    pub total_ns: u64,
+    /// `total_ns` minus the timers above and the check's stage timers.
+    pub unattributed_ns: u64,
+}
+
+impl SynthStages {
+    fn to_json(self) -> tels_trace::json::Json {
+        use tels_trace::json::Json;
+        let ns = |v: u64| Json::Num(v as f64);
+        Json::obj([
+            ("setup_ns", ns(self.setup_ns)),
+            ("collapse_ns", ns(self.collapse_ns)),
+            ("unate_split_ns", ns(self.unate_split_ns)),
+            ("binate_split_ns", ns(self.binate_split_ns)),
+            ("theorem2_ns", ns(self.theorem2_ns)),
+            ("query_prep_ns", ns(self.query_prep_ns)),
+            ("emit_ns", ns(self.emit_ns)),
+            ("total_ns", ns(self.total_ns)),
+            ("unattributed_ns", ns(self.unattributed_ns)),
+        ])
+    }
+}
+
+/// Runs `f`, adding its wall time to `timer`.
+fn timed<T>(timer: &mut u64, f: impl FnOnce() -> T) -> T {
+    let t0 = Instant::now();
+    let out = f();
+    *timer += t0.elapsed().as_nanos() as u64;
+    out
 }
 
 impl SynthStats {
@@ -68,13 +133,10 @@ impl SynthStats {
 
     /// Adds the run's check outcomes and canonicalization time to the
     /// process-wide `tels_check_*` counters, once per finished run (no-ops
-    /// while metrics are off). Trivial checks are the queries no decider
-    /// counted.
+    /// while metrics are off).
     fn publish(&self) {
         use tels_metrics::instruments as m;
         let s = &self.solver;
-        let decided = self.ilp_avoided() + self.theorem1_refutations + self.ilp_solves;
-        m::CHECK_TRIVIAL.add((self.ilp_calls - decided) as u64);
         m::CHECK_TIER0_HITS.add(s.tier0_lookups as u64);
         m::CHECK_TIER05.add((s.tier05_hits + s.tier05_rejects) as u64);
         m::CHECK_CACHE_HITS.add(self.cache_hits as u64);
@@ -102,6 +164,7 @@ impl SynthStats {
             ("ilp_solves", n(self.ilp_solves)),
             ("ilp_avoided", n(self.ilp_avoided())),
             ("solver", self.solver.to_json()),
+            ("stages", self.stages.to_json()),
         ])
     }
 }
@@ -259,6 +322,7 @@ pub fn synthesize_with_cache(
     cache: &RealizationCache,
 ) -> Result<(ThresholdNetwork, SynthStats), SynthError> {
     config.assert_valid();
+    let t0 = Instant::now();
     let mut span = tels_trace::span("core", "synthesize");
     // The one topological pass of the run: it rejects cyclic networks and
     // gives both the delay tie-break levels and the stack depth.
@@ -270,9 +334,21 @@ pub fn synthesize_with_cache(
         .max()
         .unwrap_or(0);
     let mut s = Synth::new(net, config, cache, net_levels)?;
+    s.stats.stages.setup_ns = t0.elapsed().as_nanos() as u64;
     run_with_depth_stack(depth, || s.run())?;
     span.arg("gates", s.tn.num_gates() as u64);
     span.arg("ilp_calls", s.stats.ilp_calls as u64);
+    let stages = &mut s.stats.stages;
+    stages.total_ns = t0.elapsed().as_nanos() as u64;
+    let timed = stages.setup_ns
+        + stages.collapse_ns
+        + stages.unate_split_ns
+        + stages.binate_split_ns
+        + stages.theorem2_ns
+        + stages.query_prep_ns
+        + stages.emit_ns
+        + s.stats.solver.stage_ns();
+    stages.unattributed_ns = stages.total_ns.saturating_sub(timed);
     s.stats.publish();
     Ok((s.tn, s.stats))
 }
@@ -302,9 +378,9 @@ struct Synth<'a> {
     /// Original-network node currently being synthesized (provenance
     /// context for emitted gates, named only when tracing is enabled).
     current_node: Option<NodeId>,
-    /// Canonicalization buffers, reused across every cached query of the
-    /// run instead of allocating fresh vectors per node.
-    scratch: SignatureScratch,
+    /// Positive-form and canonicalization buffers, reused across every
+    /// query of the run instead of allocating fresh vectors per query.
+    scratch: QueryScratch,
 }
 
 impl<'a> Synth<'a> {
@@ -315,7 +391,10 @@ impl<'a> Synth<'a> {
         net_levels: Vec<usize>,
     ) -> Result<Synth<'a>, SynthError> {
         let mut tn = ThresholdNetwork::new(net.model().to_string());
-        let mut signal_map = vec![None; net.node_ids().count()];
+        let nodes = net.node_ids().count();
+        // Most nodes become about one gate each.
+        tn.reserve(nodes);
+        let mut signal_map = vec![None; nodes];
         for pi in net.inputs() {
             let id = tn.add_input(net.name(pi).to_string())?;
             signal_map[pi.index()] = Some(id);
@@ -336,7 +415,7 @@ impl<'a> Synth<'a> {
             stats: SynthStats::default(),
             literal_cache: HashMap::new(),
             current_node: None,
-            scratch: SignatureScratch::new(),
+            scratch: QueryScratch::default(),
         })
     }
 
@@ -361,10 +440,12 @@ impl<'a> Synth<'a> {
         if tels_trace::enabled() {
             span.arg("node", name);
         }
-        let space = space_of(net, &[id], &[]);
-        let expr = local_sop(net, id, &space);
+        let (expr, space) = timed(&mut self.stats.stages.collapse_ns, || {
+            let space = space_of(net, &[id], &[]);
+            (local_sop(net, id, &space), space)
+        });
         let prev = self.current_node.replace(id);
-        let signal = self.synth_expr(expr, space, Some(name))?;
+        let signal = self.synth_expr(expr, Cow::Owned(space), Some(name))?;
         self.current_node = prev;
         drop(span);
         self.signal_map[id.index()] = Some(signal);
@@ -382,9 +463,15 @@ impl<'a> Synth<'a> {
     /// Each substitution runs over the sorted union of `space` and the
     /// substituted node's fanins; an accepted one trims the space to the
     /// new support.
-    fn collapse_expr(&mut self, mut expr: Sop, mut space: Vec<NodeId>) -> (Sop, Vec<NodeId>) {
+    fn collapse_expr<'s>(
+        &mut self,
+        mut expr: Sop,
+        mut space: Cow<'s, [NodeId]>,
+    ) -> (Sop, Cow<'s, [NodeId]>) {
         let limit = self.config.psi.max(expr.support().len());
         let mut blocked: Vec<NodeId> = Vec::new();
+        // Timed from the first candidate: most split products have none.
+        let mut start = None;
         loop {
             let candidate = expr
                 .support()
@@ -392,17 +479,22 @@ impl<'a> Synth<'a> {
                 .map(|v| space[v.0 as usize])
                 .find(|&node| !self.boundary[node.index()] && !blocked.contains(&node));
             let Some(node) = candidate else { break };
+            start.get_or_insert_with(Instant::now);
             let union = space_of(self.net, &[node], &space);
             let map: Vec<Var> = space.iter().map(|&n| var_in(&union, n)).collect();
             let inner = local_sop(self.net, node, &union);
             let substituted = expr.remap(&map).substitute(var_in(&union, node), &inner);
             if substituted.support().len() <= limit && substituted.num_cubes() <= COLLAPSE_CUBE_CAP
             {
-                (space, expr) = node_function(&union, &substituted);
+                let (trimmed, function) = node_function(&union, &substituted);
+                (space, expr) = (Cow::Owned(trimmed), function);
                 self.stats.collapses += 1;
             } else {
                 blocked.push(node);
             }
+        }
+        if let Some(t0) = start {
+            self.stats.stages.collapse_ns += t0.elapsed().as_nanos() as u64;
         }
         (expr, space)
     }
@@ -441,41 +533,45 @@ impl<'a> Synth<'a> {
         name_hint: Option<&str>,
         path: GatePath,
     ) -> Result<TnId, SynthError> {
-        let name = match name_hint {
-            Some(n) if self.tn.find(n).is_none() => n.to_string(),
-            _ => self.tn.fresh_name("t"),
+        let t0 = Instant::now();
+        let gate = ThresholdGate {
+            inputs,
+            weights,
+            threshold,
         };
-        if tels_trace::enabled() {
+        let id = self.tn.add_gate_named(name_hint, "t", gate);
+        if let (Ok(id), true) = (&id, tels_trace::enabled()) {
             tels_trace::provenance(
-                &name,
+                self.tn.name(*id),
                 path.as_str(),
                 self.current_node.map(|id| self.net.name(id)),
                 self.config.psi,
             );
         }
-        self.tn.add_gate(
-            name,
-            ThresholdGate {
-                inputs,
-                weights,
-                threshold,
-            },
-        )
+        self.stats.stages.emit_ns += t0.elapsed().as_nanos() as u64;
+        id
     }
 
     /// One threshold query through the canonical cache, also reporting how
     /// it was decided (provenance tagging for the emitted gate). The
     /// Theorem-1 refutation runs inside the cached checker, on the miss
     /// path.
-    fn query_threshold(&mut self, f: &Sop) -> Result<(Option<Realization>, CheckVia), SynthError> {
+    fn query_threshold(
+        &mut self,
+        query: Query<'_>,
+    ) -> Result<(Option<Realization>, CheckVia), SynthError> {
         self.stats.ilp_calls += 1;
+        let (t0, staged) = (Instant::now(), self.stats.solver.stage_ns());
         let (r, via) = check_threshold_cached(
-            f,
+            query,
             self.config,
             self.cache,
             &mut self.stats.solver,
             &mut self.scratch,
         )?;
+        let check_ns = t0.elapsed().as_nanos() as u64;
+        let staged = self.stats.solver.stage_ns() - staged;
+        self.stats.stages.query_prep_ns += check_ns.saturating_sub(staged);
         self.tally(via, r.is_some());
         Ok((r, via))
     }
@@ -486,7 +582,6 @@ impl<'a> Synth<'a> {
     fn tally(&mut self, via: CheckVia, threshold: bool) {
         let stats = &mut self.stats;
         match via {
-            CheckVia::Trivial => {}
             CheckVia::Tier0 => stats.solver.tier0_lookups += 1,
             CheckVia::Tier05 if threshold => stats.solver.tier05_hits += 1,
             CheckVia::Tier05 => stats.solver.tier05_rejects += 1,
@@ -504,9 +599,8 @@ impl<'a> Synth<'a> {
         // Realize via the ILP so δ_on/δ_off are honored: buffer needs
         // w ≥ T + δ_on with T ≥ δ_off; inverter needs 0 ≥ T + δ_on with
         // −w ≤ T − δ_off.
-        let proto = Sop::literal(Var(0), phase);
         let r = self
-            .query_threshold(&proto)?
+            .query_threshold(Query::And(&[phase]))?
             .0
             .expect("single literals are threshold functions");
         let weights: Vec<i64> = r.weights.iter().map(|&(_, w)| w).collect();
@@ -523,9 +617,8 @@ impl<'a> Synth<'a> {
         path: GatePath,
     ) -> Result<TnId, SynthError> {
         debug_assert!(children.len() >= 2 && children.len() <= self.config.psi);
-        let proto = or_proto(children.len());
         let r = self
-            .query_threshold(&proto)?
+            .query_threshold(Query::Or(children.len()))?
             .0
             .expect("disjunctions are threshold functions");
         let weights: Vec<i64> = r.weights.iter().map(|&(_, w)| w).collect();
@@ -551,13 +644,11 @@ impl<'a> Synth<'a> {
         }
         loop {
             let take = terms.len().min(self.config.psi);
-            let group: Vec<(TnId, bool)> = terms.drain(..take).collect();
-            let proto = and_proto(group.iter().map(|&(_, phase)| phase));
+            let (inputs, phases): (Vec<TnId>, Vec<bool>) = terms.drain(..take).unzip();
             let r = self
-                .query_threshold(&proto)?
+                .query_threshold(Query::And(&phases))?
                 .0
                 .expect("cubes are threshold functions");
-            let inputs: Vec<TnId> = group.iter().map(|&(s, _)| s).collect();
             let weights: Vec<i64> = r.weights.iter().map(|&(_, w)| w).collect();
             let last = terms.is_empty();
             let gate = self.emit_raw_gate(
@@ -583,9 +674,12 @@ impl<'a> Synth<'a> {
         name_hint: Option<&str>,
         path: GatePath,
     ) -> Result<TnId, SynthError> {
-        let r = self.query_threshold(proto)?.0.ok_or_else(|| {
-            SynthError::Internal(format!("prototype {proto} is not a threshold function"))
-        })?;
+        let r = self
+            .query_threshold(Query::Cover(proto))?
+            .0
+            .ok_or_else(|| {
+                SynthError::Internal(format!("prototype {proto} is not a threshold function"))
+            })?;
         // Variables absent from the realization (redundant inputs) are
         // dropped; the realization's variables index `inputs`.
         let gate_inputs: Vec<TnId> = r
@@ -618,35 +712,35 @@ impl<'a> Synth<'a> {
         let f0 = expr.cofactor(v, false);
         if f1.equivalent(&f0) {
             // The variable is functionally redundant in this cover.
-            return self.synth_expr(f1, space.to_vec(), name_hint);
+            return self.synth_expr(f1, Cow::Borrowed(space), name_hint);
         }
         let x = self.leaf_signal(space, v)?;
         let lit = |phase: bool| Sop::literal(Var(0), phase);
         if f1.is_one() {
             // f = x ∨ f0.
-            let c0 = self.synth_expr(f0, space.to_vec(), None)?;
+            let c0 = self.synth_expr(f0, Cow::Borrowed(space), None)?;
             let proto = lit(true).or(&Sop::literal(Var(1), true));
             return self.emit_proto_gate(&proto, vec![x, c0], name_hint, GatePath::Shannon);
         }
         if f0.is_one() {
             // f = x̄ ∨ f1.
-            let c1 = self.synth_expr(f1, space.to_vec(), None)?;
+            let c1 = self.synth_expr(f1, Cow::Borrowed(space), None)?;
             let proto = lit(false).or(&Sop::literal(Var(1), true));
             return self.emit_proto_gate(&proto, vec![x, c1], name_hint, GatePath::Shannon);
         }
         if f0.is_zero() {
             // f = x·f1.
-            let c1 = self.synth_expr(f1, space.to_vec(), None)?;
+            let c1 = self.synth_expr(f1, Cow::Borrowed(space), None)?;
             return self.and_terms(vec![(x, true), (c1, true)], name_hint, GatePath::Shannon);
         }
         if f1.is_zero() {
             // f = x̄·f0.
-            let c0 = self.synth_expr(f0, space.to_vec(), None)?;
+            let c0 = self.synth_expr(f0, Cow::Borrowed(space), None)?;
             return self.and_terms(vec![(x, false), (c0, true)], name_hint, GatePath::Shannon);
         }
         // General 2:1 mux recombination.
-        let c1 = self.synth_expr(f1, space.to_vec(), None)?;
-        let c0 = self.synth_expr(f0, space.to_vec(), None)?;
+        let c1 = self.synth_expr(f1, Cow::Borrowed(space), None)?;
+        let c0 = self.synth_expr(f0, Cow::Borrowed(space), None)?;
         let and1 = self.and_terms(vec![(x, true), (c1, true)], None, GatePath::Shannon)?;
         let and0 = self.and_terms(vec![(x, false), (c0, true)], None, GatePath::Shannon)?;
         self.or_gate(vec![and1, and0], name_hint, GatePath::Shannon)
@@ -657,13 +751,13 @@ impl<'a> Synth<'a> {
     fn synth_expr(
         &mut self,
         expr: Sop,
-        space: Vec<NodeId>,
+        space: Cow<'_, [NodeId]>,
         name_hint: Option<&str>,
     ) -> Result<TnId, SynthError> {
         // Every expression — original node or split product — goes through
         // collapsing first (the Fig. 3 feedback edge).
         let (expr, space) = self.collapse_expr(expr, space);
-        let (expr, space) = (&expr, space.as_slice());
+        let (expr, space) = (&expr, &*space);
         // Constants.
         if expr.is_zero() || expr.is_one() {
             let r = Realization::constant(expr.is_one(), self.config);
@@ -680,9 +774,8 @@ impl<'a> Synth<'a> {
             if name_hint.is_none() {
                 return self.literal_gate(sig, phase);
             }
-            let proto = Sop::literal(Var(0), phase);
             let r = self
-                .query_threshold(&proto)?
+                .query_threshold(Query::And(&[phase]))?
                 .0
                 .expect("single literals are threshold functions");
             let weights: Vec<i64> = r.weights.iter().map(|&(_, w)| w).collect();
@@ -695,11 +788,12 @@ impl<'a> Synth<'a> {
             );
         }
 
+        let (unate, support) = unate_support(expr);
         // Divide-and-conquer strategy: after the trivial cases, decompose by
         // Shannon expansion instead of the paper's Fig. 7/8 splitting.
         if self.config.strategy == crate::config::SynthStrategy::Shannon {
-            if expr.is_unate() && expr.support().len() <= self.config.psi {
-                let (r, via) = self.query_threshold(expr)?;
+            if unate && support <= self.config.psi {
+                let (r, via) = self.query_threshold(Query::Cover(expr))?;
                 if let Some(r) = r {
                     return self.emit_gate(&r, space, name_hint, path_for(via));
                 }
@@ -708,12 +802,15 @@ impl<'a> Synth<'a> {
         }
 
         // Binate node: split per Fig. 8, OR the parts together.
-        if !expr.is_unate() {
+        if !unate {
             self.stats.binate_splits += 1;
-            let parts = split_binate(expr, self.config.psi)?;
+            let psi = self.config.psi;
+            let parts = timed(&mut self.stats.stages.binate_split_ns, || {
+                split_binate(expr, psi)
+            })?;
             let children: Vec<TnId> = parts
                 .into_iter()
-                .map(|p| self.synth_expr(p, space.to_vec(), None))
+                .map(|p| self.synth_expr(p, Cow::Borrowed(space), None))
                 .collect::<Result<_, _>>()?;
             return self.or_gate(children, name_hint, GatePath::BinateSplit);
         }
@@ -722,8 +819,8 @@ impl<'a> Synth<'a> {
         // check's verdict tags the glue gates of the split that follows
         // (Theorem-1 refutation vs. a plain non-threshold answer).
         let mut refuted_by_t1 = false;
-        if expr.support().len() <= self.config.psi {
-            let (r, via) = self.query_threshold(expr)?;
+        if support <= self.config.psi {
+            let (r, via) = self.query_threshold(Query::Cover(expr))?;
             if let Some(r) = r {
                 return self.emit_gate(&r, space, name_hint, path_for(via));
             }
@@ -746,9 +843,13 @@ impl<'a> Synth<'a> {
 
         // Unate splitting (Fig. 7).
         self.stats.unate_splits += 1;
-        match split_unate_with(expr, self.config.split_heuristic)? {
+        let heuristic = self.config.split_heuristic;
+        let split = timed(&mut self.stats.stages.unate_split_ns, || {
+            split_unate_with(expr, heuristic)
+        })?;
+        match split {
             UnateSplit::AndCube(cube, rest) => {
-                let child = self.synth_expr(rest, space.to_vec(), None)?;
+                let child = self.synth_expr(rest, Cow::Borrowed(space), None)?;
                 let mut terms: Vec<(TnId, bool)> = Vec::new();
                 for (v, phase) in cube.literals() {
                     terms.push((self.leaf_signal(space, v)?, phase));
@@ -762,31 +863,37 @@ impl<'a> Synth<'a> {
                 // count are broken by leaf depth: keeping the deeper signals
                 // in the root gate avoids an extra level (delay balance,
                 // §VI's "well-balanced" property).
+                let net_levels = &self.net_levels;
                 let leaf_depth = |s: &Sop| -> usize {
                     s.support()
                         .iter()
-                        .map(|v| self.net_levels[space[v.0 as usize].index()])
+                        .map(|v| net_levels[space[v.0 as usize].index()])
                         .max()
                         .unwrap_or(0)
                 };
-                let (big, small) =
+                let (big, small) = timed(&mut self.stats.stages.theorem2_ns, || {
                     if (a.num_cubes(), leaf_depth(&a)) >= (b.num_cubes(), leaf_depth(&b)) {
                         (a, b)
                     } else {
                         (b, a)
-                    };
+                    }
+                });
                 for (gate_half, rec_half) in [(&big, &small), (&small, &big)] {
                     if gate_half.support().len() + 1 > self.config.psi {
                         continue;
                     }
-                    if let (Some(r), _) = self.query_threshold(gate_half)? {
+                    if let (Some(r), _) = self.query_threshold(Query::Cover(gate_half))? {
                         // The extra OR input gets weight T_pos + δ_on, which
                         // must also respect the dynamic-range cap.
-                        let (_, w_extra) = theorem2_extend(&r, Var(u32::MAX), self.config);
+                        let config = self.config;
+                        let (_, w_extra) = timed(&mut self.stats.stages.theorem2_ns, || {
+                            theorem2_extend(&r, Var(u32::MAX), config)
+                        });
                         if self.config.weight_cap.is_some_and(|cap| w_extra > cap) {
                             continue;
                         }
-                        let child = self.synth_expr(rec_half.clone(), space.to_vec(), None)?;
+                        let child =
+                            self.synth_expr(rec_half.clone(), Cow::Borrowed(space), None)?;
                         let mut inputs: Vec<TnId> = r
                             .weights
                             .iter()
@@ -808,10 +915,12 @@ impl<'a> Synth<'a> {
                 // Neither half is a usable gate: k-way cube split glued by
                 // the OR gate ⟨1,…,1;1⟩.
                 let k = self.config.psi.min(expr.num_cubes());
-                let parts = split_cubes_k(expr, k);
+                let parts = timed(&mut self.stats.stages.unate_split_ns, || {
+                    split_cubes_k(expr, k)
+                });
                 let children: Vec<TnId> = parts
                     .into_iter()
-                    .map(|p| self.synth_expr(p, space.to_vec(), None))
+                    .map(|p| self.synth_expr(p, Cow::Borrowed(space), None))
                     .collect::<Result<_, _>>()?;
                 self.or_gate(children, name_hint, split_path)
             }
@@ -819,22 +928,23 @@ impl<'a> Synth<'a> {
     }
 }
 
-/// The OR-of-`n`-literals prototype ⟨1,…,1;1⟩ candidate.
-fn or_proto(n: usize) -> Sop {
-    Sop::from_cubes((0..n).map(|i| Cube::from_literals([(Var(i as u32), true)])))
-}
-
-/// The single-cube AND prototype over the given term phases.
-fn and_proto(phases: impl Iterator<Item = bool>) -> Sop {
-    Sop::from_cubes([Cube::from_literals(
-        phases.enumerate().map(|(i, phase)| (Var(i as u32), phase)),
-    )])
+/// Whether a cover is (syntactically) unate, and its support size, from
+/// one pass over its cubes.
+fn unate_support(f: &Sop) -> (bool, usize) {
+    let (mut pos, mut neg) = (VarSet::new(), VarSet::new());
+    for c in f.cubes() {
+        pos.union_with(c.positive_vars());
+        neg.union_with(c.negative_vars());
+    }
+    let unate = !pos.intersects(&neg);
+    pos.union_with(&neg);
+    (unate, pos.len())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tels_logic::blif;
+    use tels_logic::{blif, Cube};
 
     fn synth_and_verify(src: &str, config: &TelsConfig) -> (ThresholdNetwork, SynthStats) {
         let net = blif::parse(src).unwrap();

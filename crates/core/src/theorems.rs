@@ -135,9 +135,10 @@ pub fn theorem2_extend(
 mod tests {
     use super::*;
     use crate::cache::RealizationCache;
-    use crate::check::{check_threshold, check_threshold_cached, CheckVia, SolverBreakdown};
+    use crate::check::{
+        check_threshold, check_threshold_cached, CheckVia, Query, QueryScratch, SolverBreakdown,
+    };
     use crate::chow;
-    use tels_logic::SignatureScratch;
 
     fn sop(cubes: &[&[(u32, bool)]]) -> Sop {
         Sop::from_cubes(
@@ -233,7 +234,7 @@ mod tests {
             ..TelsConfig::default()
         };
         let mut solver = SolverBreakdown::default();
-        let mut scratch = SignatureScratch::new();
+        let mut scratch = QueryScratch::default();
         let (mut positive, mut refuted) = (0, 0);
         for bits in 0u32..1 << 16 {
             let on = |m: usize| bits >> m & 1 == 1;
@@ -245,11 +246,20 @@ mod tests {
                 let f = unate_cover(4, on, negated);
                 let expected = theorem1_refutes(&f);
                 assert_eq!(positive_form_not_two_monotonic(&f), expected, "{f}");
+                if f.is_zero() || f.is_one() {
+                    continue;
+                }
                 // A fresh checker reports exactly these as Theorem-1
                 // refutations.
                 let cache = RealizationCache::new();
-                let (_, via) =
-                    check_threshold_cached(&f, &config, &cache, &mut solver, &mut scratch).unwrap();
+                let (_, via) = check_threshold_cached(
+                    Query::Cover(&f),
+                    &config,
+                    &cache,
+                    &mut solver,
+                    &mut scratch,
+                )
+                .unwrap();
                 assert_eq!(via == CheckVia::Theorem1, expected, "{f}");
                 refuted += usize::from(expected);
             }

@@ -109,15 +109,7 @@ pub(crate) fn decide(tt: &TruthTable, chow: &ChowAnalysis) -> Step<CanonicalReal
     let Some((on, off)) = extreme_points(tt, &class_of) else {
         return Step::Pass;
     };
-    let mut search = Search {
-        sizes,
-        on,
-        off,
-        leaves_left: LEAF_BUDGET,
-        best: None,
-        tied: false,
-        budget_exhausted: false,
-    };
+    let mut search = Search::new(sizes, on, off);
     search.run();
 
     if search.budget_exhausted {
@@ -204,6 +196,13 @@ struct Search {
     on: Vec<ClassCounts>,
     /// Maximal OFF rows of the table ([`extreme_points`]).
     off: Vec<ClassCounts>,
+    /// The pair bound of [`Search::may_reach`], one row per class `d` of
+    /// one entry per kept (ON, OFF) pair: `(c_d, slope, floor)` where `c =
+    /// a − b` and the bound over completions `w[d+1..] ∈ [1, v]` is
+    /// `prefix + slope·v + floor`.
+    pair_bounds: Vec<Vec<(i64, i64, i64)>>,
+    /// `Σ_{j<d} c_j·w[j]` per kept pair, one row per depth `d`.
+    prefix: Vec<Vec<i64>>,
     leaves_left: u32,
     /// `(objective, class weights, threshold)` of the incumbent.
     best: Option<(i64, Vec<i64>, i64)>,
@@ -213,55 +212,115 @@ struct Search {
 }
 
 impl Search {
-    fn run(&mut self) {
-        let mut w = vec![0i64; self.sizes.len()];
-        // Minimum objective contribution of classes d..: one per variable.
-        let rest: i64 = self.sizes.iter().sum();
-        let mut v = 1i64;
-        loop {
-            let bound = self.sizes[0] * v + (rest - self.sizes[0]) + DELTA_OFF;
-            match &self.best {
-                Some((obj, ..)) if bound > *obj => break,
-                None if v > INIT_CAP => break,
-                _ => {}
-            }
-            w[0] = v;
-            self.dfs(&mut w, 1, self.sizes[0] * v);
-            if self.budget_exhausted {
-                break;
-            }
-            v += 1;
+    fn new(sizes: Vec<i64>, on: Vec<ClassCounts>, off: Vec<ClassCounts>) -> Search {
+        let classes = sizes.len();
+        // A pair with `c ≥ 0` everywhere and `Σ c ≥ δ_on + δ_off` holds
+        // under every weight vector (all weights are ≥ 1): it can never
+        // prune, so it is dropped.
+        let diffs: Vec<ClassCounts> = on
+            .iter()
+            .flat_map(|a| {
+                off.iter().map(move |b| {
+                    let mut c = [0i64; MAX_VARS];
+                    for j in 0..classes {
+                        c[j] = a[j] - b[j];
+                    }
+                    c
+                })
+            })
+            .filter(|c| c.iter().any(|&x| x < 0) || c.iter().sum::<i64>() < DELTA_ON + DELTA_OFF)
+            .collect();
+        let pair_bounds = (0..classes)
+            .map(|d| {
+                diffs
+                    .iter()
+                    .map(|c| {
+                        let rest = &c[d + 1..classes];
+                        let up: i64 = rest.iter().filter(|&&x| x > 0).sum();
+                        let down: i64 = rest.iter().filter(|&&x| x < 0).sum();
+                        (c[d], c[d] + up, down)
+                    })
+                    .collect()
+            })
+            .collect();
+        let prefix = vec![vec![0i64; diffs.len()]; classes + 1];
+        Search {
+            sizes,
+            on,
+            off,
+            pair_bounds,
+            prefix,
+            leaves_left: LEAF_BUDGET,
+            best: None,
+            tied: false,
+            budget_exhausted: false,
         }
     }
 
-    /// Explores class weights `w[d..]`, each in `1..=w[d-1]`, pruning on
-    /// the incumbent objective. `partial` is `Σ_{j<d} sizes[j]·w[j]`.
-    fn dfs(&mut self, w: &mut Vec<i64>, d: usize, partial: i64) {
-        if self.budget_exhausted {
-            return;
-        }
+    fn run(&mut self) {
+        let mut w = vec![0i64; self.sizes.len()];
+        self.dfs(&mut w, 0, 0);
+    }
+
+    /// Explores class weights `w[d..]`, each in `1..=w[d-1]` (the top
+    /// weight up to [`INIT_CAP`] until an incumbent exists), pruning on
+    /// the incumbent objective and on the pair bound. `partial` is
+    /// `Σ_{j<d} sizes[j]·w[j]`.
+    fn dfs(&mut self, w: &mut [i64], d: usize, partial: i64) {
         if d == self.sizes.len() {
             self.leaf(w, partial);
             return;
         }
         let rest: i64 = self.sizes[d..].iter().sum();
-        for v in 1..=w[d - 1] {
+        let mut v = 1i64;
+        loop {
             // Objective lower bound with w[d] = v: remaining classes at
             // weight 1 and the minimal possible threshold. Strictly
             // increasing in v, so the loop may stop at the first miss;
             // equality is explored to count ties.
             let bound = partial + self.sizes[d] * v + (rest - self.sizes[d]) + DELTA_OFF;
-            if let Some((obj, ..)) = &self.best {
-                if bound > *obj {
-                    break;
+            match &self.best {
+                Some((obj, ..)) if bound > *obj => break,
+                None if d == 0 && v > INIT_CAP => break,
+                _ => {}
+            }
+            if d > 0 && v > w[d - 1] {
+                break;
+            }
+            // The last class is left to the leaf test, so every complete
+            // vector the search reaches counts against the budget.
+            if d + 1 == self.sizes.len() || self.may_reach(d, v) {
+                w[d] = v;
+                self.dfs(w, d + 1, partial + self.sizes[d] * v);
+                if self.budget_exhausted {
+                    return;
                 }
             }
-            w[d] = v;
-            self.dfs(w, d + 1, partial + self.sizes[d] * v);
-            if self.budget_exhausted {
-                return;
-            }
+            v += 1;
         }
+    }
+
+    /// The pair bound: whether every kept (minimal ON `a`, maximal OFF
+    /// `b`) pair can still reach `Σ_j (a_j − b_j)·w_j ≥ δ_on + δ_off` with
+    /// `w[d] = v` and the later weights anywhere in `[1, v]`. A pair that
+    /// cannot fails at every leaf below, since a leaf is feasible exactly
+    /// when all pairs hold; on success the prefix sums of depth `d + 1`
+    /// are written.
+    fn may_reach(&mut self, d: usize, v: i64) -> bool {
+        let (done, next) = self.prefix.split_at_mut(d + 1);
+        let (prefix, next) = (&done[d], &mut next[0]);
+        let bounds = &self.pair_bounds[d];
+        if prefix
+            .iter()
+            .zip(bounds)
+            .any(|(&p, &(_, slope, floor))| p + slope * v + floor < DELTA_ON + DELTA_OFF)
+        {
+            return false;
+        }
+        for ((n, &p), &(c, ..)) in next.iter_mut().zip(prefix).zip(bounds) {
+            *n = p + c * v;
+        }
+        true
     }
 
     /// Feasibility test for a complete weight vector: min over the
@@ -616,5 +675,219 @@ mod tests {
                 Step::Pass => {} // legal (ties), ILP takes over
             }
         }
+    }
+
+    /// The search as it was before the pair bound: the oracle the pruned
+    /// [`Search`] is held to.
+    struct Unpruned {
+        sizes: Vec<i64>,
+        on: Vec<ClassCounts>,
+        off: Vec<ClassCounts>,
+        leaves_left: u32,
+        best: Option<(i64, Vec<i64>, i64)>,
+        tied: bool,
+        budget_exhausted: bool,
+    }
+
+    impl Unpruned {
+        fn run(&mut self) {
+            let mut w = vec![0i64; self.sizes.len()];
+            let rest: i64 = self.sizes.iter().sum();
+            let mut v = 1i64;
+            loop {
+                let bound = self.sizes[0] * v + (rest - self.sizes[0]) + DELTA_OFF;
+                match &self.best {
+                    Some((obj, ..)) if bound > *obj => break,
+                    None if v > INIT_CAP => break,
+                    _ => {}
+                }
+                w[0] = v;
+                self.dfs(&mut w, 1, self.sizes[0] * v);
+                if self.budget_exhausted {
+                    break;
+                }
+                v += 1;
+            }
+        }
+
+        fn dfs(&mut self, w: &mut Vec<i64>, d: usize, partial: i64) {
+            if self.budget_exhausted {
+                return;
+            }
+            if d == self.sizes.len() {
+                self.leaf(w, partial);
+                return;
+            }
+            let rest: i64 = self.sizes[d..].iter().sum();
+            for v in 1..=w[d - 1] {
+                let bound = partial + self.sizes[d] * v + (rest - self.sizes[d]) + DELTA_OFF;
+                if let Some((obj, ..)) = &self.best {
+                    if bound > *obj {
+                        break;
+                    }
+                }
+                w[d] = v;
+                self.dfs(w, d + 1, partial + self.sizes[d] * v);
+                if self.budget_exhausted {
+                    return;
+                }
+            }
+        }
+
+        fn leaf(&mut self, w: &[i64], weight_sum: i64) {
+            if self.leaves_left == 0 {
+                self.budget_exhausted = true;
+                return;
+            }
+            self.leaves_left -= 1;
+            let (min_on, max_off) = extremes(&self.on, &self.off, w);
+            if min_on - DELTA_ON < max_off + DELTA_OFF {
+                return;
+            }
+            let t = max_off + DELTA_OFF;
+            let obj = weight_sum + t;
+            match &self.best {
+                Some((best, ..)) if obj > *best => {}
+                Some((best, ..)) if obj == *best => self.tied = true,
+                _ => {
+                    self.best = Some((obj, w.to_vec(), t));
+                    self.tied = false;
+                }
+            }
+        }
+    }
+
+    /// Runs the pruned search and the oracle on one positive 2-monotonic
+    /// table. The pruned search must visit no more leaves, and wherever
+    /// the oracle stays within its budget both must end with the same
+    /// incumbent and tie flag, which fix `decide`'s `Step`. Returns the
+    /// leaves visited `(pruned, oracle)` and whether each ran out of
+    /// budget, or `None` for a table `decide` declines before searching.
+    fn compare_searches(tt: &TruthTable) -> Option<((u32, u32), (bool, bool))> {
+        let chow = analyze(tt);
+        let mut class_of = vec![0usize; tt.num_vars() as usize];
+        let mut sizes = vec![0i64; chow.classes.len()];
+        for (c, class) in chow.classes.iter().enumerate() {
+            for &pos in class {
+                class_of[pos] = c;
+            }
+            sizes[c] = class.len() as i64;
+        }
+        let (on, off) = extreme_points(tt, &class_of)?;
+        let mut oracle = Unpruned {
+            sizes: sizes.clone(),
+            on: on.clone(),
+            off: off.clone(),
+            leaves_left: LEAF_BUDGET,
+            best: None,
+            tied: false,
+            budget_exhausted: false,
+        };
+        oracle.run();
+        let mut pruned = Search::new(sizes, on, off);
+        pruned.run();
+        let leaves = (
+            LEAF_BUDGET - pruned.leaves_left,
+            LEAF_BUDGET - oracle.leaves_left,
+        );
+        assert!(leaves.0 <= leaves.1, "pruned search visited more leaves");
+        if !oracle.budget_exhausted {
+            assert!(!pruned.budget_exhausted);
+            assert_eq!(pruned.best, oracle.best);
+            assert_eq!(pruned.tied, oracle.tied);
+        }
+        Some((leaves, (pruned.budget_exhausted, oracle.budget_exhausted)))
+    }
+
+    #[test]
+    fn pair_bound_keeps_every_answer_on_seeded_tables() {
+        let mut next = xorshift(0x9a12_b0de_5eed_0002);
+        let (mut searched, mut pruned_any, mut decided) = (0, 0, 0);
+        for k in MIN_VARS..=MAX_VARS {
+            for round in 0..24 {
+                let tt = if round % 2 == 0 {
+                    let w0: Vec<i64> = (0..k).map(|_| (next() % 6) as i64 + 1).collect();
+                    let t0 = (next() % w0.iter().sum::<i64>() as u64) as i64 + 1;
+                    table_of_bits(k, |m| {
+                        (0..k)
+                            .filter(|&i| m >> i & 1 == 1)
+                            .map(|i| w0[i])
+                            .sum::<i64>()
+                            >= t0
+                    })
+                } else {
+                    regular_table(k, 2 + next() as usize % 6, &mut next)
+                };
+                let ones = tt.count_ones();
+                if ones == 0 || ones == 1 << k {
+                    continue;
+                }
+                let Some(((pruned, oracle), _)) = compare_searches(&tt) else {
+                    continue;
+                };
+                searched += 1;
+                pruned_any += usize::from(pruned < oracle);
+                decided += usize::from(matches!(decide(&tt, &analyze(&tt)), Step::Decided(_)));
+            }
+        }
+        assert!(searched >= 60, "only {searched} tables searched");
+        assert!(pruned_any > 0, "the pair bound never cut a leaf");
+        assert!(decided > 0, "no table was decided");
+    }
+
+    /// The wide benchmark networks (200 nodes, 24 inputs, fanin ≤ 6, ≤ 6
+    /// cubes, one literal in five complemented), factored and synthesized
+    /// at ψ = 9; every support-6–9 miss that survives the 2-monotonicity
+    /// refutation is a tier-0.5 query. Debug builds take the first eight
+    /// networks, release builds all 31.
+    #[test]
+    fn pair_bound_keeps_every_answer_on_wide_miss_tables() {
+        use tels_circuits::{random_network, RandomNetOptions};
+        let options = RandomNetOptions {
+            inputs: 24,
+            outputs: 12,
+            nodes: 200,
+            max_fanin: 6,
+            max_cubes: 6,
+            negation_pct: 20,
+            ..RandomNetOptions::default()
+        };
+        let config = crate::TelsConfig {
+            psi: 9,
+            ..crate::TelsConfig::default()
+        };
+        let circuits = if cfg!(debug_assertions) { 8 } else { 31 };
+        let (mut searched, mut oracle_out_of_budget, mut rescued) = (0, 0, 0);
+        for i in 0..circuits {
+            let net = random_network(&format!("wide_{i}"), 0x5EED_0000 + i, &options);
+            let cache = crate::cache::RealizationCache::new();
+            crate::synthesize_with_cache(&tels_logic::opt::script_algebraic(&net), &config, &cache)
+                .unwrap();
+            for (key, _) in cache.snapshot() {
+                let k = key[0] as usize;
+                if !(MIN_VARS..=MAX_VARS).contains(&k) {
+                    continue;
+                }
+                let tt = TruthTable::from_positive_cubes(k as u32, &key[1..]);
+                if !chow::two_monotonic(&tt) {
+                    continue;
+                }
+                let Some((_, (pruned, oracle))) = compare_searches(&tt) else {
+                    continue;
+                };
+                searched += 1;
+                oracle_out_of_budget += usize::from(oracle);
+                rescued += usize::from(oracle && !pruned);
+            }
+        }
+        assert!(
+            searched >= 5 * circuits as usize,
+            "only {searched} miss tables"
+        );
+        // The one search of the benchmark set that runs out of budget
+        // unpruned, among the first eight networks, finishes under the
+        // pair bound.
+        assert!(oracle_out_of_budget >= 1);
+        assert_eq!(rescued, oracle_out_of_budget);
     }
 }

@@ -1,5 +1,6 @@
 //! Threshold networks: DAGs of linear threshold gates.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -156,12 +157,31 @@ impl ThresholdNetwork {
         &self.model
     }
 
-    fn add_raw(&mut self, name: String, kind: TnKind) -> Result<TnId, SynthError> {
-        if self.names.contains_key(&name) {
-            return Err(SynthError::Logic(LogicError::DuplicateName(name)));
-        }
+    /// Reserves room for `additional` more nodes, so that adding them
+    /// neither moves the node table nor rehashes the name table.
+    pub fn reserve(&mut self, additional: usize) {
+        self.nodes.reserve(additional);
+        self.names.reserve(additional);
+    }
+
+    /// Reserves `name` for the next node, hashing it once: the node's id
+    /// and its copy of the name, or the name back when it is taken.
+    fn claim(&mut self, name: String) -> Result<(TnId, String), String> {
         let id = TnId(self.nodes.len() as u32);
-        self.names.insert(name.clone(), id);
+        match self.names.entry(name) {
+            Entry::Occupied(taken) => Err(taken.key().clone()),
+            Entry::Vacant(free) => {
+                let name = free.key().clone();
+                free.insert(id);
+                Ok((id, name))
+            }
+        }
+    }
+
+    fn add_raw(&mut self, name: String, kind: TnKind) -> Result<TnId, SynthError> {
+        let (id, name) = self
+            .claim(name)
+            .map_err(|name| SynthError::Logic(LogicError::DuplicateName(name)))?;
         self.nodes.push(TnNode { name, kind });
         Ok(id)
     }
@@ -186,6 +206,43 @@ impl ThresholdNetwork {
         name: impl Into<String>,
         gate: ThresholdGate,
     ) -> Result<TnId, SynthError> {
+        self.check_gate(&gate)?;
+        self.add_raw(name.into(), TnKind::Gate(gate))
+    }
+
+    /// Adds a threshold gate named `hint` when that name is free, and
+    /// otherwise [`Self::fresh_name`]`(prefix)`: the same name
+    /// [`Self::add_gate`] would be given by a caller that checks first,
+    /// with the chosen name hashed once.
+    ///
+    /// # Errors
+    ///
+    /// Fails like [`Self::add_gate`] on a malformed gate.
+    pub fn add_gate_named(
+        &mut self,
+        hint: Option<&str>,
+        prefix: &str,
+        gate: ThresholdGate,
+    ) -> Result<TnId, SynthError> {
+        self.check_gate(&gate)?;
+        let mut claimed = hint.and_then(|h| self.claim(h.to_string()).ok());
+        let mut i = self.nodes.len();
+        let (id, name) = loop {
+            if let Some(claimed) = claimed {
+                break claimed;
+            }
+            claimed = self.claim(format!("{prefix}{i}")).ok();
+            i += 1;
+        };
+        self.nodes.push(TnNode {
+            name,
+            kind: TnKind::Gate(gate),
+        });
+        Ok(id)
+    }
+
+    /// Checks a gate's arity and that its inputs exist.
+    fn check_gate(&self, gate: &ThresholdGate) -> Result<(), SynthError> {
         if gate.inputs.len() != gate.weights.len() {
             return Err(SynthError::Internal(format!(
                 "gate has {} inputs but {} weights",
@@ -200,7 +257,7 @@ impl ThresholdNetwork {
                 )));
             }
         }
-        self.add_raw(name.into(), TnKind::Gate(gate))
+        Ok(())
     }
 
     /// Declares `node` as primary output `name`.

@@ -89,6 +89,11 @@ impl VarSet {
         }
     }
 
+    /// Inserts the variables below 64 whose bits are set in `word`.
+    pub(crate) fn insert_low_word(&mut self, word: u64) {
+        self.first |= word;
+    }
+
     /// Inserts a variable. Returns `true` if it was newly inserted.
     pub fn insert(&mut self, v: Var) -> bool {
         let (w, bit) = (v.0 as usize / 64, 1u64 << (v.0 % 64));
@@ -193,6 +198,29 @@ impl VarSet {
         }
     }
 
+    /// The positions of this set's variables in `universe`'s ascending
+    /// order, as a mask: bit `j` is set when the `j`-th variable of
+    /// `universe` is in this set. The set must be a subset of `universe`,
+    /// and every position must be below 64 (both checked in debug builds).
+    pub fn positions_in(&self, universe: &VarSet) -> u64 {
+        debug_assert!(self.is_subset_of(universe));
+        let mut mask = 0u64;
+        let mut before = 0u32;
+        for w in 0..=self.rest.len() {
+            let all = universe.word(w);
+            let mut bits = self.word(w);
+            while bits != 0 {
+                let low = bits & bits.wrapping_neg();
+                let j = before + (all & (low - 1)).count_ones();
+                debug_assert!(j < 64, "position {j} does not fit a mask");
+                mask |= 1 << j;
+                bits &= bits - 1;
+            }
+            before += all.count_ones();
+        }
+        mask
+    }
+
     /// The smallest variable in the set, if any.
     pub fn min_var(&self) -> Option<Var> {
         self.iter().next()
@@ -281,6 +309,15 @@ mod tests {
         assert!(s.remove(Var(5)));
         assert!(!s.remove(Var(5)));
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn positions_in_ranks_across_words() {
+        let universe: VarSet = [2, 64, 65, 130, 191, 200].into_iter().map(Var).collect();
+        let sub: VarSet = [2, 65, 200].into_iter().map(Var).collect();
+        assert_eq!(sub.positions_in(&universe), 0b100101);
+        assert_eq!(universe.positions_in(&universe), 0b111111);
+        assert_eq!(VarSet::new().positions_in(&universe), 0);
     }
 
     #[test]

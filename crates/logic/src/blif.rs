@@ -5,12 +5,14 @@
 //! line continuations (`\`), comments (`#`), and `.end`. Latches and
 //! subcircuits are rejected with a parse error.
 //!
-//! The parser is streaming: [`parse_reader`] consumes any [`BufRead`] one
-//! physical line at a time with a single reusable buffer, interns each
-//! distinct signal name once, and converts cover rows directly into [`Cube`]s
-//! without materializing intermediate SOP strings — so memory scales with the
-//! network, not with the file. [`parse`] is a thin wrapper over a byte slice
-//! and produces byte-identical networks.
+//! The parser is streaming: [`parse_reader`] scans the bytes its
+//! [`BufRead`] has buffered for line ends and reads each physical line in
+//! place, copying only a line that straddles two buffer fills (or a
+//! continued line) into one reusable buffer. It interns each distinct
+//! signal name once, turns cover rows into [`Cube`]s as they are read, and
+//! moves names and covers into the network when it is built — so memory
+//! scales with the network, not with the file. [`parse`] is a thin wrapper
+//! over a byte slice and produces byte-identical networks.
 //!
 //! # Example
 //!
@@ -37,6 +39,7 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::BufRead;
+use std::sync::Arc;
 
 use crate::cube::{Cube, Var};
 use crate::error::LogicError;
@@ -50,6 +53,10 @@ fn err(line: usize, message: impl Into<String>) -> LogicError {
     }
 }
 
+/// Symbols the name table holds before it first grows: enough for the
+/// wide benchmark networks (~160 names) without a rehash.
+const INITIAL_SYMBOLS: usize = 256;
+
 /// Interned-symbol driver state.
 const SYM_FREE: u8 = 0;
 const SYM_INPUT: u8 = 1;
@@ -59,6 +66,8 @@ const SYM_DRIVEN: u8 = 2;
 /// already converted to cubes (over column variables, in row order).
 struct NamesDecl {
     fanins: Vec<u32>,
+    /// Some signal appears twice among `fanins`.
+    repeats: bool,
     output: u32,
     cubes: Vec<Cube>,
     /// `Some(true)` for an ON-set cover, `Some(false)` for OFF-set, `None`
@@ -68,54 +77,63 @@ struct NamesDecl {
 
 /// Streaming parser state: symbol table plus the declarations seen so far.
 struct Parser {
-    /// Interned name table; `syms[id]` is the unique spelling.
-    syms: Vec<String>,
-    ids: HashMap<String, u32>,
-    /// Per-symbol driver state (`SYM_*`), indexed like `syms`.
+    /// Interned name table: each distinct spelling and its symbol id (as
+    /// a `NodeId` of the same number). The one copy of each name: the
+    /// network shares it, and [`Parser::finish`] hands the table itself
+    /// over once the ids are node ids.
+    ids: HashMap<Arc<str>, NodeId>,
+    /// Per-symbol driver state (`SYM_*`), indexed by symbol id.
     state: Vec<u8>,
     model: String,
     inputs: Vec<u32>,
     outputs: Vec<u32>,
     decls: Vec<NamesDecl>,
     current: Option<NamesDecl>,
+    /// The open block's rows, moved into it, at their exact size, when
+    /// it closes.
+    rows: Vec<Cube>,
+    /// The signals of the `.names` line being read.
+    signals: Vec<u32>,
     done: bool,
 }
 
 impl Parser {
     fn new() -> Self {
         Parser {
-            syms: Vec::new(),
-            ids: HashMap::new(),
+            ids: HashMap::with_capacity(INITIAL_SYMBOLS),
             state: Vec::new(),
             model: String::from("unnamed"),
             inputs: Vec::new(),
             outputs: Vec::new(),
             decls: Vec::new(),
             current: None,
+            rows: Vec::new(),
+            signals: Vec::new(),
             done: false,
         }
     }
 
     fn intern(&mut self, name: &str) -> u32 {
         if let Some(&id) = self.ids.get(name) {
-            return id;
+            return id.0;
         }
-        let id = self.syms.len() as u32;
-        self.syms.push(name.to_string());
-        self.ids.insert(name.to_string(), id);
+        let id = self.state.len() as u32;
+        self.ids.insert(Arc::from(name), NodeId(id));
         self.state.push(SYM_FREE);
         id
     }
 
     fn close_current(&mut self) {
-        if let Some(decl) = self.current.take() {
+        if let Some(mut decl) = self.current.take() {
+            decl.cubes = self.rows.drain(..).collect();
             self.decls.push(decl);
         }
     }
 
     /// Processes one logical (continuation-joined, comment-stripped) line.
-    fn line(&mut self, text: &str, line_no: usize) -> Result<(), LogicError> {
-        let mut tokens = text.split_whitespace();
+    /// `ascii` tells whether the line is known to be ASCII.
+    fn line(&mut self, text: &str, ascii: bool, line_no: usize) -> Result<(), LogicError> {
+        let mut tokens = tokens(text, ascii);
         let head = tokens.next().unwrap_or("");
         match head {
             ".model" => {
@@ -158,11 +176,18 @@ impl Parser {
             }
             ".names" => {
                 self.close_current();
-                let mut signals: Vec<u32> = tokens.map(|t| self.intern(t)).collect();
-                let output = signals
+                let mut name = "";
+                self.signals.clear();
+                for t in tokens {
+                    name = t;
+                    let sym = self.intern(t);
+                    self.signals.push(sym);
+                }
+                let output = self
+                    .signals
                     .pop()
                     .ok_or_else(|| err(line_no, ".names requires at least an output"))?;
-                let name = &self.syms[output as usize];
+                let signals = self.signals.to_vec();
                 match self.state[output as usize] {
                     SYM_INPUT => {
                         return Err(err(
@@ -180,8 +205,10 @@ impl Parser {
                     }
                     _ => self.state[output as usize] = SYM_DRIVEN,
                 }
+                let repeats = (1..signals.len()).any(|i| signals[..i].contains(&signals[i]));
                 self.current = Some(NamesDecl {
                     fanins: signals,
+                    repeats,
                     output,
                     cubes: Vec::new(),
                     polarity: None,
@@ -204,7 +231,7 @@ impl Parser {
             }
             _ => {
                 if self.current.is_some() {
-                    self.cover_row(text, line_no)?;
+                    self.cover_row(text, head, tokens, line_no)?;
                 } else {
                     return Err(err(line_no, format!("unexpected line `{text}`")));
                 }
@@ -213,34 +240,48 @@ impl Parser {
         Ok(())
     }
 
-    /// Parses one cover row of the open `.names` block directly into a cube.
-    fn cover_row(&mut self, text: &str, line_no: usize) -> Result<(), LogicError> {
+    /// Parses one cover row of the open `.names` block directly into a
+    /// cube: `head` is the row's first token and `rest` the ones after it.
+    fn cover_row(
+        &mut self,
+        text: &str,
+        head: &str,
+        mut rest: Tokens<'_>,
+        line_no: usize,
+    ) -> Result<(), LogicError> {
         let decl = self.current.as_mut().expect("a `.names` block is open");
-        let parts: Vec<&str> = text.split_whitespace().collect();
-        let (pattern, value) = match (decl.fanins.is_empty(), parts.as_slice()) {
-            (true, [v]) => ("", *v),
-            (false, [p, v]) => (*p, *v),
+        let (pattern, value) = match (decl.fanins.is_empty(), rest.next()) {
+            (true, None) => ("", head),
+            (false, Some(v)) if rest.next().is_none() => (head, v),
             _ => return Err(err(line_no, format!("malformed cover row `{text}`"))),
         };
+        // Columns are distinct positions, so every literal is fresh; up to
+        // 64 columns the literals gather in two words.
+        let (mut ones, mut zeros) = (0u64, 0u64);
         let mut cube = Cube::one();
-        let mut cols = 0usize;
-        for ch in pattern.chars() {
-            match ch {
-                '0' | '1' => {
-                    // Columns are distinct positions, so the literal is fresh.
-                    let fresh = cube.set_literal(Var(cols as u32), ch == '1');
+        for (col, &b) in pattern.as_bytes().iter().enumerate() {
+            match b {
+                b'0' | b'1' if col < 64 => {
+                    *if b == b'1' { &mut ones } else { &mut zeros } |= 1 << col;
+                }
+                b'0' | b'1' => {
+                    let fresh = cube.set_literal(Var(col as u32), b == b'1');
                     debug_assert!(fresh);
                 }
-                '-' => {}
-                other => {
+                b'-' => {}
+                _ => {
+                    let other = pattern[col..]
+                        .chars()
+                        .next()
+                        .expect("a character starts here");
                     return Err(err(
                         line_no,
                         format!("invalid pattern character `{other}` (expected `0`, `1`, or `-`)"),
-                    ))
+                    ));
                 }
             }
-            cols += 1;
         }
+        let cols = pattern.len();
         if cols != decl.fanins.len() {
             return Err(err(
                 line_no,
@@ -262,24 +303,42 @@ impl Parser {
             }
             _ => {}
         }
-        decl.cubes.push(cube);
+        cube.add_low_literals(ones, zeros);
+        self.rows.push(cube);
         Ok(())
     }
 
-    /// Builds the network from the accumulated declarations.
+    /// Builds the network from the accumulated declarations, moving each
+    /// name and cover into it.
     fn finish(mut self) -> Result<Network, LogicError> {
         self.close_current();
-        let nsyms = self.syms.len();
+        let nsyms = self.state.len();
+        let mut syms: Vec<Option<Arc<str>>> = vec![None; nsyms];
+        for (name, id) in &self.ids {
+            syms[id.index()] = Some(Arc::clone(name));
+        }
+        // A symbol's name moves into the node it names; the names of the
+        // symbols that name no node are left for the error.
+        fn take(syms: &mut [Option<Arc<str>>], sym: u32) -> Arc<str> {
+            syms[sym as usize]
+                .take()
+                .expect("each symbol names one node")
+        }
+        fn unknown(syms: &[Option<Arc<str>>], sym: u32) -> LogicError {
+            LogicError::UnknownSignal(syms[sym as usize].as_deref().unwrap_or("").to_string())
+        }
         let mut net = Network::new(self.model);
+        net.reserve(self.inputs.len() + self.decls.len());
         // Symbol → defining declaration (duplicates were rejected at scan).
         let mut by_output = vec![usize::MAX; nsyms];
         for (i, d) in self.decls.iter().enumerate() {
             by_output[d.output as usize] = i;
         }
         let mut node_of: Vec<Option<NodeId>> = vec![None; nsyms];
+        // Each input and each driven symbol names one node, so the
+        // interned names are unique node names.
         for &sym in &self.inputs {
-            let id = net.add_input(self.syms[sym as usize].clone())?;
-            node_of[sym as usize] = Some(id);
+            node_of[sym as usize] = Some(net.push_named(take(&mut syms, sym), NodeKind::Input));
         }
         // Topologically order declarations (BLIF allows forward references).
         let mut state = vec![0u8; self.decls.len()]; // 0 unvisited, 1 visiting, 2 done
@@ -316,16 +375,13 @@ impl Parser {
         }
 
         for d in order {
-            let decl = &self.decls[d];
-            let fanin_ids: Vec<NodeId> = decl
-                .fanins
-                .iter()
-                .map(|&s| {
-                    node_of[s as usize]
-                        .ok_or_else(|| LogicError::UnknownSignal(self.syms[s as usize].clone()))
-                })
+            let decl = &mut self.decls[d];
+            // Symbols become node ids in the symbol list's own allocation.
+            let fanin_ids: Vec<NodeId> = std::mem::take(&mut decl.fanins)
+                .into_iter()
+                .map(|s| node_of[s as usize].ok_or_else(|| unknown(&syms, s)))
                 .collect::<Result<_, _>>()?;
-            let sop = Sop::from_cubes(decl.cubes.clone());
+            let sop = Sop::from_cubes(std::mem::take(&mut decl.cubes));
             let sop = if decl.polarity == Some(false) {
                 // OFF-set cover: the function is the complement.
                 sop.complement()
@@ -333,17 +389,135 @@ impl Parser {
                 sop
             };
             // Deduplicate fanins if the BLIF repeated a signal name.
-            let (fanin_ids, sop) = dedup_fanins(fanin_ids, sop);
-            let id = net.add_node(self.syms[decl.output as usize].clone(), fanin_ids, sop)?;
-            node_of[decl.output as usize] = Some(id);
+            let (fanin_ids, sop) = if decl.repeats {
+                dedup_fanins(fanin_ids, sop)
+            } else {
+                (fanin_ids, sop)
+            };
+            // The fanins exist and are distinct, and the cover reads only
+            // their columns: the network need not check the node again.
+            let kind = NodeKind::Logic {
+                fanins: fanin_ids,
+                sop,
+            };
+            let name = take(&mut syms, decl.output);
+            node_of[decl.output as usize] = Some(net.push_named(name, kind));
         }
         for &sym in &self.outputs {
-            let name = &self.syms[sym as usize];
-            let id =
-                node_of[sym as usize].ok_or_else(|| LogicError::UnknownSignal(name.clone()))?;
-            net.add_output(name.clone(), id)?;
+            let id = node_of[sym as usize].ok_or_else(|| unknown(&syms, sym))?;
+            net.add_output(net.name(id).to_string(), id)?;
         }
+        // Every symbol is now a node: an undriven one failed above.
+        for id in self.ids.values_mut() {
+            *id = node_of[id.index()].expect("every symbol names a node");
+        }
+        net.set_names(self.ids);
         Ok(net)
+    }
+}
+
+/// Whether `char::is_whitespace` holds for an ASCII byte.
+fn is_space(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\n' | 0x0b | 0x0c | b'\r')
+}
+
+/// The tokens of a line, as `str::split_whitespace` gives them: an ASCII
+/// line is split byte by byte, any other line by `split_whitespace`.
+/// `ascii` tells whether the caller already knows the line is ASCII.
+fn tokens(text: &str, ascii: bool) -> Tokens<'_> {
+    Tokens {
+        text,
+        pos: 0,
+        unicode: (!ascii && !text.is_ascii()).then(|| text.split_whitespace()),
+    }
+}
+
+struct Tokens<'a> {
+    text: &'a str,
+    pos: usize,
+    unicode: Option<std::str::SplitWhitespace<'a>>,
+}
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        if let Some(words) = &mut self.unicode {
+            return words.next();
+        }
+        let bytes = self.text.as_bytes();
+        let start = self.pos + bytes[self.pos..].iter().position(|&b| !is_space(b))?;
+        let len = bytes[start..].iter().position(|&b| is_space(b));
+        self.pos = len.map_or(bytes.len(), |len| start + len);
+        Some(&self.text[start..self.pos])
+    }
+}
+
+/// `bytes` as text: `Err` when it is not UTF-8, with the message of the
+/// standard library's line reader.
+fn utf8(bytes: &[u8]) -> Result<&str, LogicError> {
+    std::str::from_utf8(bytes).map_err(|_| invalid_utf8())
+}
+
+fn invalid_utf8() -> LogicError {
+    LogicError::Io("stream did not contain valid UTF-8".to_string())
+}
+
+/// Joins continued lines and hands each logical line to the parser.
+struct Lines {
+    parser: Parser,
+    /// The logical line being continued with `\`, and its first line.
+    acc: String,
+    acc_start: usize,
+    pending: bool,
+    line_no: usize,
+}
+
+impl Lines {
+    /// Processes one physical line, without its `\n`; `comment` is the
+    /// position of its first `#`, if the caller has found it, and `ascii`
+    /// whether the line is known to be ASCII.
+    fn physical(
+        &mut self,
+        line: &str,
+        comment: Option<usize>,
+        ascii: bool,
+    ) -> Result<(), LogicError> {
+        self.line_no += 1;
+        let no_comment = match comment {
+            Some(pos) => &line[..pos],
+            None => line.strip_suffix('\r').unwrap_or(line),
+        };
+        // `trim_end`, byte by byte on an ASCII line.
+        let end = if ascii {
+            let bytes = no_comment.as_bytes();
+            bytes
+                .iter()
+                .rposition(|&b| !is_space(b))
+                .map_or(0, |i| i + 1)
+        } else {
+            no_comment.trim_end().len()
+        };
+        let (cont, text) = match no_comment[..end].strip_suffix('\\') {
+            Some(t) => (true, t),
+            None => (false, no_comment),
+        };
+        if self.pending {
+            self.acc.push(' ');
+            self.acc.push_str(text);
+            if !cont {
+                self.pending = false;
+                self.parser.line(&self.acc, false, self.acc_start)?;
+            }
+        } else if cont {
+            self.acc.clear();
+            self.acc.push_str(text);
+            self.acc_start = self.line_no;
+            self.pending = true;
+        } else if end > 0 {
+            self.parser.line(text, ascii, self.line_no)?;
+        }
+        Ok(())
     }
 }
 
@@ -363,57 +537,78 @@ impl Parser {
 /// reader fails, [`LogicError::Cycle`] for cyclic netlists, and
 /// name-resolution errors for dangling references.
 pub fn parse_reader<R: BufRead>(mut reader: R) -> Result<Network, LogicError> {
-    let mut parser = Parser::new();
-    let mut raw = String::new();
-    let mut acc = String::new();
-    let mut acc_start = 0usize;
-    let mut pending = false;
-    let mut line_no = 0usize;
+    let mut lines = Lines {
+        parser: Parser::new(),
+        acc: String::new(),
+        acc_start: 0,
+        pending: false,
+        line_no: 0,
+    };
+    // The start of a line that the buffered bytes end inside.
+    let mut partial: Vec<u8> = Vec::new();
     loop {
-        raw.clear();
-        let n = reader
-            .read_line(&mut raw)
+        let buf = reader
+            .fill_buf()
             .map_err(|e| LogicError::Io(e.to_string()))?;
-        if n == 0 {
-            break;
-        }
-        line_no += 1;
-        let line = raw.strip_suffix('\n').unwrap_or(&raw);
-        let line = line.strip_suffix('\r').unwrap_or(line);
-        let no_comment = match line.find('#') {
-            Some(pos) => &line[..pos],
-            None => line,
-        };
-        let (cont, text) = match no_comment.trim_end().strip_suffix('\\') {
-            Some(t) => (true, t),
-            None => (false, no_comment),
-        };
-        if pending {
-            acc.push(' ');
-            acc.push_str(text);
-            if !cont {
-                pending = false;
-                parser.line(&acc, acc_start)?;
+        if buf.is_empty() {
+            // A last line without a line end.
+            if !partial.is_empty() {
+                let line = utf8(&partial)?;
+                lines.physical(line, line.find('#'), false)?;
             }
-        } else if cont {
-            acc.clear();
-            acc.push_str(text);
-            acc_start = line_no;
-            pending = true;
-        } else if !text.trim().is_empty() {
-            parser.line(text, line_no)?;
-        }
-        if parser.done {
             break;
         }
+        // The buffered bytes up to their last line end hold whole lines,
+        // save for a first line that `partial` began.
+        let whole = buf.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        let mut start = 0;
+        if whole > 0 && !partial.is_empty() {
+            let end = buf.iter().position(|&b| b == b'\n').expect("a line end");
+            partial.extend_from_slice(&buf[..end]);
+            let line = utf8(&partial)?;
+            lines.physical(line, line.find('#'), false)?;
+            partial.clear();
+            start = end + 1;
+        }
+        // One UTF-8 check for all whole lines; the lines before an invalid
+        // byte are still read first, as a line-by-line reader would.
+        let (text, valid) = match std::str::from_utf8(&buf[start..whole]) {
+            Ok(text) => (text, true),
+            Err(e) => (utf8(&buf[start..start + e.valid_up_to()])?, false),
+        };
+        let ascii = text.is_ascii();
+        // One pass finds each line's end and its first `#`.
+        let (mut line_start, mut comment) = (0, None);
+        for (i, &b) in text.as_bytes().iter().enumerate() {
+            if b == b'\n' {
+                let line = &text[line_start..i];
+                lines.physical(line, comment.map(|c| c - line_start), ascii)?;
+                if lines.parser.done {
+                    break;
+                }
+                (line_start, comment) = (i + 1, None);
+            } else if b == b'#' && comment.is_none() {
+                comment = Some(i);
+            }
+        }
+        if lines.parser.done {
+            break;
+        }
+        if !valid {
+            // The line holding the invalid byte.
+            return Err(invalid_utf8());
+        }
+        partial.extend_from_slice(&buf[whole..]);
+        let used = buf.len();
+        reader.consume(used);
     }
-    if pending {
+    if lines.pending {
         return Err(err(
-            line_no,
+            lines.line_no,
             "dangling `\\` line continuation at end of file",
         ));
     }
-    parser.finish()
+    lines.parser.finish()
 }
 
 /// Parses BLIF source into a [`Network`].

@@ -74,6 +74,15 @@ impl Cube {
         c
     }
 
+    /// Adds a positive literal per set bit of `ones` and a negative one
+    /// per set bit of `zeros`, over variables 0–63. No variable may end up
+    /// in both phases (checked in debug builds).
+    pub(crate) fn add_low_literals(&mut self, ones: u64, zeros: u64) {
+        self.pos.insert_low_word(ones);
+        self.neg.insert_low_word(zeros);
+        debug_assert!(!self.pos.intersects(&self.neg));
+    }
+
     /// Adds literal `v`/`v̄`; returns `false` if the opposite phase is
     /// already present (which would make the cube constant 0).
     pub fn set_literal(&mut self, v: Var, phase: bool) -> bool {

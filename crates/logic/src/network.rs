@@ -3,6 +3,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::cube::Var;
 use crate::error::LogicError;
@@ -45,7 +46,8 @@ pub enum NodeKind {
 
 #[derive(Debug, Clone)]
 struct NodeData {
-    name: String,
+    /// The node's name, shared with its key in the name table.
+    name: Arc<str>,
     kind: NodeKind,
     /// Topological rank: every fanin ranks strictly below the node it
     /// feeds (see [`Network::set_function`]).
@@ -89,7 +91,7 @@ const RANK_GAP: u64 = 1 << 20;
 pub struct Network {
     model: String,
     nodes: Vec<NodeData>,
-    names: HashMap<String, NodeId>,
+    names: HashMap<Arc<str>, NodeId>,
     outputs: Vec<(String, NodeId)>,
     /// Rank given to the next added node: above every existing rank.
     next_rank: u64,
@@ -115,6 +117,13 @@ impl Network {
         }
     }
 
+    /// Reserves room for `additional` more nodes, so that adding them
+    /// neither moves the node table nor rehashes the name table.
+    pub fn reserve(&mut self, additional: usize) {
+        self.nodes.reserve(additional);
+        self.names.reserve(additional);
+    }
+
     /// The model name.
     pub fn model(&self) -> &str {
         &self.model
@@ -126,7 +135,7 @@ impl Network {
     ///
     /// Returns [`LogicError::DuplicateName`] if the name is taken.
     pub fn add_input(&mut self, name: impl Into<String>) -> Result<NodeId, LogicError> {
-        self.add_raw(name.into(), NodeKind::Input)
+        self.add_raw(name.into().into(), NodeKind::Input)
     }
 
     /// Adds a logic node computing `sop` over `fanins`.
@@ -142,7 +151,42 @@ impl Network {
         sop: Sop,
     ) -> Result<NodeId, LogicError> {
         self.validate_function(&fanins, &sop)?;
-        self.add_raw(name.into(), NodeKind::Logic { fanins, sop })
+        self.add_raw(name.into().into(), NodeKind::Logic { fanins, sop })
+    }
+
+    /// Adds a node under a name its caller has already made unique,
+    /// leaving the name table to [`Self::set_names`]; a logic node's
+    /// fanins and cover must pass [`Self::add_node`]'s checks (checked
+    /// again in debug builds). A reader that has interned every name once
+    /// hands its own table over instead of hashing each name again.
+    pub(crate) fn push_named(&mut self, name: Arc<str>, kind: NodeKind) -> NodeId {
+        if let NodeKind::Logic { fanins, sop } = &kind {
+            debug_assert!(self.validate_function(fanins, sop).is_ok());
+        }
+        let id = NodeId(self.nodes.len() as u32);
+        let rank = self.next_rank;
+        self.next_rank += RANK_GAP;
+        let stamp = self.tick();
+        self.nodes.push(NodeData {
+            name,
+            kind,
+            rank,
+            stamp,
+        });
+        id
+    }
+
+    /// Installs the name table of nodes added by [`Self::push_named`]: it
+    /// must map each node's name, and nothing else, to the node.
+    pub(crate) fn set_names(&mut self, names: HashMap<Arc<str>, NodeId>) {
+        debug_assert!(
+            names.len() == self.nodes.len()
+                && names
+                    .iter()
+                    .all(|(n, &id)| *self.nodes[id.index()].name == **n),
+            "the name table must name every node once"
+        );
+        self.names = names;
     }
 
     fn validate_function(&self, fanins: &[NodeId], sop: &Sop) -> Result<(), LogicError> {
@@ -165,26 +209,19 @@ impl Network {
         Ok(())
     }
 
-    fn add_raw(&mut self, name: String, kind: NodeKind) -> Result<NodeId, LogicError> {
+    fn add_raw(&mut self, name: Arc<str>, kind: NodeKind) -> Result<NodeId, LogicError> {
         let id = NodeId(self.nodes.len() as u32);
         let name = match self.names.entry(name) {
-            Entry::Occupied(taken) => return Err(LogicError::DuplicateName(taken.key().clone())),
+            Entry::Occupied(taken) => {
+                return Err(LogicError::DuplicateName(taken.key().to_string()))
+            }
             Entry::Vacant(free) => {
                 let name = free.key().clone();
                 free.insert(id);
                 name
             }
         };
-        let rank = self.next_rank;
-        self.next_rank += RANK_GAP;
-        let stamp = self.tick();
-        self.nodes.push(NodeData {
-            name,
-            kind,
-            rank,
-            stamp,
-        });
-        Ok(id)
+        Ok(self.push_named(name, kind))
     }
 
     /// Advances the edit clock and returns the new time.
@@ -227,7 +264,7 @@ impl Network {
         let mut i = self.nodes.len();
         loop {
             let candidate = format!("{prefix}{i}");
-            if !self.names.contains_key(&candidate) {
+            if !self.names.contains_key(candidate.as_str()) {
                 return candidate;
             }
             i += 1;
@@ -659,13 +696,12 @@ impl Network {
         }
         let mut out = Network::new(self.model.clone());
         let mut map: FxHashMap<NodeId, NodeId> = FxHashMap::default();
+        // Names are unique in the source and shared with it.
+        let name = |id: NodeId| self.nodes[id.index()].name.clone();
         // Inputs first, preserving order.
         for id in self.node_ids() {
             if self.is_input(id) {
-                let new = out
-                    .add_input(self.name(id).to_string())
-                    .expect("names unique in source network");
-                map.insert(id, new);
+                map.insert(id, out.push_named(name(id), NodeKind::Input));
             }
         }
         // Logic nodes in topological order so fanins exist before use.
@@ -675,13 +711,22 @@ impl Network {
                 continue;
             }
             if let NodeKind::Logic { fanins, sop } = self.kind(id) {
-                let new_fanins: Vec<NodeId> = fanins.iter().map(|f| map[f]).collect();
-                let new = out
-                    .add_node(self.name(id).to_string(), new_fanins, sop.clone())
-                    .expect("validated in source network");
-                map.insert(id, new);
+                let fanins: Vec<NodeId> = fanins.iter().map(|f| map[f]).collect();
+                let kind = NodeKind::Logic {
+                    fanins,
+                    sop: sop.clone(),
+                };
+                map.insert(id, out.push_named(name(id), kind));
             }
         }
+        // The source's name table, kept nodes only, under their new ids:
+        // no name is hashed again.
+        let mut names = self.names.clone();
+        names.retain(|_, id| map.contains_key(id));
+        for id in names.values_mut() {
+            *id = map[id];
+        }
+        out.set_names(names);
         for (name, id) in &self.outputs {
             out.add_output(name.clone(), map[id])
                 .expect("unique output names");

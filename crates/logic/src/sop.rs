@@ -31,7 +31,8 @@ pub struct Sop {
     cubes: Vec<Cube>,
 }
 
-/// Reusable working buffers for [`Sop::canonical_signature_into`].
+/// Reusable working buffers for [`Sop::canonical_signature_into`] and
+/// [`SignatureScratch::canonicalize`].
 ///
 /// Canonicalization needs half a dozen temporary vectors (support, per-var
 /// cube-size profiles, the permutation and its inverse, the sorted masks).
@@ -41,7 +42,7 @@ pub struct Sop {
 #[derive(Default)]
 pub struct SignatureScratch {
     support: Vec<Var>,
-    index_of: std::collections::HashMap<Var, usize>,
+    cubes: Vec<u64>,
     sizes: Vec<Vec<u32>>,
     order_idx: Vec<usize>,
     pos: Vec<u32>,
@@ -57,15 +58,83 @@ impl SignatureScratch {
     }
 
     /// The canonical key written by the last successful
-    /// [`Sop::canonical_signature_into`] call.
+    /// [`Sop::canonical_signature_into`] or [`Self::canonicalize`] call.
     pub fn key(&self) -> &[u64] {
         &self.key
     }
 
     /// The canonical variable order written by the last successful
-    /// [`Sop::canonical_signature_into`] call.
+    /// [`Sop::canonical_signature_into`] or [`Self::canonicalize`] call.
     pub fn order(&self) -> &[Var] {
         &self.order
+    }
+
+    /// [`Sop::canonical_signature_into`] for a positive cover given as
+    /// cube masks over the positions of `support` (bit `j` of a mask is
+    /// `support[j]`), which must list at most 64 variables in ascending
+    /// order. The key and order equal those of the same cover as a
+    /// [`Sop`].
+    pub fn canonicalize(&mut self, support: &[Var], cubes: &[u64]) {
+        let k = support.len();
+        debug_assert!(k <= 64 && support.windows(2).all(|p| p[0] < p[1]));
+        let SignatureScratch {
+            sizes,
+            order_idx,
+            pos,
+            masks,
+            key,
+            order,
+            ..
+        } = self;
+        // Renaming-invariant profile per variable: (occurrence count,
+        // sorted sizes of the cubes it appears in).
+        for s in sizes.iter_mut() {
+            s.clear();
+        }
+        if sizes.len() < k {
+            sizes.resize_with(k, Vec::new);
+        }
+        for &c in cubes {
+            let len = c.count_ones();
+            let mut rest = c;
+            while rest != 0 {
+                sizes[rest.trailing_zeros() as usize].push(len);
+                rest &= rest - 1;
+            }
+        }
+        for s in sizes.iter_mut().take(k) {
+            s.sort_unstable();
+        }
+        order_idx.clear();
+        order_idx.extend(0..k);
+        order_idx.sort_by(|&a, &b| {
+            sizes[b]
+                .len()
+                .cmp(&sizes[a].len())
+                .then_with(|| sizes[a].cmp(&sizes[b]))
+                .then(a.cmp(&b))
+        });
+        pos.clear();
+        pos.resize(k, 0);
+        for (j, &i) in order_idx.iter().enumerate() {
+            pos[i] = j as u32;
+        }
+        masks.clear();
+        masks.extend(cubes.iter().map(|&c| {
+            let (mut m, mut rest) = (0u64, c);
+            while rest != 0 {
+                m |= 1 << pos[rest.trailing_zeros() as usize];
+                rest &= rest - 1;
+            }
+            m
+        }));
+        masks.sort_unstable();
+        key.clear();
+        key.reserve(masks.len() + 1);
+        key.push(k as u64);
+        key.extend_from_slice(masks);
+        order.clear();
+        order.extend(order_idx.iter().map(|&i| support[i]));
     }
 }
 
@@ -145,16 +214,16 @@ impl Sop {
         // then sweep.
         self.cubes.sort_by_key(Cube::literal_count);
         self.cubes.dedup();
-        let mut kept: Vec<Cube> = Vec::with_capacity(self.cubes.len());
-        'outer: for c in std::mem::take(&mut self.cubes) {
-            for k in &kept {
-                if k.covers(&c) {
-                    continue 'outer;
-                }
+        // Survivors move down in place, in order: `cubes[..kept]` are the
+        // cubes kept so far.
+        let mut kept = 0;
+        for i in 0..self.cubes.len() {
+            if !self.cubes[..kept].iter().any(|k| k.covers(&self.cubes[i])) {
+                self.cubes.swap(kept, i);
+                kept += 1;
             }
-            kept.push(c);
         }
-        self.cubes = kept;
+        self.cubes.truncate(kept);
     }
 
     /// Disjunction.
@@ -225,7 +294,12 @@ impl Sop {
 
     /// Whether the cover is (syntactically) unate in every variable.
     pub fn is_unate(&self) -> bool {
-        self.binate_vars().is_empty()
+        let (mut pos, mut neg) = (VarSet::new(), VarSet::new());
+        for c in &self.cubes {
+            pos.union_with(c.positive_vars());
+            neg.union_with(c.negative_vars());
+        }
+        !pos.intersects(&neg)
     }
 
     /// Whether the cover is unate with every variable in positive phase.
@@ -436,67 +510,23 @@ impl Sop {
             self.is_positive_unate(),
             "canonical_signature expects a positive-unate cover"
         );
-        let SignatureScratch {
-            support,
-            index_of,
-            sizes,
-            order_idx,
-            pos,
-            masks,
-            key,
-            order,
-        } = scratch;
-        support.clear();
-        support.extend(self.support().iter());
-        let k = support.len();
-        if k > 64 {
+        let all = self.support();
+        if all.len() > 64 {
             return false;
         }
-        index_of.clear();
-        index_of.extend(support.iter().enumerate().map(|(i, &v)| (v, i)));
-        // Renaming-invariant profile per variable: (occurrence count,
-        // sorted sizes of the cubes it appears in).
-        for s in sizes.iter_mut() {
-            s.clear();
-        }
-        if sizes.len() < k {
-            sizes.resize_with(k, Vec::new);
-        }
-        for cube in &self.cubes {
-            let len = cube.literal_count() as u32;
-            for (v, _) in cube.literals() {
-                sizes[index_of[&v]].push(len);
-            }
-        }
-        for s in sizes.iter_mut().take(k) {
-            s.sort_unstable();
-        }
-        order_idx.clear();
-        order_idx.extend(0..k);
-        order_idx.sort_by(|&a, &b| {
-            sizes[b]
-                .len()
-                .cmp(&sizes[a].len())
-                .then_with(|| sizes[a].cmp(&sizes[b]))
-                .then(a.cmp(&b))
-        });
-        pos.clear();
-        pos.resize(k, 0);
-        for (j, &i) in order_idx.iter().enumerate() {
-            pos[i] = j as u32;
-        }
-        masks.clear();
-        masks.extend(self.cubes.iter().map(|c| {
-            c.literals()
-                .fold(0u64, |m, (v, _)| m | 1 << pos[index_of[&v]])
-        }));
-        masks.sort_unstable();
-        key.clear();
-        key.reserve(masks.len() + 1);
-        key.push(k as u64);
-        key.extend_from_slice(masks);
-        order.clear();
-        order.extend(order_idx.iter().map(|&i| support[i]));
+        let mut support = std::mem::take(&mut scratch.support);
+        let mut cubes = std::mem::take(&mut scratch.cubes);
+        support.clear();
+        support.extend(all.iter());
+        cubes.clear();
+        cubes.extend(
+            self.cubes
+                .iter()
+                .map(|c| c.positive_vars().positions_in(&all)),
+        );
+        scratch.canonicalize(&support, &cubes);
+        scratch.support = support;
+        scratch.cubes = cubes;
         true
     }
 

@@ -207,6 +207,37 @@ impl TruthTable {
         t
     }
 
+    /// The table over `n` variables of a positive cover given as one
+    /// variable set per cube (bit `i` of a mask is variable `i`): row `m` is
+    /// ON when some mask is a subset of `m`. Each word is built whole: a
+    /// cube contributes the rows of its low six variables to every word
+    /// whose index holds its higher variables.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > Self::MAX_VARS`; a mask naming a variable `≥ n` is a
+    /// caller bug (checked in debug builds).
+    pub fn from_positive_cubes(n: u32, masks: &[u64]) -> TruthTable {
+        debug_assert!(masks.iter().all(|&c| n >= 64 || c >> n == 0));
+        let mut t = TruthTable::constant(n, false);
+        for (w, word) in t.words.iter_mut().enumerate() {
+            for &c in masks {
+                if (c >> 6) as usize & !w != 0 {
+                    continue;
+                }
+                let mut rows = !0u64;
+                let mut low = c & 63;
+                while low != 0 {
+                    rows &= !CLEAR_IN_WORD[low.trailing_zeros() as usize];
+                    low &= low - 1;
+                }
+                *word |= rows;
+            }
+        }
+        t.mask_tail();
+        t
+    }
+
     /// The table packed into one `u32` word; only valid for `n ≤ 5`.
     ///
     /// Row `m` of the function is bit `m` of the result, matching the row
@@ -353,6 +384,33 @@ mod tests {
         let t = TruthTable::from_sop(&f, &order);
         for m in 0..32usize {
             assert_eq!(t.bit(m), f.eval(|v| m >> v.0 & 1 != 0), "row {m}");
+        }
+    }
+
+    #[test]
+    fn positive_cubes_match_from_sop() {
+        let mut state = 0x7ab1_e5ee_d000_0001u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for n in [0u32, 1, 3, 5, 6, 7, 9, 12] {
+            for _ in 0..20 {
+                let masks: Vec<u64> = (0..next() % 5)
+                    .map(|_| if n == 0 { 0 } else { next() & ((1 << n) - 1) })
+                    .collect();
+                let order: Vec<Var> = (0..n).map(Var).collect();
+                let cover = Sop::from_cubes(masks.iter().map(|&c| {
+                    Cube::from_literals((0..n).filter(|&i| c >> i & 1 == 1).map(|i| (Var(i), true)))
+                }));
+                assert_eq!(
+                    TruthTable::from_positive_cubes(n, &masks),
+                    TruthTable::from_sop(&cover, &order),
+                    "n = {n}, masks {masks:?}"
+                );
+            }
         }
     }
 

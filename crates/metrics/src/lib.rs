@@ -345,9 +345,6 @@ pub mod instruments {
 
     /// Nanoseconds spent canonicalizing covers for cache keys.
     pub static CHECK_CANON_NS: Counter = Counter::new();
-    /// Threshold checks answered trivially: constants and syntactically
-    /// binate covers (single literals go to tier 0).
-    pub static CHECK_TRIVIAL: Counter = Counter::new();
     /// Threshold checks answered by the tier-0 truth-table oracle.
     pub static CHECK_TIER0_HITS: Counter = Counter::new();
     /// Threshold checks settled by the tier-0.5 decision procedure
@@ -393,11 +390,6 @@ pub static REGISTRY: &[Descriptor] = &[
         name: "tels_check_canon_ns_total",
         help: "Nanoseconds spent canonicalizing covers",
         instrument: InstrumentRef::Counter(&i9s::CHECK_CANON_NS),
-    },
-    Descriptor {
-        name: "tels_check_trivial_total",
-        help: "Threshold checks answered trivially",
-        instrument: InstrumentRef::Counter(&i9s::CHECK_TRIVIAL),
     },
     Descriptor {
         name: "tels_check_tier0_total",

@@ -23,6 +23,13 @@ cargo build --workspace --all-targets
 echo "==> cargo test"
 cargo test --workspace --quiet
 
+echo "==> release-only sweeps (ignored in debug)"
+# The exhaustive sweeps that take too long unoptimized: the tier-0 table
+# rebuilt at a larger bound, the 65,536-function threshold census and the
+# tier-0 differential over every 4-variable function (~7 s after the
+# release build).
+cargo test --release --workspace --quiet -- --ignored
+
 echo "==> perfbench tests"
 # The benchmark package has its own workspace; testing it here makes a
 # library API change that breaks the benchmark fail CI.

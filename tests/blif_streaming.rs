@@ -11,7 +11,7 @@ use std::io::BufReader;
 use tels::circuits::{alu_array, array_multiplier, lfsr_cone, majority_grid, parity_ladder};
 use tels::fuzz::{gen_case, GenOptions};
 use tels::logic::sim::{check_equivalence, EquivOptions};
-use tels::logic::{blif, opt, Network};
+use tels::logic::{blif, opt, LogicError, Network};
 
 /// Asserts the three-way byte identity: string parse, coarse stream parse,
 /// and a deliberately tiny-buffered stream parse all rebuild one network.
@@ -86,4 +86,104 @@ fn arena_round_trip_preserves_function_on_generated_networks() {
             "seed {seed}: strash round-trip changed the function"
         );
     }
+}
+
+/// Parses `text` through the string reader, the streaming reader and a
+/// streaming reader whose buffer holds one byte, and asserts that all
+/// three agree: byte-identical networks under `write`, or the same error
+/// (on the same line).
+fn parse_three_ways(text: &str) -> Result<Network, LogicError> {
+    let via_string = blif::parse(text);
+    let via_stream = blif::parse_reader(text.as_bytes());
+    let via_byte = blif::parse_reader(BufReader::with_capacity(1, text.as_bytes()));
+    let bytes = |r: &Result<Network, LogicError>| r.as_ref().map(blif::write).map_err(Clone::clone);
+    assert_eq!(bytes(&via_string), bytes(&via_stream), "{text:?}");
+    assert_eq!(bytes(&via_string), bytes(&via_byte), "{text:?}");
+    via_string
+}
+
+/// Asserts that all three readers reject `text` at `line`.
+fn fails_on_line(text: &str, line: usize) {
+    match parse_three_ways(text) {
+        Err(LogicError::Parse { line: at, .. }) => assert_eq!(at, line, "{text:?}"),
+        other => panic!("expected a parse error on line {line} for {text:?}, got {other:?}"),
+    }
+}
+
+/// Evaluates a one-output network on every input assignment, inputs in
+/// declaration order with the first input as the low bit.
+fn truth(net: &Network) -> Vec<bool> {
+    let n = net.num_inputs();
+    (0..1u32 << n)
+        .map(|m| {
+            let assign: Vec<bool> = (0..n).map(|i| m >> i & 1 == 1).collect();
+            net.eval(&assign).unwrap()[0]
+        })
+        .collect()
+}
+
+#[test]
+fn repeated_fanin_merges_in_every_reader() {
+    // Columns a, b, a: `1-1` is a, `01-` is a'b, and `1-0` asks a = 1 and
+    // a = 0 at once, so that row vanishes: f = a + b.
+    let text = ".model m\n.inputs a b\n.outputs f\n.names a b a f\n1-1 1\n01- 1\n1-0 1\n.end\n";
+    let net = parse_three_ways(text).unwrap();
+    let f = net.find("f").unwrap();
+    assert_eq!(net.fanins(f).len(), 2);
+    assert_eq!(truth(&net), [false, true, true, true]);
+    // A row one column short, on line 6.
+    fails_on_line(
+        ".model m\n.inputs a b\n.outputs f\n.names a b a f\n1-1 1\n01 1\n.end\n",
+        6,
+    );
+}
+
+#[test]
+fn off_set_cover_is_read_alike_by_every_reader() {
+    // f = (ab + c)'.
+    let text = ".model m\n.inputs a b c\n.outputs f\n.names a b c f\n11- 0\n--1 0\n.end\n";
+    let net = parse_three_ways(text).unwrap();
+    let want: Vec<bool> = (0..8u32).map(|m| !((m & 3) == 3 || m & 4 != 0)).collect();
+    assert_eq!(truth(&net), want);
+    // An ON-set row inside the OFF-set cover, on line 7.
+    fails_on_line(
+        ".model m\n.inputs a b c\n.outputs f\n.names a b c f\n11- 0\n--1 0\n000 1\n.end\n",
+        7,
+    );
+}
+
+#[test]
+fn continuation_lines_join_in_every_reader() {
+    // The `.inputs` and `.names` lines are each split over two physical
+    // lines; the second half of the `.names` line carries a comment.
+    let text = ".model m\n.inputs a \\\n b c\n.outputs f\n.names a b \\\nc f # f = ab + c\n11- 1\n--1 1\n.end\n";
+    let net = parse_three_ways(text).unwrap();
+    assert_eq!(net.num_inputs(), 3);
+    let want: Vec<bool> = (0..8u32).map(|m| (m & 3) == 3 || m & 4 != 0).collect();
+    assert_eq!(truth(&net), want);
+    // Line numbers count physical lines: after a continued `.inputs` line,
+    // the short row is line 6; a continuation left dangling at the end of
+    // the text is reported on the last line, also 6.
+    fails_on_line(
+        ".model m\n.inputs a b \\\n c\n.outputs f\n.names a b c f\n11 1\n.end\n",
+        6,
+    );
+    fails_on_line(
+        ".model m\n.inputs a b\n.outputs f\n.names a b f\n11 1\n.end \\\n",
+        6,
+    );
+}
+
+#[test]
+fn crlf_line_ends_read_like_lf_in_every_reader() {
+    let lf = ".model m # crlf\n.inputs a b c\n.outputs f g\n.names a b t\n11 1\n.names t c f\n1- 1\n-1 1\n.names a c g\n0- 1\n-0 1\n.end\n";
+    let crlf = lf.replace('\n', "\r\n");
+    let from_lf = parse_three_ways(lf).unwrap();
+    let from_crlf = parse_three_ways(&crlf).unwrap();
+    assert_eq!(blif::write(&from_lf), blif::write(&from_crlf));
+    // A bad pattern character on line 5, before a CRLF.
+    fails_on_line(
+        &".model m\n.inputs a b\n.outputs f\n.names a b f\n1x 1\n.end\n".replace('\n', "\r\n"),
+        5,
+    );
 }

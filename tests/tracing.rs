@@ -33,6 +33,7 @@ fn zero_clocks(mut stats: SynthStats) -> SynthStats {
     stats.solver.structure_ns = 0;
     stats.solver.int_solve_ns = 0;
     stats.solver.rational_solve_ns = 0;
+    stats.stages = Default::default();
     stats
 }
 
