@@ -730,9 +730,9 @@ fn render_top(socket: &str, snap: &Json, prev: Option<&Json>, enabled: bool) {
         fmt_ns(hist("tels_serve_job_run_ns", "p50")),
         fmt_ns(hist("tels_serve_job_run_ns", "p99")),
     );
-    // Every check past tier 0 and the trivial cases probed the cache: a
-    // hit, or a miss that a decider behind it settled (the ILP count also
-    // holds the rare cover too wide for a cache key).
+    // Every check past tier 0 probed the cache: a hit, or a miss that a
+    // decider behind it settled (the ILP count also holds the rare cover
+    // too wide for a cache key).
     let hits = v("tels_check_cache_hits_total");
     let misses = v("tels_check_tier05_total")
         + v("tels_check_theorem1_total")

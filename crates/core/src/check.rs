@@ -366,7 +366,7 @@ impl CheckVia {
 /// One threshold query: a cover, or one of the synthesis driver's
 /// prototype gates over `Var(0..n)`, whose positive forms are written
 /// without building a cover.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum Query<'a> {
     /// A non-constant unate cover.
     Cover(&'a Sop),
@@ -605,11 +605,7 @@ fn positive_form(query: Query<'_>, pf: &mut PositiveForm) -> bool {
 }
 
 fn cover_positive_form(f: &Sop, pf: &mut PositiveForm) -> bool {
-    let (mut all, mut neg) = (VarSet::new(), VarSet::new());
-    for c in f.cubes() {
-        all.union_with(c.positive_vars());
-        neg.union_with(c.negative_vars());
-    }
+    let (mut all, neg) = f.phase_vars();
     debug_assert!(!all.intersects(&neg), "binate cover {f}");
     all.union_with(&neg);
     pf.support.extend(all.iter());

@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use tels_logic::opt::{local_sop, node_function, space_of, var_in};
-use tels_logic::{Network, NodeId, Sop, Var, VarSet};
+use tels_logic::{Network, NodeId, Sop, Var};
 
 use crate::cache::RealizationCache;
 use crate::check::{
@@ -64,18 +64,24 @@ pub struct SynthStats {
 
 /// Wall time of the synthesis driver's stages, in nanoseconds.
 ///
-/// Each timer brackets whole stage calls and never the synthesis that
-/// recurses below them, so these timers and the check's stage timers
+/// The driver reads the clock once as each stage call ends, and that
+/// read also starts the next stage: a stage's time runs from the
+/// driver's previous read, so it takes in the work that readies the call
+/// (the unateness test before a query, gathering a gate's inputs before
+/// its emit). Only before a node's local cover is the clock read to start
+/// a stage; the stretch that read closes is the driver's glue between
+/// nodes. The stages never overlap the synthesis that recurses below
+/// them, so these timers and the check's stage timers
 /// ([`SolverBreakdown::stage_ns`]) are disjoint, and `unattributed_ns` is
-/// what neither covers: the driver's glue between stages.
+/// what neither covers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SynthStages {
     /// The run's set-up: the source network's levels and the threshold
     /// network's inputs.
     pub setup_ns: u64,
     /// Building each node's local cover and collapsing fanins into it
-    /// (Fig. 4), for nodes and split products alike, from the first
-    /// fanin that may collapse.
+    /// (Fig. 4), for nodes and for split products with a fanin that may
+    /// collapse.
     pub collapse_ns: u64,
     /// Unate splits (Fig. 7), including the k-way cube splits.
     pub unate_split_ns: u64,
@@ -87,11 +93,13 @@ pub struct SynthStages {
     /// The threshold check outside its timed stages: the positive form,
     /// the cache probe, the remap onto the query and back-substitution.
     pub query_prep_ns: u64,
-    /// Emitting gates into the threshold network.
+    /// Emitting gates into the threshold network, with gathering their
+    /// inputs and weights.
     pub emit_ns: u64,
     /// Wall clock of the whole run.
     pub total_ns: u64,
-    /// `total_ns` minus the timers above and the check's stage timers.
+    /// `total_ns` minus the timers above and the check's stage timers:
+    /// the stretches that end at a node's first read.
     pub unattributed_ns: u64,
 }
 
@@ -113,11 +121,19 @@ impl SynthStages {
     }
 }
 
-/// Runs `f`, adding its wall time to `timer`.
-fn timed<T>(timer: &mut u64, f: impl FnOnce() -> T) -> T {
-    let t0 = Instant::now();
+/// Nanoseconds since the driver's previous clock read `mark`, which
+/// becomes this read.
+fn lap(mark: &mut Instant) -> u64 {
+    let now = Instant::now();
+    let ns = (now - *mark).as_nanos() as u64;
+    *mark = now;
+    ns
+}
+
+/// Runs the stage `f`, adding to `timer` its time since `mark`.
+fn timed<T>(mark: &mut Instant, timer: &mut u64, f: impl FnOnce() -> T) -> T {
     let out = f();
-    *timer += t0.elapsed().as_nanos() as u64;
+    *timer += lap(mark);
     out
 }
 
@@ -333,8 +349,8 @@ pub fn synthesize_with_cache(
         .map(|(_, id)| net_levels[id.index()])
         .max()
         .unwrap_or(0);
-    let mut s = Synth::new(net, config, cache, net_levels)?;
-    s.stats.stages.setup_ns = t0.elapsed().as_nanos() as u64;
+    let mut s = Synth::new(net, config, cache, net_levels, t0)?;
+    s.stats.stages.setup_ns = lap(&mut s.mark);
     run_with_depth_stack(depth, || s.run())?;
     span.arg("gates", s.tn.num_gates() as u64);
     span.arg("ilp_calls", s.stats.ilp_calls as u64);
@@ -381,6 +397,8 @@ struct Synth<'a> {
     /// Positive-form and canonicalization buffers, reused across every
     /// query of the run instead of allocating fresh vectors per query.
     scratch: QueryScratch,
+    /// The driver's previous clock read (see [`SynthStages`]).
+    mark: Instant,
 }
 
 impl<'a> Synth<'a> {
@@ -389,6 +407,7 @@ impl<'a> Synth<'a> {
         config: &'a TelsConfig,
         cache: &'a RealizationCache,
         net_levels: Vec<usize>,
+        mark: Instant,
     ) -> Result<Synth<'a>, SynthError> {
         let mut tn = ThresholdNetwork::new(net.model().to_string());
         let nodes = net.node_ids().count();
@@ -416,6 +435,7 @@ impl<'a> Synth<'a> {
             literal_cache: HashMap::new(),
             current_node: None,
             scratch: QueryScratch::default(),
+            mark,
         })
     }
 
@@ -440,12 +460,13 @@ impl<'a> Synth<'a> {
         if tels_trace::enabled() {
             span.arg("node", name);
         }
-        let (expr, space) = timed(&mut self.stats.stages.collapse_ns, || {
-            let space = space_of(net, &[id], &[]);
-            (local_sop(net, id, &space), space)
-        });
+        // The glue that led here is unattributed.
+        lap(&mut self.mark);
+        let space = space_of(net, &[id], &[]);
+        let expr = local_sop(net, id, &space);
+        let (expr, space) = self.collapse_expr(expr, Cow::Owned(space), true);
         let prev = self.current_node.replace(id);
-        let signal = self.synth_expr(expr, Cow::Owned(space), Some(name))?;
+        let signal = self.synth_collapsed(&expr, &space, Some(name))?;
         self.current_node = prev;
         drop(span);
         self.signal_map[id.index()] = Some(signal);
@@ -463,15 +484,18 @@ impl<'a> Synth<'a> {
     /// Each substitution runs over the sorted union of `space` and the
     /// substituted node's fanins; an accepted one trims the space to the
     /// new support.
+    ///
+    /// The call is a collapse stage when `staged` (a node's local cover)
+    /// or when a fanin may collapse; most split products have none, and
+    /// read no clock.
     fn collapse_expr<'s>(
         &mut self,
         mut expr: Sop,
         mut space: Cow<'s, [NodeId]>,
+        mut staged: bool,
     ) -> (Sop, Cow<'s, [NodeId]>) {
         let limit = self.config.psi.max(expr.support().len());
         let mut blocked: Vec<NodeId> = Vec::new();
-        // Timed from the first candidate: most split products have none.
-        let mut start = None;
         loop {
             let candidate = expr
                 .support()
@@ -479,7 +503,7 @@ impl<'a> Synth<'a> {
                 .map(|v| space[v.0 as usize])
                 .find(|&node| !self.boundary[node.index()] && !blocked.contains(&node));
             let Some(node) = candidate else { break };
-            start.get_or_insert_with(Instant::now);
+            staged = true;
             let union = space_of(self.net, &[node], &space);
             let map: Vec<Var> = space.iter().map(|&n| var_in(&union, n)).collect();
             let inner = local_sop(self.net, node, &union);
@@ -493,8 +517,8 @@ impl<'a> Synth<'a> {
                 blocked.push(node);
             }
         }
-        if let Some(t0) = start {
-            self.stats.stages.collapse_ns += t0.elapsed().as_nanos() as u64;
+        if staged {
+            self.stats.stages.collapse_ns += lap(&mut self.mark);
         }
         (expr, space)
     }
@@ -533,7 +557,6 @@ impl<'a> Synth<'a> {
         name_hint: Option<&str>,
         path: GatePath,
     ) -> Result<TnId, SynthError> {
-        let t0 = Instant::now();
         let gate = ThresholdGate {
             inputs,
             weights,
@@ -548,7 +571,7 @@ impl<'a> Synth<'a> {
                 self.config.psi,
             );
         }
-        self.stats.stages.emit_ns += t0.elapsed().as_nanos() as u64;
+        self.stats.stages.emit_ns += lap(&mut self.mark);
         id
     }
 
@@ -561,7 +584,7 @@ impl<'a> Synth<'a> {
         query: Query<'_>,
     ) -> Result<(Option<Realization>, CheckVia), SynthError> {
         self.stats.ilp_calls += 1;
-        let (t0, staged) = (Instant::now(), self.stats.solver.stage_ns());
+        let staged = self.stats.solver.stage_ns();
         let (r, via) = check_threshold_cached(
             query,
             self.config,
@@ -569,11 +592,34 @@ impl<'a> Synth<'a> {
             &mut self.stats.solver,
             &mut self.scratch,
         )?;
-        let check_ns = t0.elapsed().as_nanos() as u64;
+        let check_ns = lap(&mut self.mark);
         let staged = self.stats.solver.stage_ns() - staged;
         self.stats.stages.query_prep_ns += check_ns.saturating_sub(staged);
         self.tally(via, r.is_some());
         Ok((r, via))
+    }
+
+    /// Emits a gate realizing the prototype `query` (over `Var(0..)`) on
+    /// `inputs`. Variables absent from the realization (redundant inputs)
+    /// are dropped; the realization's variables index `inputs`.
+    fn query_gate(
+        &mut self,
+        query: Query<'_>,
+        inputs: Vec<TnId>,
+        name_hint: Option<&str>,
+        path: GatePath,
+    ) -> Result<TnId, SynthError> {
+        let (r, _) = self.query_threshold(query)?;
+        let r = r.ok_or_else(|| {
+            SynthError::Internal(format!("prototype {query:?} is not a threshold function"))
+        })?;
+        let gate_inputs: Vec<TnId> = r
+            .weights
+            .iter()
+            .map(|&(v, _)| inputs[v.0 as usize])
+            .collect();
+        let weights: Vec<i64> = r.weights.iter().map(|&(_, w)| w).collect();
+        self.emit_raw_gate(gate_inputs, weights, r.threshold, name_hint, path)
     }
 
     /// Counts one query's outcome: the only place the run statistics
@@ -599,12 +645,7 @@ impl<'a> Synth<'a> {
         // Realize via the ILP so δ_on/δ_off are honored: buffer needs
         // w ≥ T + δ_on with T ≥ δ_off; inverter needs 0 ≥ T + δ_on with
         // −w ≤ T − δ_off.
-        let r = self
-            .query_threshold(Query::And(&[phase]))?
-            .0
-            .expect("single literals are threshold functions");
-        let weights: Vec<i64> = r.weights.iter().map(|&(_, w)| w).collect();
-        let g = self.emit_raw_gate(vec![signal], weights, r.threshold, None, GatePath::Literal)?;
+        let g = self.query_gate(Query::And(&[phase]), vec![signal], None, GatePath::Literal)?;
         self.literal_cache.insert((signal, phase), g);
         Ok(g)
     }
@@ -617,12 +658,7 @@ impl<'a> Synth<'a> {
         path: GatePath,
     ) -> Result<TnId, SynthError> {
         debug_assert!(children.len() >= 2 && children.len() <= self.config.psi);
-        let r = self
-            .query_threshold(Query::Or(children.len()))?
-            .0
-            .expect("disjunctions are threshold functions");
-        let weights: Vec<i64> = r.weights.iter().map(|&(_, w)| w).collect();
-        self.emit_raw_gate(children, weights, r.threshold, name_hint, path)
+        self.query_gate(Query::Or(children.len()), children, name_hint, path)
     }
 
     /// Emits an AND over `(signal, phase)` terms, chunking into a tree when
@@ -645,16 +681,10 @@ impl<'a> Synth<'a> {
         loop {
             let take = terms.len().min(self.config.psi);
             let (inputs, phases): (Vec<TnId>, Vec<bool>) = terms.drain(..take).unzip();
-            let r = self
-                .query_threshold(Query::And(&phases))?
-                .0
-                .expect("cubes are threshold functions");
-            let weights: Vec<i64> = r.weights.iter().map(|&(_, w)| w).collect();
             let last = terms.is_empty();
-            let gate = self.emit_raw_gate(
+            let gate = self.query_gate(
+                Query::And(&phases),
                 inputs,
-                weights,
-                r.threshold,
                 if last { name_hint } else { None },
                 if last { path } else { GatePath::AndChunk },
             )?;
@@ -663,32 +693,6 @@ impl<'a> Synth<'a> {
             }
             terms.push((gate, true));
         }
-    }
-
-    /// Emits a gate realizing a small prototype SOP (over local variables
-    /// `Var(0)..Var(k)`) applied to the given signals.
-    fn emit_proto_gate(
-        &mut self,
-        proto: &Sop,
-        inputs: Vec<TnId>,
-        name_hint: Option<&str>,
-        path: GatePath,
-    ) -> Result<TnId, SynthError> {
-        let r = self
-            .query_threshold(Query::Cover(proto))?
-            .0
-            .ok_or_else(|| {
-                SynthError::Internal(format!("prototype {proto} is not a threshold function"))
-            })?;
-        // Variables absent from the realization (redundant inputs) are
-        // dropped; the realization's variables index `inputs`.
-        let gate_inputs: Vec<TnId> = r
-            .weights
-            .iter()
-            .map(|&(v, _)| inputs[v.0 as usize])
-            .collect();
-        let weights: Vec<i64> = r.weights.iter().map(|&(_, w)| w).collect();
-        self.emit_raw_gate(gate_inputs, weights, r.threshold, name_hint, path)
     }
 
     /// Divide-and-conquer synthesis of a non-trivial expression: Shannon
@@ -720,13 +724,23 @@ impl<'a> Synth<'a> {
             // f = x ∨ f0.
             let c0 = self.synth_expr(f0, Cow::Borrowed(space), None)?;
             let proto = lit(true).or(&Sop::literal(Var(1), true));
-            return self.emit_proto_gate(&proto, vec![x, c0], name_hint, GatePath::Shannon);
+            return self.query_gate(
+                Query::Cover(&proto),
+                vec![x, c0],
+                name_hint,
+                GatePath::Shannon,
+            );
         }
         if f0.is_one() {
             // f = x̄ ∨ f1.
             let c1 = self.synth_expr(f1, Cow::Borrowed(space), None)?;
             let proto = lit(false).or(&Sop::literal(Var(1), true));
-            return self.emit_proto_gate(&proto, vec![x, c1], name_hint, GatePath::Shannon);
+            return self.query_gate(
+                Query::Cover(&proto),
+                vec![x, c1],
+                name_hint,
+                GatePath::Shannon,
+            );
         }
         if f0.is_zero() {
             // f = x·f1.
@@ -756,8 +770,17 @@ impl<'a> Synth<'a> {
     ) -> Result<TnId, SynthError> {
         // Every expression — original node or split product — goes through
         // collapsing first (the Fig. 3 feedback edge).
-        let (expr, space) = self.collapse_expr(expr, space);
-        let (expr, space) = (&expr, &*space);
+        let (expr, space) = self.collapse_expr(expr, space, false);
+        self.synth_collapsed(&expr, &space, name_hint)
+    }
+
+    /// [`Self::synth_expr`] on an expression that collapsing has finished.
+    fn synth_collapsed(
+        &mut self,
+        expr: &Sop,
+        space: &[NodeId],
+        name_hint: Option<&str>,
+    ) -> Result<TnId, SynthError> {
         // Constants.
         if expr.is_zero() || expr.is_one() {
             let r = Realization::constant(expr.is_one(), self.config);
@@ -774,15 +797,9 @@ impl<'a> Synth<'a> {
             if name_hint.is_none() {
                 return self.literal_gate(sig, phase);
             }
-            let r = self
-                .query_threshold(Query::And(&[phase]))?
-                .0
-                .expect("single literals are threshold functions");
-            let weights: Vec<i64> = r.weights.iter().map(|&(_, w)| w).collect();
-            return self.emit_raw_gate(
+            return self.query_gate(
+                Query::And(&[phase]),
                 vec![sig],
-                weights,
-                r.threshold,
                 name_hint,
                 GatePath::Literal,
             );
@@ -805,9 +822,11 @@ impl<'a> Synth<'a> {
         if !unate {
             self.stats.binate_splits += 1;
             let psi = self.config.psi;
-            let parts = timed(&mut self.stats.stages.binate_split_ns, || {
-                split_binate(expr, psi)
-            })?;
+            let parts = timed(
+                &mut self.mark,
+                &mut self.stats.stages.binate_split_ns,
+                || split_binate(expr, psi),
+            )?;
             let children: Vec<TnId> = parts
                 .into_iter()
                 .map(|p| self.synth_expr(p, Cow::Borrowed(space), None))
@@ -844,9 +863,11 @@ impl<'a> Synth<'a> {
         // Unate splitting (Fig. 7).
         self.stats.unate_splits += 1;
         let heuristic = self.config.split_heuristic;
-        let split = timed(&mut self.stats.stages.unate_split_ns, || {
-            split_unate_with(expr, heuristic)
-        })?;
+        let split = timed(
+            &mut self.mark,
+            &mut self.stats.stages.unate_split_ns,
+            || split_unate_with(expr, heuristic),
+        )?;
         match split {
             UnateSplit::AndCube(cube, rest) => {
                 let child = self.synth_expr(rest, Cow::Borrowed(space), None)?;
@@ -871,13 +892,14 @@ impl<'a> Synth<'a> {
                         .max()
                         .unwrap_or(0)
                 };
-                let (big, small) = timed(&mut self.stats.stages.theorem2_ns, || {
-                    if (a.num_cubes(), leaf_depth(&a)) >= (b.num_cubes(), leaf_depth(&b)) {
-                        (a, b)
-                    } else {
-                        (b, a)
-                    }
-                });
+                let (big, small) =
+                    timed(&mut self.mark, &mut self.stats.stages.theorem2_ns, || {
+                        if (a.num_cubes(), leaf_depth(&a)) >= (b.num_cubes(), leaf_depth(&b)) {
+                            (a, b)
+                        } else {
+                            (b, a)
+                        }
+                    });
                 for (gate_half, rec_half) in [(&big, &small), (&small, &big)] {
                     if gate_half.support().len() + 1 > self.config.psi {
                         continue;
@@ -886,9 +908,10 @@ impl<'a> Synth<'a> {
                         // The extra OR input gets weight T_pos + δ_on, which
                         // must also respect the dynamic-range cap.
                         let config = self.config;
-                        let (_, w_extra) = timed(&mut self.stats.stages.theorem2_ns, || {
-                            theorem2_extend(&r, Var(u32::MAX), config)
-                        });
+                        let (_, w_extra) =
+                            timed(&mut self.mark, &mut self.stats.stages.theorem2_ns, || {
+                                theorem2_extend(&r, Var(u32::MAX), config)
+                            });
                         if self.config.weight_cap.is_some_and(|cap| w_extra > cap) {
                             continue;
                         }
@@ -915,9 +938,11 @@ impl<'a> Synth<'a> {
                 // Neither half is a usable gate: k-way cube split glued by
                 // the OR gate ⟨1,…,1;1⟩.
                 let k = self.config.psi.min(expr.num_cubes());
-                let parts = timed(&mut self.stats.stages.unate_split_ns, || {
-                    split_cubes_k(expr, k)
-                });
+                let parts = timed(
+                    &mut self.mark,
+                    &mut self.stats.stages.unate_split_ns,
+                    || split_cubes_k(expr, k),
+                );
                 let children: Vec<TnId> = parts
                     .into_iter()
                     .map(|p| self.synth_expr(p, Cow::Borrowed(space), None))
@@ -931,11 +956,7 @@ impl<'a> Synth<'a> {
 /// Whether a cover is (syntactically) unate, and its support size, from
 /// one pass over its cubes.
 fn unate_support(f: &Sop) -> (bool, usize) {
-    let (mut pos, mut neg) = (VarSet::new(), VarSet::new());
-    for c in f.cubes() {
-        pos.union_with(c.positive_vars());
-        neg.union_with(c.negative_vars());
-    }
+    let (mut pos, neg) = f.phase_vars();
     let unate = !pos.intersects(&neg);
     pos.union_with(&neg);
     (unate, pos.len())

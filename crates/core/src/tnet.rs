@@ -110,6 +110,12 @@ struct TnNode {
     kind: TnKind,
 }
 
+/// The names `{prefix}{i}` for `i` from `from` up: the candidates, in
+/// order, for a fresh numbered name.
+fn numbered(prefix: &str, from: usize) -> impl Iterator<Item = String> + '_ {
+    (from..).map(move |i| format!("{prefix}{i}"))
+}
+
 /// A multi-output network of threshold gates — the output `G_T` of TELS.
 ///
 /// # Example
@@ -225,14 +231,12 @@ impl ThresholdNetwork {
         gate: ThresholdGate,
     ) -> Result<TnId, SynthError> {
         self.check_gate(&gate)?;
-        let mut claimed = hint.and_then(|h| self.claim(h.to_string()).ok());
-        let mut i = self.nodes.len();
-        let (id, name) = loop {
-            if let Some(claimed) = claimed {
-                break claimed;
-            }
-            claimed = self.claim(format!("{prefix}{i}")).ok();
-            i += 1;
+        let claimed = hint.and_then(|h| self.claim(h.to_string()).ok());
+        let (id, name) = match claimed {
+            Some(claimed) => claimed,
+            None => numbered(prefix, self.nodes.len())
+                .find_map(|name| self.claim(name).ok())
+                .expect("a free numbered name"),
         };
         self.nodes.push(TnNode {
             name,
@@ -281,14 +285,9 @@ impl ThresholdNetwork {
 
     /// Generates a fresh node name with the given prefix.
     pub fn fresh_name(&self, prefix: &str) -> String {
-        let mut i = self.nodes.len();
-        loop {
-            let candidate = format!("{prefix}{i}");
-            if !self.names.contains_key(&candidate) {
-                return candidate;
-            }
-            i += 1;
-        }
+        numbered(prefix, self.nodes.len())
+            .find(|name| !self.names.contains_key(name))
+            .expect("a free numbered name")
     }
 
     /// Looks a node up by name.

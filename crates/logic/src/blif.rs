@@ -568,6 +568,9 @@ pub fn parse_reader<R: BufRead>(mut reader: R) -> Result<Network, LogicError> {
             let line = utf8(&partial)?;
             lines.physical(line, line.find('#'), false)?;
             partial.clear();
+            if lines.parser.done {
+                break;
+            }
             start = end + 1;
         }
         // One UTF-8 check for all whole lines; the lines before an invalid

@@ -292,13 +292,20 @@ impl Sop {
             .collect()
     }
 
-    /// Whether the cover is (syntactically) unate in every variable.
-    pub fn is_unate(&self) -> bool {
+    /// The variables that appear in positive phase and those that appear
+    /// in negative phase, from one pass over the cubes.
+    pub fn phase_vars(&self) -> (VarSet, VarSet) {
         let (mut pos, mut neg) = (VarSet::new(), VarSet::new());
         for c in &self.cubes {
             pos.union_with(c.positive_vars());
             neg.union_with(c.negative_vars());
         }
+        (pos, neg)
+    }
+
+    /// Whether the cover is (syntactically) unate in every variable.
+    pub fn is_unate(&self) -> bool {
+        let (pos, neg) = self.phase_vars();
         !pos.intersects(&neg)
     }
 

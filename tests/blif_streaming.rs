@@ -187,3 +187,31 @@ fn crlf_line_ends_read_like_lf_in_every_reader() {
         5,
     );
 }
+
+#[test]
+fn reading_stops_at_end_in_every_buffer_split() {
+    // Whatever follows `.end` is never read: a second model, a line that
+    // is not BLIF, or bytes that are not UTF-8. Buffers of every size make
+    // the `.end` line straddle two fills at every offset, with whole lines
+    // of the tail in the second fill.
+    let first = ".model first\n.inputs a b\n.outputs f\n.names a b f\n11 1\n.end\n";
+    let want = blif::write(&blif::parse(first).unwrap());
+    let tails: [&[u8]; 5] = [
+        b".model second\n.inputs z\n.outputs y\n.names z y\n1 1\n.end\n",
+        b".model b\n",
+        b".names a b g\n00 1\n",
+        b"x\n",
+        b"\xff\xfe\n.end\n",
+    ];
+    for tail in tails {
+        let mut text = first.as_bytes().to_vec();
+        text.extend_from_slice(tail);
+        for cap in 1..=text.len() {
+            let net = blif::parse_reader(BufReader::with_capacity(cap, &text[..]))
+                .unwrap_or_else(|e| panic!("capacity {cap}, tail {tail:?}: {e}"));
+            assert_eq!(blif::write(&net), want, "capacity {cap}, tail {tail:?}");
+        }
+        let net = blif::parse_reader(&text[..]).unwrap();
+        assert_eq!(blif::write(&net), want, "tail {tail:?}");
+    }
+}
