@@ -216,3 +216,141 @@ fn tier0_lookups_are_traced() {
         "no gate carries the tier0 provenance path"
     );
 }
+
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The Chrome JSON with each event's `ts` replaced by its ordinal and
+/// each `tid` by its rank among the thread ids of the recorded events, so
+/// only the clock and the thread numbering differ between runs. Labels of
+/// threads that recorded nothing in the trace are dropped.
+fn normalized_chrome(text: &str) -> String {
+    let doc = json::parse(text).expect("chrome trace is not valid JSON");
+    let events = doc
+        .get("traceEvents")
+        .and_then(json::Json::as_array)
+        .expect("missing traceEvents");
+    let tid = |e: &json::Json| e.get("tid").and_then(json::Json::as_u64);
+    let is_label = |e: &json::Json| e.get("ph").and_then(json::Json::as_str) == Some("M");
+    let mut tids: Vec<u64> = events
+        .iter()
+        .filter(|e| !is_label(e))
+        .filter_map(tid)
+        .collect();
+    tids.sort_unstable();
+    tids.dedup();
+    let normalized = events
+        .iter()
+        .filter(|e| !is_label(e) || tid(e).is_some_and(|t| tids.binary_search(&t).is_ok()))
+        .enumerate()
+        .map(|(ordinal, e)| {
+            let pairs = e.as_object().expect("event is not an object");
+            json::Json::Obj(
+                pairs
+                    .iter()
+                    .map(|(k, v)| {
+                        let v = match (k.as_str(), v.as_u64()) {
+                            ("ts", _) => json::Json::Num(ordinal as f64),
+                            ("tid", Some(tid)) => {
+                                json::Json::Num(tids.binary_search(&tid).unwrap() as f64)
+                            }
+                            _ => v.clone(),
+                        };
+                        (k.clone(), v)
+                    })
+                    .collect(),
+            )
+        })
+        .collect();
+    json::Json::Obj(vec![(
+        "traceEvents".to_string(),
+        json::Json::Arr(normalized),
+    )])
+    .pretty()
+}
+
+/// The profile tree as sorted `(path, calls)` rows, without the time
+/// columns.
+fn profile_rows(profile: &str) -> String {
+    let mut path: Vec<&str> = Vec::new();
+    let mut rows: Vec<String> = Vec::new();
+    for line in profile.lines().skip(1) {
+        let depth = (line.len() - line.trim_start().len()) / 2;
+        let mut fields = line.split_whitespace();
+        let name = fields.next().expect("profile row without a name");
+        let calls = fields.next().expect("profile row without calls");
+        path.truncate(depth);
+        path.push(name);
+        rows.push(format!("{} {calls}", path.join("/")));
+    }
+    rows.sort();
+    rows.join("\n")
+}
+
+/// Two fixed traced runs (factoring, then synthesis) exported as Chrome
+/// JSON and as a profile tree: `ripple_adder(8)` at ψ = 3 with tier 0 off
+/// (so ILP spans appear), and the first `wide_psi9` random network at
+/// ψ = 9. The digests of the normalized exports are pinned, so a change
+/// to how events are recorded, named or exported that alters a single
+/// exported byte (other than timestamps and thread numbering) fails here.
+#[test]
+fn golden_trace_exports() {
+    use tels::circuits::{random_network, RandomNetOptions};
+    let wide = RandomNetOptions {
+        inputs: 24,
+        outputs: 12,
+        nodes: 200,
+        max_fanin: 6,
+        max_cubes: 6,
+        negation_pct: 20,
+        ..RandomNetOptions::default()
+    };
+    let runs = [
+        (
+            ripple_adder(8),
+            TelsConfig {
+                use_tier0: false,
+                ..config(3)
+            },
+            0x9a02_36c4_d347_fd6bu64,
+            0x285d_f7ce_c406_3218u64,
+        ),
+        (
+            random_network("wide_0", 0x5EED_0000, &wide),
+            config(9),
+            0xeb66_ac4f_21ce_6b73,
+            0x04f2_02cb_3097_2be8,
+        ),
+    ];
+    let _g = lock();
+    let mut failures = Vec::new();
+    for (net, cfg, chrome_digest, profile_digest) in runs {
+        tels::trace::disable();
+        tels::trace::drain();
+        tels::trace::enable();
+        tels::trace::set_thread_label("main");
+        let prepared = script_algebraic(&net);
+        let (_tn, _stats) = synthesize_with_stats(&prepared, &cfg).expect("synthesis failed");
+        tels::trace::disable();
+        let trace = tels::trace::drain();
+        let chrome = fnv1a(normalized_chrome(&export::chrome_trace(&trace)).as_bytes());
+        let profile = export::profile_tree(&trace).expect("profile tree failed");
+        let profile = fnv1a(profile_rows(&profile).as_bytes());
+        if (chrome, profile) != (chrome_digest, profile_digest) {
+            failures.push(format!(
+                "{} ψ={}: chrome {chrome:#018x}, profile {profile:#018x}",
+                net.model(),
+                cfg.psi
+            ));
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "golden trace digests differ:\n{}",
+        failures.join("\n")
+    );
+}
