@@ -694,7 +694,7 @@ struct Factoring {
 /// each run's wall clock by the passes' spans (about 20 spans a run, so
 /// tracing costs microseconds here).
 fn measure_factoring(net: &Network) -> Factoring {
-    use tels_trace::{ArgValue, EventKind};
+    use tels_trace::ArgValue;
     let mut total = Vec::new();
     let mut passes = vec![Vec::new(); FACTOR_PASSES.len()];
     let (mut pair_lookups, mut pair_trials) = (0, 0);
@@ -707,42 +707,31 @@ fn measure_factoring(net: &Network) -> Factoring {
         total.push(ms);
         out = Some(factored);
         let mut per_pass = [0.0; FACTOR_PASSES.len()];
-        let mut begins: Vec<u64> = Vec::new();
         (pair_lookups, pair_trials) = (0, 0);
-        for event in tels_trace::drain().events {
-            match event.kind {
-                EventKind::Begin { cat: "logic", .. } => begins.push(event.ts),
-                EventKind::End {
-                    cat: "logic",
-                    name,
-                    args,
-                } => {
-                    let span_ms = (event.ts - begins.pop().expect("span opened")) as f64 / 1e6;
-                    // The outer span counts toward `compact`; the passes'
-                    // spans are subtracted from it below.
-                    let pass = match name.as_str() {
-                        "script_algebraic" => "compact",
-                        name => name,
-                    };
-                    let i = FACTOR_PASSES
-                        .iter()
-                        .position(|&p| p == pass)
-                        .unwrap_or_else(|| panic!("unknown factoring span {pass}"));
-                    per_pass[i] += span_ms;
-                    if pass != "compact" {
-                        per_pass[0] -= span_ms;
-                    }
-                    for (key, value) in args {
-                        if let ArgValue::UInt(n) = value {
-                            match key {
-                                "pair_lookups" => pair_lookups += n,
-                                "pair_trials" => pair_trials += n,
-                                _ => {}
-                            }
-                        }
-                    }
+        let trace = tels_trace::drain();
+        let spans = tels_trace::export::spans(&trace).expect("factoring spans nest");
+        for span in spans.iter().filter(|s| s.cat == "logic") {
+            let span_ms = span.dur_ns as f64 / 1e6;
+            // The outer span counts toward `compact`; the passes' spans
+            // are subtracted from it below.
+            let pass = match span.name {
+                "script_algebraic" => "compact",
+                name => name,
+            };
+            let i = FACTOR_PASSES
+                .iter()
+                .position(|&p| p == pass)
+                .unwrap_or_else(|| panic!("unknown factoring span {pass}"));
+            per_pass[i] += span_ms;
+            if pass != "compact" {
+                per_pass[0] -= span_ms;
+            }
+            for &(key, value) in span.args.iter() {
+                match (key, value) {
+                    ("pair_lookups", ArgValue::UInt(n)) => pair_lookups += n,
+                    ("pair_trials", ArgValue::UInt(n)) => pair_trials += n,
+                    _ => {}
                 }
-                _ => {}
             }
         }
         for (samples, ms) in passes.iter_mut().zip(per_pass) {

@@ -20,6 +20,7 @@
 //! tels trace-check <trace.json> [stats.json]  validate trace/stats artifacts
 //! ```
 
+use std::borrow::Cow;
 use std::fs;
 use std::io;
 use std::process::ExitCode;
@@ -207,8 +208,13 @@ fn emit_tnet(tn: &ThresholdNetwork, output: &Option<String>) -> Result<(), Strin
 
 fn cmd_synth(args: &[String]) -> Result<(), String> {
     let a = parse_synth_args(args)?;
-    if a.best && a.stats_json {
-        return Err("--best collects no run statistics; drop --stats-json".to_string());
+    if a.best && (a.stats_json || a.trace.is_some()) {
+        // The one-to-one network it may keep has no statistics and no
+        // provenance journal.
+        return Err(
+            "--best collects no run statistics or provenance; drop --stats-json and --trace"
+                .to_string(),
+        );
     }
     let tracing = a.trace.is_some() || a.profile;
     if tracing {
@@ -216,18 +222,16 @@ fn cmd_synth(args: &[String]) -> Result<(), String> {
         tels_trace::set_thread_label("main");
     }
     let net = read_blif(&a.input)?;
-    let (tn, stats) = {
+    let (prepared, tn, stats) = {
         let _span = tels_trace::span("cli", "synth");
         let prepared = if a.factor {
-            script_algebraic(&net)
+            Cow::Owned(script_algebraic(&net))
         } else {
-            net.clone()
+            Cow::Borrowed(&net)
         };
         if a.best {
-            (
-                synthesize_best(&prepared, &a.config).map_err(|e| e.to_string())?,
-                None,
-            )
+            let tn = synthesize_best(&prepared, &a.config).map_err(|e| e.to_string())?;
+            (prepared, tn, None)
         } else {
             let (tn, stats) =
                 synthesize_with_stats(&prepared, &a.config).map_err(|e| e.to_string())?;
@@ -262,7 +266,7 @@ fn cmd_synth(args: &[String]) -> Result<(), String> {
                     sv.rational_solve_ns as f64 / 1e6
                 );
             }
-            (tn, Some(stats))
+            (prepared, tn, Some(stats))
         }
     };
     match tn
@@ -280,7 +284,14 @@ fn cmd_synth(args: &[String]) -> Result<(), String> {
     };
     if let Some(trace) = &trace {
         if let Some(path) = &a.trace {
-            fs::write(path, export::chrome_trace(trace)).map_err(|e| format!("{path}: {e}"))?;
+            let gates: Vec<&str> = tn.node_ids().map(|id| tn.name(id)).collect();
+            let nodes: Vec<&str> = prepared.node_ids().map(|id| prepared.name(id)).collect();
+            let names = export::Names {
+                gates: &gates,
+                nodes: &nodes,
+            };
+            fs::write(path, export::chrome_trace(trace, &names))
+                .map_err(|e| format!("{path}: {e}"))?;
         }
         if a.profile {
             eprint!("{}", export::profile_tree(trace)?);
@@ -767,7 +778,8 @@ fn render_top(socket: &str, snap: &Json, prev: Option<&Json>, enabled: bool) {
 /// object): the JSON must parse with the in-tree parser, begin/end events
 /// must nest per thread, spans from all four instrumented crates must be
 /// present, and the provenance journal must hold exactly one entry per
-/// emitted gate.
+/// emitted gate, each naming a gate no other entry names, with its path,
+/// source node and ψ.
 fn cmd_trace_check(args: &[String]) -> Result<(), String> {
     let (trace_path, stats_path) = match args {
         [t] => (t, None),
@@ -1078,9 +1090,9 @@ fn cmd_verilog(args: &[String]) -> Result<(), String> {
     } else {
         let net = read_blif(&a.input)?;
         let prepared = if a.factor {
-            script_algebraic(&net)
+            Cow::Owned(script_algebraic(&net))
         } else {
-            net.clone()
+            Cow::Borrowed(&net)
         };
         synthesize(&prepared, &a.config).map_err(|e| e.to_string())?
     };

@@ -324,6 +324,30 @@ fn synth_trace_profile_and_trace_check() {
         assert!(!check.status.success(), "renamed `{key}` passed");
         assert!(stderr(&check).contains(path), "{}", stderr(&check));
     }
+
+    // Two provenance entries naming one gate fail the check.
+    let events = chrome
+        .get("traceEvents")
+        .and_then(|e| e.as_array())
+        .unwrap();
+    let journal: Vec<&str> = events
+        .iter()
+        .filter(|e| e.get("cat").and_then(|c| c.as_str()) == Some("provenance"))
+        .filter_map(|e| e.get("name").and_then(|n| n.as_str()))
+        .collect();
+    let repeated = dir.join("repeated_trace.json");
+    let text = text.replace(
+        &format!("\"name\": \"{}\"", journal[1]),
+        &format!("\"name\": \"{}\"", journal[0]),
+    );
+    fs::write(&repeated, text).unwrap();
+    let check = tels(&["trace-check", repeated.to_str().unwrap()]);
+    assert!(!check.status.success(), "a repeated gate name passed");
+    assert!(
+        stderr(&check).contains("two provenance entries"),
+        "{}",
+        stderr(&check)
+    );
 }
 
 #[test]
@@ -446,9 +470,16 @@ fn synth_best_rejects_stats_json() {
     let dir = workdir("beststats");
     let blif = dir.join("sample.blif");
     fs::write(&blif, SAMPLE).unwrap();
-    let o = tels(&["synth", blif.to_str().unwrap(), "--best", "--stats-json"]);
-    assert!(!o.status.success());
-    assert!(stderr(&o).contains("--best"));
+    for flag in ["--stats-json", "--trace"] {
+        let mut args = vec!["synth", blif.to_str().unwrap(), "--best", flag];
+        let trace = dir.join("best_trace.json");
+        if flag == "--trace" {
+            args.push(trace.to_str().unwrap());
+        }
+        let o = tels(&args);
+        assert!(!o.status.success(), "--best {flag} passed");
+        assert!(stderr(&o).contains("--best"));
+    }
 }
 
 #[test]

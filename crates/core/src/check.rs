@@ -43,7 +43,6 @@
 //! caller, once.
 
 use std::collections::{HashMap, HashSet};
-use std::time::Instant;
 
 use tels_ilp::{Cmp, Problem, Status};
 use tels_logic::{Cube, SignatureScratch, Sop, TruthTable, Var, VarSet};
@@ -225,13 +224,15 @@ pub fn check_threshold(f: &Sop, config: &TelsConfig) -> Result<Option<Realizatio
     if !f.is_unate() {
         return Ok(None);
     }
-    let (r, _) = check_threshold_cached(
+    let mut span = tels_trace::span("core", "threshold_check");
+    let (r, via) = check_threshold_cached(
         Query::Cover(f),
         config,
         &RealizationCache::new(),
         &mut SolverBreakdown::default(),
         &mut QueryScratch::default(),
     )?;
+    span.arg("via", via.as_str());
     Ok(r)
 }
 
@@ -260,7 +261,8 @@ impl<R> Step<R> {
 /// Runs one stage of the check (tier 0, canonicalization, structure, tier
 /// 0.5 or the ILP): its wall time is added to the breakdown field that
 /// `field` picks from the stage's result, and while tracing is on the
-/// stage runs inside the `core` span `stage`, which `run` may annotate.
+/// stage runs inside the `core` span `stage`, which `run` may annotate
+/// and whose two clock reads the timer shares.
 fn timed<T>(
     solver: &mut SolverBreakdown,
     stage: &'static str,
@@ -268,9 +270,9 @@ fn timed<T>(
     run: impl FnOnce(&mut tels_trace::Span) -> T,
 ) -> T {
     let mut span = tels_trace::span("core", stage);
-    let t0 = Instant::now();
+    let t0 = span.start_ns();
     let out = run(&mut span);
-    *field(solver, &out) += t0.elapsed().as_nanos() as u64;
+    *field(solver, &out) += span.end_ns() - t0;
     out
 }
 
@@ -410,7 +412,9 @@ pub(crate) struct QueryScratch {
 /// query's variables and phases, so the result depends only on the
 /// function's canonical form, never on which query populated the cache or
 /// on thread scheduling. `scratch` carries the positive form and the
-/// canonicalization buffers, reused across calls by hot loops.
+/// canonicalization buffers, reused across calls by hot loops. Callers
+/// wrap the call in the `core` span `threshold_check`, annotated with the
+/// deciding `via`.
 pub(crate) fn check_threshold_cached(
     query: Query<'_>,
     config: &TelsConfig,
@@ -426,21 +430,6 @@ pub(crate) fn check_threshold_cached(
         },
         "threshold queries are non-constant unate covers"
     );
-    let mut span = tels_trace::span("core", "threshold_check");
-    let result = check_threshold_cached_impl(query, config, cache, solver, scratch);
-    if let Ok((_, via)) = &result {
-        span.arg("via", via.as_str());
-    }
-    result
-}
-
-fn check_threshold_cached_impl(
-    query: Query<'_>,
-    config: &TelsConfig,
-    cache: &RealizationCache,
-    solver: &mut SolverBreakdown,
-    scratch: &mut QueryScratch,
-) -> Result<(Option<Realization>, CheckVia), SynthError> {
     let QueryScratch {
         form: pf,
         signature,

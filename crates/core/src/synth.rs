@@ -18,7 +18,6 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::time::Instant;
 
 use tels_logic::opt::{local_sop, node_function, space_of, var_in};
 use tels_logic::{Network, NodeId, Sop, Var};
@@ -73,7 +72,9 @@ pub struct SynthStats {
 /// nodes. The stages never overlap the synthesis that recurses below
 /// them, so these timers and the check's stage timers
 /// ([`SolverBreakdown::stage_ns`]) are disjoint, and `unattributed_ns` is
-/// what neither covers.
+/// what neither covers. While tracing, a read that ends a query, emits a
+/// gate or starts a node is the timestamp of the event recorded there
+/// (`threshold_check`'s end, the provenance entry, `synth_node`'s begin).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SynthStages {
     /// The run's set-up: the source network's levels and the threshold
@@ -123,15 +124,20 @@ impl SynthStages {
 
 /// Nanoseconds since the driver's previous clock read `mark`, which
 /// becomes this read.
-fn lap(mark: &mut Instant) -> u64 {
-    let now = Instant::now();
-    let ns = (now - *mark).as_nanos() as u64;
+fn lap(mark: &mut u64) -> u64 {
+    lap_at(mark, tels_trace::now_ns())
+}
+
+/// [`lap`] with the clock read `now` (of [`tels_trace::now_ns`]) that a
+/// trace event just made.
+fn lap_at(mark: &mut u64, now: u64) -> u64 {
+    let ns = now - *mark;
     *mark = now;
     ns
 }
 
 /// Runs the stage `f`, adding to `timer` its time since `mark`.
-fn timed<T>(mark: &mut Instant, timer: &mut u64, f: impl FnOnce() -> T) -> T {
+fn timed<T>(mark: &mut u64, timer: &mut u64, f: impl FnOnce() -> T) -> T {
     let out = f();
     *timer += lap(mark);
     out
@@ -338,8 +344,8 @@ pub fn synthesize_with_cache(
     cache: &RealizationCache,
 ) -> Result<(ThresholdNetwork, SynthStats), SynthError> {
     config.assert_valid();
-    let t0 = Instant::now();
     let mut span = tels_trace::span("core", "synthesize");
+    let t0 = span.start_ns();
     // The one topological pass of the run: it rejects cyclic networks and
     // gives both the delay tie-break levels and the stack depth.
     let net_levels = net.levels()?;
@@ -355,7 +361,7 @@ pub fn synthesize_with_cache(
     span.arg("gates", s.tn.num_gates() as u64);
     span.arg("ilp_calls", s.stats.ilp_calls as u64);
     let stages = &mut s.stats.stages;
-    stages.total_ns = t0.elapsed().as_nanos() as u64;
+    stages.total_ns = span.end_ns() - t0;
     let timed = stages.setup_ns
         + stages.collapse_ns
         + stages.unate_split_ns
@@ -398,7 +404,7 @@ struct Synth<'a> {
     /// query of the run instead of allocating fresh vectors per query.
     scratch: QueryScratch,
     /// The driver's previous clock read (see [`SynthStages`]).
-    mark: Instant,
+    mark: u64,
 }
 
 impl<'a> Synth<'a> {
@@ -407,7 +413,7 @@ impl<'a> Synth<'a> {
         config: &'a TelsConfig,
         cache: &'a RealizationCache,
         net_levels: Vec<usize>,
-        mark: Instant,
+        mark: u64,
     ) -> Result<Synth<'a>, SynthError> {
         let mut tn = ThresholdNetwork::new(net.model().to_string());
         let nodes = net.node_ids().count();
@@ -457,11 +463,9 @@ impl<'a> Synth<'a> {
         let net = self.net;
         let name = net.name(id);
         let mut span = tels_trace::span("core", "synth_node");
-        if tels_trace::enabled() {
-            span.arg("node", name);
-        }
+        span.arg("node", tels_trace::ArgValue::Node(id.index()));
         // The glue that led here is unattributed.
-        lap(&mut self.mark);
+        self.mark = span.start_ns();
         let space = space_of(net, &[id], &[]);
         let expr = local_sop(net, id, &space);
         let (expr, space) = self.collapse_expr(expr, Cow::Owned(space), true);
@@ -563,15 +567,12 @@ impl<'a> Synth<'a> {
             threshold,
         };
         let id = self.tn.add_gate_named(name_hint, "t", gate);
-        if let (Ok(id), true) = (&id, tels_trace::enabled()) {
-            tels_trace::provenance(
-                self.tn.name(*id),
-                path.as_str(),
-                self.current_node.map(|id| self.net.name(id)),
-                self.config.psi,
-            );
-        }
-        self.stats.stages.emit_ns += lap(&mut self.mark);
+        let journaled = id.as_ref().ok().and_then(|id| {
+            let node = self.current_node.map(NodeId::index);
+            tels_trace::provenance(id.index(), path.as_str(), node, self.config.psi)
+        });
+        let now = journaled.unwrap_or_else(tels_trace::now_ns);
+        self.stats.stages.emit_ns += lap_at(&mut self.mark, now);
         id
     }
 
@@ -585,6 +586,7 @@ impl<'a> Synth<'a> {
     ) -> Result<(Option<Realization>, CheckVia), SynthError> {
         self.stats.ilp_calls += 1;
         let staged = self.stats.solver.stage_ns();
+        let mut span = tels_trace::span("core", "threshold_check");
         let (r, via) = check_threshold_cached(
             query,
             self.config,
@@ -592,7 +594,8 @@ impl<'a> Synth<'a> {
             &mut self.stats.solver,
             &mut self.scratch,
         )?;
-        let check_ns = lap(&mut self.mark);
+        span.arg("via", via.as_str());
+        let check_ns = lap_at(&mut self.mark, span.end_ns());
         let staged = self.stats.solver.stage_ns() - staged;
         self.stats.stages.query_prep_ns += check_ns.saturating_sub(staged);
         self.tally(via, r.is_some());

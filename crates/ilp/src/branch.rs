@@ -89,7 +89,7 @@ fn solve_node_lp(
                 IntLpOutcome::LimitReached => return Ok(LpOutcome::LimitReached),
                 IntLpOutcome::Abort => {
                     stats.int_aborts += 1;
-                    tels_trace::instant("ilp", "int_abort", Vec::new());
+                    tels_trace::instant("ilp", "int_abort");
                 }
             }
         }

@@ -196,20 +196,14 @@ impl ServeSession {
             .id
             .unwrap_or_else(|| self.next_id.fetch_add(1, Ordering::SeqCst));
         let start = Instant::now();
-        let traced = tels_trace::enabled();
-        if traced {
-            // Label every span this job emits with the job id.
-            tels_trace::set_job(Some(id));
-        }
         metrics::SERVE_JOBS_INFLIGHT.add(1);
         let result = {
-            let _span = tels_trace::span("serve", "job");
+            // The job runs on this thread, inside this span.
+            let mut span = tels_trace::span("serve", "job");
+            span.arg("job", id);
             self.run_job(req)
         };
         metrics::SERVE_JOBS_INFLIGHT.add(-1);
-        if traced {
-            tels_trace::set_job(None);
-        }
         let micros = start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
         let mut counters = self.counters.lock().expect("counters poisoned");
         counters.latency_us.record(micros);
@@ -514,6 +508,37 @@ mod tests {
         }
         // Cache persisted across jobs: the later rounds must have hits.
         assert!(!s.cache(cacheable_config().cache_key()).is_empty());
+    }
+
+    /// A served job runs on the submitting thread inside one `serve/job`
+    /// span, which carries the job id.
+    #[test]
+    fn job_span_carries_the_job_id() {
+        let s = session();
+        tels_trace::enable();
+        s.submit(&JobRequest {
+            id: Some(7),
+            blif: suite_blif(),
+            ..JobRequest::default()
+        })
+        .expect("job");
+        tels_trace::disable();
+        let trace = tels_trace::drain();
+        let spans = tels_trace::export::spans(&trace).expect("well-nested");
+        // Other tests' jobs may run while tracing is on; find this one.
+        let job = spans
+            .iter()
+            .position(|s| {
+                (s.cat, s.name) == ("serve", "job")
+                    && s.args[..] == [("job", tels_trace::ArgValue::UInt(7))]
+            })
+            .expect("no serve/job span with the job id");
+        assert!(
+            spans
+                .iter()
+                .any(|s| s.name == "synthesize" && s.parent == Some(job)),
+            "synthesis ran outside the traced job"
+        );
     }
 
     #[test]

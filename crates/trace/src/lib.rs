@@ -1,46 +1,48 @@
 //! # tels-trace — observability substrate for TELS-RS
 //!
-//! Hierarchical, thread-aware spans with monotonic timing, structured
-//! instant events (including the per-gate *synthesis provenance* journal),
-//! and exporters: Chrome `trace_event` JSON (loadable in
-//! `chrome://tracing` / Perfetto) and a plain-text profile tree. Counts
-//! and timings per run live in the program's own statistics, and live
-//! process-wide counters in `tels-metrics`; a trace records when things
-//! happened. No external dependencies, matching the in-tree PRNG and
-//! criterion-shim precedent.
+//! Hierarchical, thread-aware spans with monotonic timing, instant events
+//! (including the per-gate *synthesis provenance* journal), and exporters:
+//! Chrome `trace_event` JSON (loadable in `chrome://tracing` / Perfetto)
+//! and a plain-text profile tree. Counts and timings per run live in the
+//! program's own statistics, and live process-wide counters in
+//! `tels-metrics`; a trace records when things happened. No external
+//! dependencies, matching the in-tree PRNG and criterion-shim precedent.
 //!
 //! ## Zero overhead when disabled
 //!
 //! Tracing is off by default. Every recording entry point first checks
 //! [`enabled`] — a single relaxed atomic load — and returns immediately
-//! without allocating, reading the clock, or touching a lock. Instrumented
-//! code therefore behaves identically (outputs, statistics, control flow)
-//! whether or not a trace is being collected; the only difference is the
-//! journal on the side.
+//! without allocating, reading the clock, or touching a lock, so
+//! instrumented code behaves identically (outputs, statistics, control
+//! flow) whether or not a trace is being collected.
 //!
 //! ## Collection model
 //!
-//! Each thread appends events to its own buffer (registered globally on
-//! first use), so workers never contend on a shared log and the per-thread
-//! event order is exact. [`drain`] gathers all buffers into a [`Trace`],
-//! sorted by timestamp with per-thread order preserved. Timestamps are
-//! nanoseconds of a process-wide monotonic clock ([`std::time::Instant`]).
+//! Events hold only static names, numbers and ids (the provenance journal
+//! records gate and node indices; [`export::chrome_trace`] names them).
+//! Each thread appends to a plain thread-local buffer, which moves into
+//! the global registry under one lock when the thread's outermost span
+//! closes (or at once, outside any span). [`drain`] returns the
+//! registry's events sorted by timestamp, per-thread order preserved.
+//! Timestamps are nanoseconds of a process-wide monotonic clock.
 //!
 //! ## Example
 //!
 //! ```
+//! use tels_trace::export::{chrome_trace, Names};
+//!
 //! tels_trace::enable();
 //! {
 //!     let mut span = tels_trace::span("demo", "outer");
 //!     span.arg("answer", 42u64);
 //!     let _inner = tels_trace::span("demo", "inner");
 //! }
-//! tels_trace::provenance("t0", "direct-ilp", Some("n3"), 3);
+//! tels_trace::provenance(0, "direct-ilp", Some(3), 3);
 //! tels_trace::disable();
 //! let trace = tels_trace::drain();
 //! assert_eq!(trace.events.len(), 5); // 2 begins + 2 ends + 1 provenance
-//! let json = tels_trace::export::chrome_trace(&trace);
-//! assert!(json.contains("\"ph\": \"B\""));
+//! let names = Names { gates: &["t0"], nodes: &["a", "b", "c", "n3"] };
+//! assert!(chrome_trace(&trace, &names).contains("\"name\": \"t0\""));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -49,12 +51,18 @@
 pub mod export;
 pub mod json;
 
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Category name used by the per-gate synthesis provenance journal.
 pub const PROVENANCE_CAT: &str = "provenance";
+
+/// Argument slots per span; `ilp/solve` attaches the most, four.
+pub const MAX_ARGS: usize = 4;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
@@ -91,23 +99,15 @@ pub fn disable() {
     ENABLED.store(false, Ordering::SeqCst);
 }
 
-/// A typed event argument (rendered into Chrome-trace `args`).
-#[derive(Debug, Clone, PartialEq)]
+/// A span argument (rendered into Chrome-trace `args`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArgValue {
-    /// Signed integer.
-    Int(i64),
     /// Unsigned integer.
     UInt(u64),
-    /// Floating point.
-    Float(f64),
-    /// String.
-    Str(String),
-}
-
-impl From<i64> for ArgValue {
-    fn from(v: i64) -> ArgValue {
-        ArgValue::Int(v)
-    }
+    /// Static string, such as a decider or tier tag.
+    Str(&'static str),
+    /// A source-network node by index, named at export.
+    Node(usize),
 }
 
 impl From<u64> for ArgValue {
@@ -116,32 +116,41 @@ impl From<u64> for ArgValue {
     }
 }
 
-impl From<usize> for ArgValue {
-    fn from(v: usize) -> ArgValue {
-        ArgValue::UInt(v as u64)
-    }
-}
-
-impl From<f64> for ArgValue {
-    fn from(v: f64) -> ArgValue {
-        ArgValue::Float(v)
-    }
-}
-
-impl From<&str> for ArgValue {
-    fn from(v: &str) -> ArgValue {
-        ArgValue::Str(v.to_string())
-    }
-}
-
-impl From<String> for ArgValue {
-    fn from(v: String) -> ArgValue {
+impl From<&'static str> for ArgValue {
+    fn from(v: &'static str) -> ArgValue {
         ArgValue::Str(v)
     }
 }
 
-/// Named event arguments.
-pub type Args = Vec<(&'static str, ArgValue)>;
+/// A span's named arguments, held inline in [`MAX_ARGS`] slots; reads as
+/// a slice of the ones set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Args {
+    len: usize,
+    slots: [(&'static str, ArgValue); MAX_ARGS],
+}
+
+impl Args {
+    /// No arguments.
+    pub(crate) const EMPTY: Args = Args {
+        len: 0,
+        slots: [("", ArgValue::UInt(0)); MAX_ARGS],
+    };
+
+    fn push(&mut self, key: &'static str, value: ArgValue) {
+        assert!(self.len < MAX_ARGS, "over {MAX_ARGS} span arguments");
+        self.slots[self.len] = (key, value);
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for Args {
+    type Target = [(&'static str, ArgValue)];
+
+    fn deref(&self) -> &Self::Target {
+        &self.slots[..self.len]
+    }
+}
 
 /// What an [`Event`] records.
 #[derive(Debug, Clone, PartialEq)]
@@ -151,14 +160,14 @@ pub enum EventKind {
         /// Category (by convention, the crate: `logic`, `core`, `ilp`, ...).
         cat: &'static str,
         /// Span name.
-        name: String,
+        name: &'static str,
     },
     /// A span closed (`ph: "E"`); args gathered over the span's lifetime.
     End {
         /// Category (same as the matching [`EventKind::Begin`]).
         cat: &'static str,
         /// Span name (same as the matching [`EventKind::Begin`]).
-        name: String,
+        name: &'static str,
         /// Arguments recorded via [`Span::arg`].
         args: Args,
     },
@@ -167,9 +176,19 @@ pub enum EventKind {
         /// Category.
         cat: &'static str,
         /// Event name.
-        name: String,
-        /// Arguments.
-        args: Args,
+        name: &'static str,
+    },
+    /// One entry of the provenance journal, exported as an instant of
+    /// category [`PROVENANCE_CAT`] named after the gate.
+    Provenance {
+        /// Index of the emitted gate in the threshold network.
+        gate: usize,
+        /// How the gate was obtained (`direct-ilp`, `cache-hit`, ...).
+        path: &'static str,
+        /// Index of the source-network node being synthesized, if any.
+        node: Option<usize>,
+        /// The fanin restriction ψ.
+        psi: usize,
     },
 }
 
@@ -184,184 +203,161 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// Per-thread event buffer, registered globally so [`drain`] can reach it
-/// after the owning thread exits (scoped scheduler workers, for example).
-#[derive(Debug)]
-struct ThreadBuffer {
+/// This thread's id, open-span depth and events not yet moved into the
+/// registry.
+struct Local {
     tid: u64,
-    label: Mutex<Option<String>>,
-    events: Mutex<Vec<Event>>,
-}
-
-fn registry() -> &'static Mutex<Vec<Arc<ThreadBuffer>>> {
-    static REGISTRY: OnceLock<Mutex<Vec<Arc<ThreadBuffer>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
+    depth: usize,
+    events: Vec<Event>,
 }
 
 thread_local! {
-    static LOCAL: std::cell::RefCell<Option<Arc<ThreadBuffer>>> =
-        const { std::cell::RefCell::new(None) };
+    static LOCAL: RefCell<Local> = RefCell::new(Local {
+        tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
+        depth: 0,
+        events: Vec::new(),
+    });
 }
 
-/// This thread's buffer, registering it on first use.
-fn local_buffer() -> Arc<ThreadBuffer> {
-    LOCAL.with(|slot| {
-        let mut slot = slot.borrow_mut();
-        if let Some(buf) = slot.as_ref() {
-            return Arc::clone(buf);
-        }
-        let buf = Arc::new(ThreadBuffer {
-            tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
-            label: Mutex::new(None),
-            events: Mutex::new(Vec::new()),
-        });
-        registry()
-            .lock()
-            .expect("trace registry poisoned")
-            .push(Arc::clone(&buf));
-        *slot = Some(Arc::clone(&buf));
-        buf
-    })
+/// Event buffers and thread labels gathered from all threads since the
+/// last [`drain`].
+struct Registry {
+    chunks: Vec<Vec<Event>>,
+    labels: BTreeMap<u64, String>,
 }
 
-/// Appends an event to the current thread's buffer, unconditionally (the
-/// caller has already passed the [`enabled`] gate).
-fn push(kind: EventKind) {
+static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
+    chunks: Vec::new(),
+    labels: BTreeMap::new(),
+});
+
+/// The registry, locked. Every update leaves it whole, so a lock poisoned
+/// by a panicking thread is still sound, and a span's `Drop` never panics.
+fn registry() -> MutexGuard<'static, Registry> {
+    REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Appends an event to this thread's buffer (the caller has passed the
+/// [`enabled`] gate) and returns its timestamp. Once no span is open on
+/// this thread, the buffer moves into the registry, its capacity kept.
+fn record(kind: EventKind) -> u64 {
     let ts = now_ns();
-    let buf = local_buffer();
-    let tid = buf.tid;
-    buf.events
-        .lock()
-        .expect("trace buffer poisoned")
-        .push(Event { ts, tid, kind });
+    LOCAL.with_borrow_mut(|local| {
+        match kind {
+            EventKind::Begin { .. } => local.depth += 1,
+            EventKind::End { .. } => local.depth -= 1,
+            _ => {}
+        }
+        let tid = local.tid;
+        local.events.push(Event { ts, tid, kind });
+        if local.depth == 0 {
+            let fresh = Vec::with_capacity(local.events.capacity());
+            registry()
+                .chunks
+                .push(std::mem::replace(&mut local.events, fresh));
+        }
+    });
+    ts
 }
 
-/// Labels the current thread in exported traces (e.g. `worker-3`). No-op
-/// while tracing is disabled.
+/// Labels the current thread in the next drained trace (e.g. `worker-3`).
+/// No-op while tracing is disabled.
 pub fn set_thread_label(label: impl Into<String>) {
-    if !enabled() {
-        return;
+    if enabled() {
+        let tid = LOCAL.with_borrow(|local| local.tid);
+        registry().labels.insert(tid, label.into());
     }
-    let buf = local_buffer();
-    *buf.label.lock().expect("trace label poisoned") = Some(label.into());
-}
-
-thread_local! {
-    /// The job id spans opened on this thread are attributed to.
-    static CURRENT_JOB: std::cell::Cell<Option<u64>> = const { std::cell::Cell::new(None) };
-}
-
-/// Attributes subsequent spans opened on this thread to a job: every span
-/// gains a `job` argument until the label is cleared with `set_job(None)`.
-///
-/// Daemon-style callers (`tels serve`) set this around each job on the
-/// connection thread that runs it, so a drained profile of a busy daemon
-/// can split its time per job. Cheap enough to call unconditionally, but pairs naturally with
-/// an [`enabled`] check since the label only matters while collecting.
-pub fn set_job(job: Option<u64>) {
-    CURRENT_JOB.with(|j| j.set(job));
-}
-
-/// The job id set via [`set_job`] on this thread, if any.
-pub fn current_job() -> Option<u64> {
-    CURRENT_JOB.with(std::cell::Cell::get)
 }
 
 /// An RAII span guard: records a begin event at creation and the matching
-/// end event (carrying any [`Span::arg`] annotations) when dropped.
+/// end event (carrying any [`Span::arg`] annotations) when dropped, on the
+/// same thread (a span is not `Send`).
 ///
 /// When tracing is disabled, [`span`] returns an inert guard: no
 /// allocation, no clock read, no lock.
 #[must_use = "a span records its duration when dropped"]
 #[derive(Debug)]
 pub struct Span {
-    active: Option<ActiveSpan>,
-}
-
-#[derive(Debug)]
-struct ActiveSpan {
-    cat: &'static str,
-    name: String,
-    args: Args,
+    /// Category, name, arguments and begin time, while recording.
+    active: Option<(&'static str, &'static str, Args, u64)>,
+    on_this_thread: PhantomData<*const ()>,
 }
 
 impl Span {
     /// Attaches an argument, recorded on the span's end event.
+    ///
+    /// # Panics
+    ///
+    /// When the span already holds [`MAX_ARGS`] arguments.
     pub fn arg(&mut self, key: &'static str, value: impl Into<ArgValue>) {
-        if let Some(a) = self.active.as_mut() {
-            a.args.push((key, value.into()));
+        if let Some((_, _, args, _)) = self.active.as_mut() {
+            args.push(key, value.into());
         }
+    }
+
+    /// When the span began (for an inert span, now): with [`Span::end_ns`],
+    /// a timer that shares the span's clock reads.
+    pub fn start_ns(&self) -> u64 {
+        self.active
+            .as_ref()
+            .map_or_else(now_ns, |&(.., start)| start)
+    }
+
+    /// Closes the span and returns when (for an inert span, now).
+    pub fn end_ns(mut self) -> u64 {
+        self.close().unwrap_or_else(now_ns)
+    }
+
+    fn close(&mut self) -> Option<u64> {
+        let (cat, name, args, _) = self.active.take()?;
+        Some(record(EventKind::End { cat, name, args }))
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some(a) = self.active.take() {
-            // Recorded even if tracing was disabled mid-span, so drained
-            // traces never contain an unmatched begin.
-            push(EventKind::End {
-                cat: a.cat,
-                name: a.name,
-                args: a.args,
-            });
-        }
+        // Recorded even if tracing was disabled mid-span, so drained
+        // traces never contain an unmatched begin.
+        self.close();
     }
 }
 
 /// Opens a span. The hot path: when tracing is disabled this is one atomic
 /// load and a `None` return.
 #[inline]
-pub fn span(cat: &'static str, name: impl Into<String>) -> Span {
-    if !enabled() {
-        return Span { active: None };
-    }
-    let name = name.into();
-    push(EventKind::Begin {
-        cat,
-        name: name.clone(),
+pub fn span(cat: &'static str, name: &'static str) -> Span {
+    let active = enabled().then(|| {
+        let start = record(EventKind::Begin { cat, name });
+        (cat, name, Args::EMPTY, start)
     });
-    // Spans opened while a job label is set (see [`set_job`]) carry the
-    // job id, so daemon profiles attribute shared-pool work to jobs.
-    let args = match current_job() {
-        Some(job) => vec![("job", ArgValue::UInt(job))],
-        None => Vec::new(),
-    };
     Span {
-        active: Some(ActiveSpan { cat, name, args }),
+        active,
+        on_this_thread: PhantomData,
     }
 }
 
-/// Records a point-in-time event with arguments.
+/// Records a point-in-time event.
 #[inline]
-pub fn instant(cat: &'static str, name: impl Into<String>, args: Args) {
-    if !enabled() {
-        return;
+pub fn instant(cat: &'static str, name: &'static str) {
+    if enabled() {
+        record(EventKind::Instant { cat, name });
     }
-    push(EventKind::Instant {
-        cat,
-        name: name.into(),
-        args,
-    });
 }
 
-/// Records one synthesis-provenance event: the threshold gate `gate` was
-/// emitted by `path` (e.g. `direct-ilp`, `cache-hit`, `binate-split`),
-/// while synthesizing the source network node `node`, under fanin
-/// restriction `psi`. Exactly one such event is journaled per emitted gate.
+/// Records one synthesis-provenance event: the threshold gate with index
+/// `gate` was emitted by `path` (e.g. `direct-ilp`, `cache-hit`,
+/// `binate-split`), while synthesizing the source network node with index
+/// `node`, under fanin restriction `psi`. Exactly one such event is
+/// journaled per emitted gate. Returns its timestamp, if recorded.
 #[inline]
-pub fn provenance(gate: &str, path: &'static str, node: Option<&str>, psi: usize) {
-    if !enabled() {
-        return;
-    }
-    push(EventKind::Instant {
-        cat: PROVENANCE_CAT,
-        name: gate.to_string(),
-        args: vec![
-            ("path", ArgValue::Str(path.to_string())),
-            ("node", ArgValue::Str(node.unwrap_or("").to_string())),
-            ("psi", ArgValue::UInt(psi as u64)),
-        ],
-    });
+pub fn provenance(gate: usize, path: &'static str, node: Option<usize>, psi: usize) -> Option<u64> {
+    let kind = EventKind::Provenance {
+        gate,
+        path,
+        node,
+        psi,
+    };
+    enabled().then(|| record(kind))
 }
 
 /// A drained trace: all events collected since the last [`drain`], plus
@@ -370,42 +366,30 @@ pub fn provenance(gate: &str, path: &'static str, node: Option<&str>, psi: usize
 pub struct Trace {
     /// Events sorted by timestamp; per-thread relative order is exact.
     pub events: Vec<Event>,
-    /// `(tid, label)` pairs for threads that called [`set_thread_label`].
+    /// `(tid, label)` pairs set via [`set_thread_label`] since the last
+    /// drain, sorted by tid.
     pub thread_labels: Vec<(u64, String)>,
 }
 
 impl Trace {
-    /// Events of the provenance journal (category [`PROVENANCE_CAT`]).
+    /// Events of the provenance journal.
     pub fn provenance_events(&self) -> impl Iterator<Item = &Event> + '_ {
         self.events
             .iter()
-            .filter(|e| matches!(&e.kind, EventKind::Instant { cat, .. } if *cat == PROVENANCE_CAT))
+            .filter(|e| matches!(e.kind, EventKind::Provenance { .. }))
     }
 }
 
-/// Collects every thread's buffered events into one [`Trace`] and clears
-/// the buffers. Buffers of threads that have exited are reaped.
+/// Takes every event moved into the registry since the last drain (all
+/// spans closed so far, on any thread) as one [`Trace`].
 pub fn drain() -> Trace {
-    let mut registry = registry().lock().expect("trace registry poisoned");
-    let mut events = Vec::new();
-    let mut thread_labels = Vec::new();
-    for buf in registry.iter() {
-        let mut local = buf.events.lock().expect("trace buffer poisoned");
-        events.append(&mut local);
-        drop(local);
-        if let Some(label) = buf.label.lock().expect("trace label poisoned").clone() {
-            thread_labels.push((buf.tid, label));
-        }
-    }
-    // Dead threads hold no other strong reference; drop their entries so
-    // repeated enable/drain cycles (tests, long-lived services) don't
-    // accumulate registry slots.
-    registry.retain(|buf| Arc::strong_count(buf) > 1);
+    let mut registry = registry();
+    let mut events = std::mem::take(&mut registry.chunks).concat();
+    let thread_labels = std::mem::take(&mut registry.labels).into_iter().collect();
     drop(registry);
     // Stable by timestamp: events of one thread were appended in order, so
-    // per-thread order survives; cross-thread ties keep registry order.
+    // per-thread order survives; cross-thread ties keep arrival order.
     events.sort_by_key(|e| e.ts);
-    thread_labels.sort_unstable();
     Trace {
         events,
         thread_labels,
@@ -430,8 +414,8 @@ mod tests {
         {
             let mut s = span("t", "noop");
             s.arg("k", 1u64);
-            instant("t", "i", vec![]);
-            provenance("g", "direct-ilp", None, 3);
+            instant("t", "i");
+            provenance(0, "direct-ilp", None, 3);
         }
         assert!(drain().events.is_empty());
     }
@@ -446,7 +430,7 @@ mod tests {
             outer.arg("n", 2u64);
             {
                 let _inner = span("t", "inner");
-                instant("t", "tick", vec![("v", ArgValue::Int(-1))]);
+                instant("t", "tick");
             }
         }
         disable();
@@ -455,9 +439,10 @@ mod tests {
             .events
             .iter()
             .map(|e| match &e.kind {
-                EventKind::Begin { name, .. } => name.as_str(),
-                EventKind::End { name, .. } => name.as_str(),
-                EventKind::Instant { name, .. } => name.as_str(),
+                EventKind::Begin { name, .. }
+                | EventKind::End { name, .. }
+                | EventKind::Instant { name, .. } => name,
+                EventKind::Provenance { .. } => "provenance",
             })
             .collect();
         assert_eq!(kinds, ["outer", "inner", "tick", "inner", "outer"]);
@@ -465,9 +450,40 @@ mod tests {
         assert!(trace.events.windows(2).all(|w| w[0].ts <= w[1].ts));
         // The outer end carries its arg.
         match &trace.events[4].kind {
-            EventKind::End { args, .. } => assert_eq!(args[0], ("n", ArgValue::UInt(2))),
+            EventKind::End { args, .. } => assert_eq!(args[..], [("n", ArgValue::UInt(2))]),
             other => panic!("expected end, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn span_timer_shares_the_recorded_clock_reads() {
+        let _g = lock();
+        drain();
+        disable();
+        let inert = span("t", "inert");
+        let t0 = inert.start_ns();
+        assert!(inert.end_ns() >= t0, "an inert span still times");
+        enable();
+        let traced = span("t", "traced");
+        let (start, end) = (traced.start_ns(), traced.end_ns());
+        disable();
+        let ts: Vec<u64> = drain().events.iter().map(|e| e.ts).collect();
+        assert_eq!(ts, [start, end]);
+    }
+
+    #[test]
+    fn span_args_fill_the_inline_slots() {
+        let mut args = Args::EMPTY;
+        for (i, key) in ["a", "b", "c", "d"].into_iter().enumerate() {
+            args.push(key, ArgValue::UInt(i as u64));
+        }
+        assert_eq!(args.len(), MAX_ARGS);
+        assert_eq!(args[3], ("d", ArgValue::UInt(3)));
+        let full = std::panic::catch_unwind(move || args.push("e", ArgValue::UInt(4)));
+        assert!(
+            full.is_err(),
+            "a fifth argument must not be dropped silently"
+        );
     }
 
     #[test]
@@ -479,7 +495,7 @@ mod tests {
             for i in 0..3 {
                 s.spawn(move || {
                     set_thread_label(format!("worker-{i}"));
-                    let _sp = span("t", format!("job-{i}"));
+                    let _sp = span("t", "job");
                 });
             }
         });
@@ -488,31 +504,34 @@ mod tests {
         let tids: std::collections::HashSet<u64> = trace.events.iter().map(|e| e.tid).collect();
         assert_eq!(tids.len(), 3, "each thread owns a tid");
         assert_eq!(trace.thread_labels.len(), 3);
+        // Every begin and end the scoped threads recorded is drained, not
+        // only one event per thread.
+        assert_eq!(trace.events.len(), 6);
+        assert_eq!(export::spans(&trace).expect("well-nested").len(), 3);
     }
 
     #[test]
-    fn job_label_attaches_to_spans() {
+    fn closed_span_is_drained_while_its_thread_lives() {
         let _g = lock();
         drain();
         enable();
-        set_job(Some(7));
-        assert_eq!(current_job(), Some(7));
-        drop(span("t", "labeled"));
-        set_job(None);
-        drop(span("t", "unlabeled"));
-        disable();
+        let (closed_tx, closed_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let worker = std::thread::spawn(move || {
+            {
+                let _outer = span("t", "outer");
+                let _inner = span("t", "inner");
+            }
+            closed_tx.send(()).unwrap();
+            release_rx.recv().unwrap();
+        });
+        closed_rx.recv().unwrap();
         let trace = drain();
-        let end_args: Vec<&Args> = trace
-            .events
-            .iter()
-            .filter_map(|e| match &e.kind {
-                EventKind::End { args, .. } => Some(args),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(end_args.len(), 2);
-        assert_eq!(end_args[0].as_slice(), [("job", ArgValue::UInt(7))]);
-        assert!(end_args[1].is_empty());
+        disable();
+        release_tx.send(()).unwrap();
+        worker.join().unwrap();
+        assert_eq!(trace.events.len(), 4, "{:?}", trace.events);
+        assert_eq!(export::spans(&trace).expect("well-nested").len(), 2);
     }
 
     #[test]
@@ -521,8 +540,8 @@ mod tests {
         drain();
         enable();
         let _sp = span("core", "synthesize");
-        provenance("t0", "direct-ilp", Some("n1"), 3);
-        provenance("t1", "binate-split", Some("n2"), 3);
+        provenance(0, "direct-ilp", Some(1), 3);
+        provenance(1, "binate-split", Some(2), 3);
         drop(_sp);
         disable();
         let trace = drain();

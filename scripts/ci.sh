@@ -76,7 +76,8 @@ cargo run --release -p tels-bench --bin serve_pipeline --quiet -- --quick
 echo "==> traced synthesis smoke (trace/stats round-trip)"
 # One traced CLI run: the Chrome trace must parse, nest, cover all four
 # instrumented crates, and journal one provenance event per emitted gate;
-# the --stats-json object must carry the machine-readable stats schema.
+# the --stats-json object must carry the machine-readable stats schema,
+# and --profile renders the release build's profile tree on stderr.
 # --no-tier0 keeps the run on the ILP path so `ilp` category events exist.
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
@@ -94,7 +95,7 @@ cat > "$smoke_dir/smoke.blif" <<'BLIF'
 .end
 BLIF
 cargo run --release --quiet -p tels-cli --bin tels -- synth "$smoke_dir/smoke.blif" \
-    --no-tier0 --trace "$smoke_dir/trace.json" --stats-json > "$smoke_dir/stats.json"
+    --no-tier0 --trace "$smoke_dir/trace.json" --profile --stats-json > "$smoke_dir/stats.json"
 cargo run --release --quiet -p tels-cli --bin tels -- trace-check \
     "$smoke_dir/trace.json" "$smoke_dir/stats.json"
 

@@ -9,8 +9,8 @@ use std::sync::Mutex;
 use tels::circuits::{comparator, parity_tree, ripple_adder};
 use tels::logic::opt::script_algebraic;
 use tels::logic::Network;
-use tels::trace::{export, json};
-use tels::{synthesize_with_stats, to_verilog, SynthStats, TelsConfig};
+use tels::trace::{export, json, Event, EventKind, Trace};
+use tels::{synthesize_with_stats, to_verilog, SynthStats, TelsConfig, ThresholdNetwork};
 
 /// Tracing state is process-global; tests touching it serialize here.
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -43,6 +43,26 @@ fn suite() -> Vec<(&'static str, Network)> {
         ("comparator_6", comparator(6)),
         ("parity_tree_10", parity_tree(10)),
     ]
+}
+
+/// The Chrome JSON of a traced synthesis of `prepared` into `tn`, with the
+/// recorded gate and node ids named after their signals.
+fn chrome_trace(trace: &Trace, prepared: &Network, tn: &ThresholdNetwork) -> String {
+    let gates: Vec<&str> = tn.node_ids().map(|id| tn.name(id)).collect();
+    let nodes: Vec<&str> = prepared.node_ids().map(|id| prepared.name(id)).collect();
+    let names = export::Names {
+        gates: &gates,
+        nodes: &nodes,
+    };
+    export::chrome_trace(trace, &names)
+}
+
+/// The `path` tag of a provenance event.
+fn provenance_path(event: &Event) -> &'static str {
+    match event.kind {
+        EventKind::Provenance { path, .. } => path,
+        _ => panic!("not a provenance event: {event:?}"),
+    }
 }
 
 /// Tracing on vs. off: byte-identical Verilog and equal statistics for
@@ -129,7 +149,7 @@ fn chrome_trace_export_is_well_formed() {
     assert!(profile.contains("synthesize"), "profile tree missing spans");
 
     // Chrome JSON round-trip through the in-tree parser.
-    let chrome = export::chrome_trace(&trace);
+    let chrome = chrome_trace(&trace, &prepared, &tn);
     let doc = json::parse(&chrome).expect("chrome trace is not valid JSON");
     let summary = export::validate_chrome_json(&doc).expect("chrome trace failed validation");
     assert_eq!(
@@ -160,17 +180,7 @@ fn chrome_trace_export_is_well_formed() {
         "shannon",
     ];
     for event in trace.provenance_events() {
-        let tels::trace::EventKind::Instant { args, .. } = &event.kind else {
-            panic!("provenance event is not an instant");
-        };
-        let path = args
-            .iter()
-            .find(|(k, _)| *k == "path")
-            .and_then(|(_, v)| match v {
-                tels::trace::ArgValue::Str(s) => Some(s.as_str()),
-                _ => None,
-            })
-            .expect("provenance event without a path arg");
+        let path = provenance_path(event);
         assert!(known.contains(&path), "unknown provenance path {path}");
     }
 }
@@ -205,14 +215,9 @@ fn tier0_lookups_are_traced() {
         "tier 0 should have answered every query of this circuit"
     );
     assert!(
-        trace.provenance_events().any(|event| {
-            let tels::trace::EventKind::Instant { args, .. } = &event.kind else {
-                return false;
-            };
-            args.iter().any(|(k, v)| {
-                *k == "path" && matches!(v, tels::trace::ArgValue::Str(s) if s == "tier0")
-            })
-        }),
+        trace
+            .provenance_events()
+            .any(|event| provenance_path(event) == "tier0"),
         "no gate carries the tier0 provenance path"
     );
 }
@@ -334,10 +339,10 @@ fn golden_trace_exports() {
         tels::trace::enable();
         tels::trace::set_thread_label("main");
         let prepared = script_algebraic(&net);
-        let (_tn, _stats) = synthesize_with_stats(&prepared, &cfg).expect("synthesis failed");
+        let (tn, _stats) = synthesize_with_stats(&prepared, &cfg).expect("synthesis failed");
         tels::trace::disable();
         let trace = tels::trace::drain();
-        let chrome = fnv1a(normalized_chrome(&export::chrome_trace(&trace)).as_bytes());
+        let chrome = fnv1a(normalized_chrome(&chrome_trace(&trace, &prepared, &tn)).as_bytes());
         let profile = export::profile_tree(&trace).expect("profile tree failed");
         let profile = fnv1a(profile_rows(&profile).as_bytes());
         if (chrome, profile) != (chrome_digest, profile_digest) {
